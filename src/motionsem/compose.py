@@ -8,8 +8,10 @@ locations relate: identified with each other, or bound to different
 motion phases.  Assignments that follow from neither entry alone are
 tagged as interaction information.
 
-Everything here is pure: lexicons, rule bases and traces are immutable,
-and repeated composition of the same inputs yields identical results.
+Everything here is pure: lexicons, rule bases and traces are immutable
+values, and repeated composition of the same inputs yields identical
+results.  A rule base memoizes derivations per entry shape (see
+compose()); the memo never changes a result.
 """
 
 from __future__ import annotations
@@ -28,17 +30,18 @@ from .rules import (
     ComplexFeatures,
     CompositionRule,
     RuleBase,
-    applicable_rules,
+    first_tie,
 )
 from .trace import (
     Provenance,
     SpatiotemporalTrace,
     ZoneAssignment,
+    discontinuities,
     render_records,
     sorted_assignments,
     validate_trace,
 )
-from .zones import Phase, Zone, zone_distance
+from .zones import LrefRole, Phase, Zone
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
         raise NotACoLVerbError(f"{verb.lemma!r} is {verb.category}, not CoL")
     assert verb.start_zone is not None and verb.end_zone is not None
     constraints = {Phase.PRE: verb.start_zone, Phase.POST: verb.end_zone}
-    if verb.lref_role is not None and verb.lref_role.label == "medial":
+    if verb.lref_role is LrefRole.MEDIAL:
         constraints[Phase.DURING] = Zone.INSIDE
     return constraints
 
@@ -129,16 +132,6 @@ def prep_projection(prep: PrepEntry, location: str) -> set[tuple[str, Phase, Zon
     return {(location, phase, zone)}
 
 
-def _continuous(constraints: dict[Phase, Zone]) -> bool:
-    defined = [p for p in (Phase.PRE, Phase.DURING, Phase.POST) if p in constraints]
-    for a, b in zip(defined, defined[1:]):
-        if a is Phase.PRE and b is Phase.POST:
-            continue  # missing during phase connects any pre/post pair
-        if zone_distance(constraints[a], constraints[b]) > 1:
-            return False
-    return True
-
-
 def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     """Feature vector for rule guards, including the zone-compatibility flag.
 
@@ -157,7 +150,7 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
         compatible = False
     else:
         merged[phase] = zone
-        compatible = _continuous(merged)
+        compatible = not discontinuities(merged)
 
     attained = prep.attained if prep.is_directional else None
     return ComplexFeatures(
@@ -177,7 +170,8 @@ def resolve(applicable: list[CompositionRule]) -> CompositionRule:
     """
     if not applicable:
         raise EmptyApplicableSetError("no applicable rules to resolve")
-    if len(applicable) >= 2 and applicable[0].sort_key() == applicable[1].sort_key():
+    tie = first_tie(applicable)
+    if tie is not None and tie[0] == 0:
         raise AmbiguousRuleBaseError(
             f"rules {applicable[0].id!r} and {applicable[1].id!r} tie on "
             f"strength and priority"
@@ -252,6 +246,16 @@ def compose(
     constraints clash is skipped.  The first rule that yields a
     well-formed trace fires; if none does, the combination is
     semantically anomalous.
+
+    A derivation depends on the ground, mobile and lref names only
+    through renaming, so the rule base memoizes one per entry shape (the
+    zones and roles of the two entries, never their lemmas) and later
+    calls rename it.  The memo is bounded by the finite shape space and
+    ignored by the rule base's ==, hash and repr; concurrent fills at
+    worst compute the same value twice.  A ground named like the
+    reference location merges the two locations of a bind conclusion,
+    so such a call derives afresh and leaves the memo alone.  Errors are
+    never memoized.
     """
     if complex.language != lexicon.language:
         raise UnknownLanguageError(
@@ -264,30 +268,72 @@ def compose(
             f"{verb.lemma!r} is a {verb.category} verb; only CoL verbs compose"
         )
 
+    shape = (
+        verb.lref_role,
+        verb.start_zone,
+        verb.end_zone,
+        prep.kind,
+        prep.role,
+        prep.zone,
+        prep.attained,
+    )
+    lref = lref_location(complex)
+    memo = rules._derivations
+    template = memo.get(shape)
+    if template is not None and (
+        complex.ground != lref or template.fired.conclusion.kind == "identify"
+    ):
+        return _rename(template, complex, lref)
+    derivation = _derive(complex, verb, prep, rules)
+    if complex.ground != lref:
+        memo[shape] = derivation
+    return derivation
+
+
+def _rename(template: Derivation, complex: MotionComplex, lref: str) -> Derivation:
+    """The template's derivation for another complex of the same shape."""
+    old = template.trace
+    ground = complex.ground
+    if template.fired.conclusion.kind == "identify":
+        lref = ground
+    assignments = tuple(
+        sorted_assignments(
+            tuple(
+                ZoneAssignment(
+                    ground if a.location == old.ground else lref,
+                    a.phase,
+                    a.zone,
+                    a.provenance,
+                )
+                for a in old.assignments
+            )
+        )
+    )
+    return Derivation(
+        complex=complex,
+        features=template.features,
+        fired=template.fired,
+        defeated=template.defeated,
+        trace=SpatiotemporalTrace(
+            mobile=complex.mobile, lref=lref, ground=ground, assignments=assignments
+        ),
+    )
+
+
+def _derive(
+    complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase
+) -> Derivation:
     features = compute_features(verb, prep)
-    candidates = applicable_rules(features, rules)
+    candidates, tie = rules.ranking(features)
 
     defeated: list[Defeat] = []
     veto: CompositionRule | None = None
-    fired: CompositionRule | None = None
-    trace: SpatiotemporalTrace | None = None
-
-    index = 0
-    while index < len(candidates):
-        rule = candidates[index]
-        tied = [
-            r
-            for r in candidates[index:]
-            if r.sort_key() == rule.sort_key()
-        ]
-        if len(tied) > 1:
-            ids = ", ".join(sorted(r.id for r in tied))
+    for index, rule in enumerate(candidates):
+        if tie is not None and index == tie[0]:
             raise AmbiguousRuleBaseError(
-                f"rules {ids} tie on strength and priority for "
+                f"rules {', '.join(tie[1])} tie on strength and priority for "
                 f"{complex.verb_lemma} + {complex.prep_lemma}"
             )
-        index += 1
-
         if rule.conclusion.kind == "forbid":
             if veto is None:
                 veto = rule
@@ -297,20 +343,19 @@ def compose(
                 Defeat(rule.id, veto.id, "identification forbidden")
             )
             continue
-        built = _build_trace(rule, complex, verb, prep)
-        if built is None:
+        trace = _build_trace(rule, complex, verb, prep)
+        if trace is None:
             defeated.append(Defeat(rule.id, None, "conclusion inconsistent"))
             continue
-        fired, trace = rule, built
         break
-
-    if fired is None or trace is None:
+    else:
         raise InfelicitousError(
             f"no rule yields a well-formed trace for "
             f"{complex.verb_lemma} + {complex.prep_lemma} + {complex.ground}"
         )
 
-    for rule in candidates[index:]:
+    fired = rule
+    for rule in candidates[index + 1 :]:
         if rule.conclusion.kind == "forbid":
             continue
         if fired.guard.subsumes(rule.guard):

@@ -15,6 +15,7 @@ present on change-of-location (CoL) entries.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from importlib import resources
@@ -104,8 +105,9 @@ class Lexicon:
     preps: dict[str, PrepEntry] = field(default_factory=dict)
 
 
+@functools.cache
 def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
-    """The shipped begin/end zone pair inventory for CoL verbs."""
+    """The shipped begin/end zone pair inventory for CoL verbs (read once)."""
     with resources.files("motionsem.data").joinpath("col_classes.txt").open(
         "r", encoding="utf-8"
     ) as fh:

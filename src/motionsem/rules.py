@@ -25,9 +25,9 @@ an error, never silently ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import IllFormedEntryError
 from .trace import Provenance
@@ -151,10 +151,50 @@ class CompositionRule:
         )
 
 
+Tie = tuple[int, tuple[str, ...]]  # position in a ranked list, sorted rule ids
+
+
+def first_tie(ranked: Sequence[CompositionRule]) -> Tie | None:
+    """The first group of rules in a ranked list sharing strength and priority.
+
+    Returns the group's position and its sorted rule ids, or None when
+    every rank is held by a single rule.
+    """
+    for index in range(len(ranked) - 1):
+        key = ranked[index].sort_key()
+        if ranked[index + 1].sort_key() == key:
+            ids = sorted(r.id for r in ranked[index:] if r.sort_key() == key)
+            return index, tuple(ids)
+    return None
+
+
 @dataclass(frozen=True)
 class RuleBase:
+    """A versioned set of composition rules.
+
+    Carries two lazily filled memos that ==, hash and repr ignore: the
+    ranking per feature vector (at most 30) and compose()'s derivation
+    per entry shape (at most 960).
+    """
+
     version: str
     rules: tuple[CompositionRule, ...] = ()
+    _rankings: dict[
+        ComplexFeatures, tuple[tuple[CompositionRule, ...], Tie | None]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derivations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def ranking(
+        self, features: ComplexFeatures
+    ) -> tuple[tuple[CompositionRule, ...], Tie | None]:
+        """The applicable rules for features, ranked, and their first tie."""
+        ranking = self._rankings.get(features)
+        if ranking is None:
+            ranked = tuple(applicable_rules(features, self))
+            ranking = self._rankings[features] = (ranked, first_tie(ranked))
+        return ranking
 
     def with_rule(self, rule: CompositionRule) -> "RuleBase":
         """A copy of this base with one extra rule (ids must stay unique)."""
@@ -397,14 +437,11 @@ def lint_rulebase(base: RuleBase) -> LintReport:
             cell_gap = False
             cell_ties: list[str] = []
             for features in _completions(lref_role, prep_kind, prep_role):
-                hits = applicable_rules(features, base)
+                hits, tie = base.ranking(features)
                 if not any(r.conclusion.kind != "forbid" for r in hits):
                     cell_gap = True
-                if len(hits) >= 2 and hits[0].sort_key() == hits[1].sort_key():
-                    tied = sorted(
-                        r.id for r in hits if r.sort_key() == hits[0].sort_key()
-                    )
-                    cell_ties.append("/".join(tied))
+                if tie is not None and tie[0] == 0:
+                    cell_ties.append("/".join(tie[1]))
             if cell_gap:
                 gaps.append(cell)
             for tie in sorted(set(cell_ties)):

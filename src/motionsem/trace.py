@@ -153,23 +153,33 @@ def validate_trace(trace: SpatiotemporalTrace) -> list[Violation]:
 
     for location in sorted(per_location):
         zones = per_location[location]
-        defined = [p for p in (Phase.PRE, Phase.DURING, Phase.POST) if p in zones]
-        for a, b in zip(defined, defined[1:]):
-            # pre->post with during undefined is the licensed long jump
-            if a is Phase.PRE and b is Phase.POST:
-                continue
-            if zone_distance(zones[a], zones[b]) > 1:
-                violations.append(
-                    Violation(
-                        location,
-                        (a, b),
-                        "discontinuity",
-                        f"jump from {zones[a].label} to {zones[b].label} "
-                        f"skips an intermediate zone",
-                    )
+        for a, b in discontinuities(zones):
+            violations.append(
+                Violation(
+                    location,
+                    (a, b),
+                    "discontinuity",
+                    f"jump from {zones[a].label} to {zones[b].label} "
+                    f"skips an intermediate zone",
                 )
+            )
 
     return violations
+
+
+def discontinuities(zones: dict[Phase, Zone]) -> list[tuple[Phase, Phase]]:
+    """Consecutive defined phases whose zones are not adjacent.
+
+    A missing during phase licenses the pre->post jump, so pre and post
+    may then differ by any number of zones.
+    """
+    defined = [p for p in (Phase.PRE, Phase.DURING, Phase.POST) if p in zones]
+    return [
+        (a, b)
+        for a, b in zip(defined, defined[1:])
+        if not (a is Phase.PRE and b is Phase.POST)
+        and zone_distance(zones[a], zones[b]) > 1
+    ]
 
 
 def render_records(trace: SpatiotemporalTrace) -> str:

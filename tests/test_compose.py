@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motionsem.compose import (
     Derivation,
@@ -24,8 +25,9 @@ from motionsem.errors import (
     NotACoLVerbError,
     UnknownLemmaError,
 )
-from motionsem.lexicon import default_lexicon
+from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_lexicon
 from motionsem.rules import (
+    RuleBase,
     applicable_rules,
     default_rulebase,
     load_rulebase,
@@ -212,8 +214,26 @@ def test_compose_raises_on_tied_rules():
             "R\tB\tdefeasible\t5\tprepkind=pos\tbind(pre)\n"
         )
     )
-    with pytest.raises(AmbiguousRuleBaseError):
-        compose(fr_complex("entrer", "dans"), FR, base)
+    for _ in range(3):  # never memoized: raised on every repeat
+        with pytest.raises(AmbiguousRuleBaseError) as info:
+            compose(fr_complex("entrer", "dans"), FR, base)
+        assert str(info.value) == (
+            "rules A, B tie on strength and priority for entrer + dans"
+        )
+
+
+def test_tie_below_the_fired_rule_is_never_reached():
+    base = load_rulebase(
+        io.StringIO(
+            "R\tA\tdefeasible\t5\tprepkind=pos\tbind(post)\n"
+            "R\tB\tdefeasible\t5\tprepkind=pos\tbind(pre)\n"
+            "R\tC\tdefeasible\t9\tprepkind=pos\tbind(post)\n"
+        )
+    )
+    for _ in range(2):
+        d = compose(fr_complex("entrer", "dans"), FR, base)
+        assert d.fired.id == "C"
+        assert [x.rule_id for x in d.defeated] == ["A", "B"]
 
 
 # -- error paths --------------------------------------------------------------
@@ -237,8 +257,12 @@ def test_infelicitous_when_every_conclusion_fails():
     base = load_rulebase(
         io.StringIO("R\tonly\tdefeasible\t1\tprepkind=dir,preprole=final\tidentify\n")
     )
-    with pytest.raises(InfelicitousError):
-        compose(fr_complex("arriver", "jusqu'à", ground="maison"), FR, base)
+    for _ in range(3):  # never memoized: raised on every repeat
+        with pytest.raises(InfelicitousError) as info:
+            compose(fr_complex("arriver", "jusqu'à", ground="maison"), FR, base)
+        assert str(info.value) == (
+            "no rule yields a well-formed trace for arriver + jusqu'à + maison"
+        )
 
 
 def test_infelicitous_when_no_rule_applies():
@@ -476,3 +500,83 @@ def test_explain_is_deterministic():
 
 def test_lref_location_naming():
     assert lref_location(fr_complex("sortir", "dans")) == "lref#sortir"
+
+
+# -- derivation memo -------------------------------------------------------------
+
+MEMO_BASES = {
+    "default": RULES,
+    "identify-only": load_rulebase(
+        io.StringIO("R\tonly\tdefeasible\t1\tprepkind=dir\tidentify\n")
+    ),
+    "tie-and-bind": load_rulebase(
+        io.StringIO(
+            "R\tA\tdefeasible\t5\tprepkind=pos\tbind(post)\n"
+            "R\tB\tdefeasible\t5\tprepkind=pos\tbind(pre)\n"
+            "R\tC\tdefeasible\t9\tprepkind=dir\tbind(pre) zone=distal\n"
+            "R\tD\tdefeasible\t3\tprepkind=dir\tidentify\n"
+        )
+    ),
+}
+
+
+@st.composite
+def prep_entries(draw):
+    zone = draw(st.sampled_from(Zone))
+    if draw(st.booleans()):
+        return PrepEntry("p", "pos", zone)
+    role = draw(st.sampled_from(LrefRole))
+    attained = draw(st.booleans()) if role is LrefRole.FINAL else None
+    return PrepEntry("p", "dir", zone, role=role, attained=attained)
+
+
+def outcome(complex_, lexicon, rules):
+    try:
+        d = compose(complex_, lexicon, rules)
+    except (AmbiguousRuleBaseError, InfelicitousError) as exc:
+        return type(exc), str(exc)
+    return d, explain(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.sampled_from(sorted(MEMO_BASES)),
+    lemma=st.sampled_from(["v", "sortir", "a b"]),
+    role=st.sampled_from(LrefRole),
+    start=st.sampled_from(Zone),
+    end=st.sampled_from(Zone),
+    prep=prep_entries(),
+    ground=st.sampled_from(["g", "zz", "lref#v", "lref#sortir"]),
+)
+def test_memoized_compose_matches_a_cold_rule_base(
+    base, lemma, role, start, end, prep, ground
+):
+    # the warm bases are shared by every example, so most calls rename a
+    # derivation memoized for other lemmas and grounds; a ground named
+    # lref#<lemma> must bypass the memo
+    warm = MEMO_BASES[base]
+    lexicon = Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", role, start, end)}, {"p": prep})
+    complex_ = MotionComplex(lemma, "p", ground, "m", "fr")
+    cold = RuleBase(warm.version, warm.rules)
+    expected = outcome(complex_, lexicon, cold)
+    assert outcome(complex_, lexicon, warm) == expected
+    assert outcome(complex_, lexicon, warm) == expected
+    assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
+
+
+def test_derivation_memo_holds_one_entry_per_shape():
+    rules = RuleBase(RULES.version, RULES.rules)
+    shapes = set()
+    for lexicon, language in ((FR, "fr"), (EN, "en")):
+        for verb, prep in all_col_prep_pairs(lexicon):
+            shapes.add(
+                (verb.lref_role, verb.start_zone, verb.end_zone, prep.kind)
+                + (prep.role, prep.zone, prep.attained)
+            )
+            for ground in ("a", "g", "maison", "zz", f"lref#{verb.lemma}"):
+                complex_ = MotionComplex(verb.lemma, prep.lemma, ground, "m", language)
+                try:
+                    compose(complex_, lexicon, rules)
+                except InfelicitousError:
+                    pass  # a bind onto a ground named like the lref clashes
+    assert 0 < len(rules._derivations) <= len(shapes)
