@@ -50,7 +50,6 @@ from .compose import (
     compute_features,
     explain,
     prep_projection,
-    resolve,
     verb_projection,
 )
 from .corpus import CorpusCase, CorpusReport, parse_corpus, run_corpus
@@ -92,7 +91,6 @@ __all__ = [
     "Derivation",
     "compose",
     "compute_features",
-    "resolve",
     "explain",
     "verb_projection",
     "prep_projection",

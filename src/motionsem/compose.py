@@ -16,22 +16,16 @@ compose()); the memo never changes a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousRuleBaseError,
-    EmptyApplicableSetError,
     InfelicitousError,
     NotACoLVerbError,
     UnknownLanguageError,
 )
 from .lexicon import Lexicon, PrepEntry, VerbEntry, lookup_prep, lookup_verb
-from .rules import (
-    ComplexFeatures,
-    CompositionRule,
-    RuleBase,
-    first_tie,
-)
+from .rules import ComplexFeatures, CompositionRule, RuleBase
 from .trace import (
     Provenance,
     SpatiotemporalTrace,
@@ -44,24 +38,32 @@ from .trace import (
 from .zones import LrefRole, Phase, Zone
 
 
-@dataclass(frozen=True)
-class MotionComplex:
-    """A pre-parsed motion description: verb, preposition, ground, mobile."""
-
+class _MotionComplexFields(NamedTuple):
     verb_lemma: str
     prep_lemma: str
     ground: str
     mobile: str
     language: str
 
-    def __post_init__(self):
-        for name in ("verb_lemma", "prep_lemma", "ground", "mobile", "language"):
-            if not getattr(self, name):
+
+class MotionComplex(_MotionComplexFields):
+    """A pre-parsed motion description: verb, preposition, ground, mobile."""
+
+    __slots__ = ()
+
+    def __new__(cls, verb_lemma, prep_lemma, ground, mobile, language):
+        self = super().__new__(cls, verb_lemma, prep_lemma, ground, mobile, language)
+        for name, value in zip(cls._fields, self):
+            if not value:
                 raise ValueError(f"motion complex field {name} must be nonempty")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so _replace validates too
 
 
-@dataclass(frozen=True)
-class Defeat:
+class Defeat(NamedTuple):
     """A rule that was applicable but did not fire."""
 
     rule_id: str
@@ -69,8 +71,7 @@ class Defeat:
     reason: str
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """The outcome of one composition: exactly one fired rule plus audit trail."""
 
     complex: MotionComplex
@@ -138,13 +139,10 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     The flag answers: could ground and reference location be one and the
     same place?  It merges the verb's per-phase zones with the
     preposition's commitment on a single location and checks that the
-    result is clash-free and continuous.
+    result is clash-free and continuous.  A non-CoL verb raises
+    NotACoLVerbError (from verb_constraints).
     """
-    if not verb.is_col:
-        raise NotACoLVerbError(f"{verb.lemma!r} is {verb.category}, not CoL")
-    assert verb.lref_role is not None
-
-    merged = dict(verb_constraints(verb))
+    merged = verb_constraints(verb)  # a fresh dict, safe to extend
     phase, zone = prep_constraint(prep)
     if phase in merged and merged[phase] is not zone:
         compatible = False
@@ -160,23 +158,6 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
         zone_compatible=compatible,
         attained=attained,
     )
-
-
-def resolve(applicable: list[CompositionRule]) -> CompositionRule:
-    """Pick the winning rule: strict before defeasible, then priority.
-
-    Exact ties between the two top-ranked rules are rejected rather than
-    silently ordered.
-    """
-    if not applicable:
-        raise EmptyApplicableSetError("no applicable rules to resolve")
-    tie = first_tie(applicable)
-    if tie is not None and tie[0] == 0:
-        raise AmbiguousRuleBaseError(
-            f"rules {applicable[0].id!r} and {applicable[1].id!r} tie on "
-            f"strength and priority"
-        )
-    return applicable[0]
 
 
 def _build_trace(

@@ -16,7 +16,7 @@ error name, never both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .compose import MotionComplex, compose
 from .errors import (
@@ -31,16 +31,14 @@ from .rules import RuleBase
 Tuple4 = tuple[str, str, str, str]
 
 
-@dataclass(frozen=True)
-class CorpusCase:
+class CorpusCase(NamedTuple):
     id: str
     complex: MotionComplex
     expected_tuples: tuple[Tuple4, ...] = ()
     expected_error: str | None = None
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     status: str  # "pass" | "fail" | "error"
     fired_rule: str | None = None
@@ -49,10 +47,9 @@ class CaseResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     results: tuple[CaseResult, ...]
-    rule_histogram: dict[str, int] = field(default_factory=dict)
+    rule_histogram: dict[str, int]
 
     @property
     def passed(self) -> int:

@@ -56,10 +56,6 @@ class AmbiguousRuleBaseError(MotionSemError):
     """Two applicable rules tie on strength and priority."""
 
 
-class EmptyApplicableSetError(MotionSemError):
-    """Rule resolution was asked to pick from an empty candidate list."""
-
-
 # Names used on EXPECT-ERROR corpus lines and in CLI diagnostics.
 WIRE_NAMES = {
     UnknownLemmaError: "UnknownLemma",

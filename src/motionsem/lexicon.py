@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (
     DuplicateLemmaError,
@@ -41,8 +41,7 @@ VERB_CATEGORIES = ("CoL", "CoPs", "ICoPs", "CoPtu")
 _MEDIAL_PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
 
 
-@dataclass(frozen=True)
-class VerbEntry:
+class VerbEntry(NamedTuple):
     """One motion verb.
 
     Only CoL entries constrain zones: start_zone/end_zone give the
@@ -63,8 +62,7 @@ class VerbEntry:
         return self.category == "CoL"
 
 
-@dataclass(frozen=True)
-class PrepEntry:
+class PrepEntry(NamedTuple):
     """One spatial preposition.
 
     Positional prepositions just name a static zone relation; directional
@@ -78,7 +76,6 @@ class PrepEntry:
     zone: Zone
     role: LrefRole | None = None
     attained: bool | None = None
-    language: str = "fr"
 
     @property
     def is_directional(self) -> bool:
@@ -96,13 +93,12 @@ class PrepEntry:
         return self.zone
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(NamedTuple):
     """Immutable per-language lexicon with unique lemmas per part of speech."""
 
     language: str
-    verbs: dict[str, VerbEntry] = field(default_factory=dict)
-    preps: dict[str, PrepEntry] = field(default_factory=dict)
+    verbs: dict[str, VerbEntry]
+    preps: dict[str, PrepEntry]
 
 
 @functools.cache
@@ -245,7 +241,7 @@ def _parse_verb_line(fields: list[str], lineno: int, inventory) -> VerbEntry:
     return VerbEntry(lemma=lemma, category=category, gloss=gloss)
 
 
-def _parse_prep_line(fields: list[str], lineno: int, language: str) -> PrepEntry:
+def _parse_prep_line(fields: list[str], lineno: int) -> PrepEntry:
     if len(fields) < 3:
         raise IllFormedEntryError("prep line needs at least a lemma and kind", lineno)
     lemma, kind = fields[1].strip(), fields[2].strip()
@@ -267,9 +263,7 @@ def _parse_prep_line(fields: list[str], lineno: int, language: str) -> PrepEntry
             raise IllFormedEntryError("positional prep needs exactly a zone", lineno)
         if attained is not None:
             raise IllFormedEntryError("positional prep cannot carry attained", lineno)
-        return PrepEntry(
-            lemma=lemma, kind=kind, zone=_parse_zone(rest[0], lineno), language=language
-        )
+        return PrepEntry(lemma=lemma, kind=kind, zone=_parse_zone(rest[0], lineno))
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>", lineno)
@@ -282,9 +276,7 @@ def _parse_prep_line(fields: list[str], lineno: int, language: str) -> PrepEntry
         raise IllFormedEntryError(
             "attained only applies to directional-final preps", lineno
         )
-    return PrepEntry(
-        lemma=lemma, kind=kind, zone=zone, role=role, attained=attained, language=language
-    )
+    return PrepEntry(lemma=lemma, kind=kind, zone=zone, role=role, attained=attained)
 
 
 def load_lexicon(
@@ -327,8 +319,7 @@ def load_lexicon(
             file_language = value
             continue
 
-        lang = file_language or language
-        if lang is None:
+        if file_language is None and language is None:
             raise IllFormedEntryError("entry before any LANG header", lineno)
 
         if tag == "V":
@@ -337,7 +328,7 @@ def load_lexicon(
                 raise DuplicateLemmaError(f"verb {entry.lemma!r} defined twice", lineno)
             verbs[entry.lemma] = entry
         elif tag == "P":
-            pentry = _parse_prep_line(fields, lineno, lang)
+            pentry = _parse_prep_line(fields, lineno)
             if pentry.lemma in preps:
                 raise DuplicateLemmaError(
                     f"preposition {pentry.lemma!r} defined twice", lineno

@@ -25,9 +25,8 @@ an error, never silently ordered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IllFormedEntryError
 from .trace import Provenance
@@ -44,8 +43,7 @@ _GUARD_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class ComplexFeatures:
+class ComplexFeatures(NamedTuple):
     """The feature vector a guard is evaluated against.
 
     preprole is None for positional prepositions; attained is None unless
@@ -76,8 +74,7 @@ class ComplexFeatures:
         raise ValueError(f"unknown guard key {key!r}")
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """Conjunction of feature atoms; an atom on an absent feature never matches."""
 
     atoms: tuple[tuple[str, str], ...]
@@ -94,8 +91,7 @@ class Guard:
         return ",".join(f"{k}={v}" for k, v in self.atoms)
 
 
-@dataclass(frozen=True)
-class Conclusion:
+class Conclusion(NamedTuple):
     """What a fired rule does with the ground location.
 
     kind "identify": the ground is the verb's reference location.
@@ -122,8 +118,7 @@ class Conclusion:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class CompositionRule:
+class CompositionRule(NamedTuple):
     id: str
     strength: str  # "strict" | "defeasible"
     priority: int
@@ -168,23 +163,38 @@ def first_tie(ranked: Sequence[CompositionRule]) -> Tie | None:
     return None
 
 
-@dataclass(frozen=True)
 class RuleBase:
     """A versioned set of composition rules.
 
     Carries two lazily filled memos that ==, hash and repr ignore: the
     ranking per feature vector (at most 30) and compose()'s derivation
-    per entry shape (at most 960).
+    per entry shape (at most 960).  Its fields cannot be reassigned.
     """
 
-    version: str
-    rules: tuple[CompositionRule, ...] = ()
-    _rankings: dict[
-        ComplexFeatures, tuple[tuple[CompositionRule, ...], Tie | None]
-    ] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _derivations: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("version", "rules", "_rankings", "_derivations")
+
+    def __init__(self, version: str, rules: tuple[CompositionRule, ...] = ()):
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_rankings", {})
+        object.__setattr__(self, "_derivations", {})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.version, self.rules) == (other.version, other.rules)
+
+    def __hash__(self) -> int:
+        return hash((self.version, self.rules))
+
+    def __repr__(self) -> str:
+        return f"RuleBase(version={self.version!r}, rules={self.rules!r})"
 
     def ranking(
         self, features: ComplexFeatures
@@ -371,8 +381,7 @@ def _completions(
     ]
 
 
-@dataclass(frozen=True)
-class LintCell:
+class LintCell(NamedTuple):
     lref_role: LrefRole
     prep_kind: str
     prep_role: LrefRole | None
@@ -384,8 +393,7 @@ class LintCell:
         return f"{self.lref_role.label} x {prep}"
 
 
-@dataclass(frozen=True)
-class LintReport:
+class LintReport(NamedTuple):
     gap_cells: tuple[LintCell, ...]
     tie_cells: tuple[tuple[LintCell, str], ...]  # cell, offending rule ids
 

@@ -11,7 +11,7 @@ Traces are immutable values; all functions here are pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .zones import Phase, Zone, zone_distance
 
@@ -48,8 +48,7 @@ _DISPLAY = {
 }
 
 
-@dataclass(frozen=True)
-class ZoneAssignment:
+class ZoneAssignment(NamedTuple):
     """The mobile's zone with respect to one location in one phase."""
 
     location: str
@@ -61,8 +60,7 @@ class ZoneAssignment:
         return (self.location, self.phase.label, self.zone.label, self.provenance.label)
 
 
-@dataclass(frozen=True)
-class SpatiotemporalTrace:
+class SpatiotemporalTrace(NamedTuple):
     """Zone assignments plus role bindings for one motion description.
 
     lref is the location bound as the verb's reference location, ground
@@ -99,8 +97,7 @@ def sorted_assignments(
     return sorted(assignments, key=lambda a: (a.location, int(a.phase)))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken trace invariant, with enough detail to locate it."""
 
     location: str

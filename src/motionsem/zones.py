@@ -89,14 +89,6 @@ _ROLE_TO_PHASE = {
 }
 
 
-def role_for_phase(phase: Phase) -> LrefRole:
-    """Inverse of LrefRole.phase."""
-    for role, p in _ROLE_TO_PHASE.items():
-        if p is phase:
-            return role
-    raise ValueError(f"no role for phase {phase!r}")
-
-
 def zone_distance(a: Zone, b: Zone) -> int:
     """Number of adjacency steps between two zones (a metric)."""
     return abs(int(a) - int(b))
@@ -111,7 +103,3 @@ def interpolate_zones(start: Zone, end: Zone) -> list[Zone]:
     step = 1 if end >= start else -1
     return [Zone(v) for v in range(int(start), int(end) + step, step)]
 
-
-def adjacent(a: Zone, b: Zone) -> bool:
-    """True when the mobile can move between a and b without crossing a third zone."""
-    return zone_distance(a, b) <= 1

@@ -15,12 +15,10 @@ from motionsem.compose import (
     explain,
     lref_location,
     prep_projection,
-    resolve,
     verb_projection,
 )
 from motionsem.errors import (
     AmbiguousRuleBaseError,
-    EmptyApplicableSetError,
     InfelicitousError,
     NotACoLVerbError,
     UnknownLemmaError,
@@ -163,7 +161,7 @@ def test_features_record_prep_shape():
     assert pos.prep_role is None and pos.attained is None
 
 
-# -- applicable_rules / resolve ---------------------------------------------
+# -- applicable_rules ------------------------------------------------------
 
 
 def test_applicable_rules_for_positional_mismatch():
@@ -182,29 +180,6 @@ def test_applicable_rules_directional_stack():
     feats = compute_features(FR.verbs["entrer"], FR.preps["vers"])
     hits = applicable_rules(feats, RULES)
     assert [r.id for r in hits] == ["S1", "D3f", "D5", "D4f"]
-
-
-def test_resolve_prefers_strict_then_priority():
-    feats = compute_features(FR.verbs["entrer"], FR.preps["vers"])
-    hits = applicable_rules(feats, RULES)
-    assert resolve(hits).id == "S1"
-    assert resolve(hits[1:]).id == "D3f"
-
-
-def test_resolve_rejects_tie_and_empty():
-    base = load_rulebase(
-        io.StringIO(
-            "R\tA\tdefeasible\t5\tprepkind=pos\tidentify\n"
-            "R\tB\tdefeasible\t5\tprepkind=pos\tbind(post)\n"
-        )
-    )
-    hits = applicable_rules(
-        compute_features(FR.verbs["entrer"], FR.preps["dans"]), base
-    )
-    with pytest.raises(AmbiguousRuleBaseError):
-        resolve(hits)
-    with pytest.raises(EmptyApplicableSetError):
-        resolve([])
 
 
 def test_compose_raises_on_tied_rules():
@@ -272,8 +247,14 @@ def test_infelicitous_when_no_rule_applies():
 
 
 def test_empty_complex_fields_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field verb_lemma must be nonempty"):
         MotionComplex("", "dans", "jardin", "mobile", "fr")
+    with pytest.raises(ValueError, match="field language must be nonempty"):
+        MotionComplex(
+            verb_lemma="sortir", prep_lemma="dans", ground="g", mobile="m", language=""
+        )
+    with pytest.raises(ValueError, match="field ground must be nonempty"):
+        fr_complex("sortir", "dans")._replace(ground="")
 
 
 def test_language_mismatch_rejected():
@@ -562,6 +543,9 @@ def test_memoized_compose_matches_a_cold_rule_base(
     assert outcome(complex_, lexicon, warm) == expected
     assert outcome(complex_, lexicon, warm) == expected
     assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
+    for name in ("version", "rules", "_rankings", "_derivations"):
+        with pytest.raises(AttributeError):
+            setattr(warm, name, getattr(cold, name))
 
 
 def test_derivation_memo_holds_one_entry_per_shape():

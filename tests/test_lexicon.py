@@ -48,7 +48,7 @@ def test_single_verb_line():
 def test_lang_header_sets_language():
     lex = load("LANG\tfr\nP\tdans\tpos\tinside\n")
     assert lex.language == "fr"
-    assert lex.preps["dans"].language == "fr"
+    assert lex.preps["dans"] == PrepEntry("dans", "pos", Zone.INSIDE)
 
 
 def test_lang_header_conflict():
@@ -271,22 +271,22 @@ def verb_entries(draw):
 
 
 @st.composite
-def prep_entries(draw, language: str):
+def prep_entries(draw):
     lemma = draw(_LEMMA)
     kind = draw(st.sampled_from(["pos", "dir"]))
     zone = draw(st.sampled_from(list(Zone)))
     if kind == "pos":
-        return PrepEntry(lemma, kind, zone, language=language)
+        return PrepEntry(lemma, kind, zone)
     role = draw(st.sampled_from(list(LrefRole)))
     attained = draw(st.booleans()) if role is LrefRole.FINAL else None
-    return PrepEntry(lemma, kind, zone, role=role, attained=attained, language=language)
+    return PrepEntry(lemma, kind, zone, role=role, attained=attained)
 
 
 @given(data=st.data())
 def test_generated_lexicons_round_trip(data):
     language = data.draw(st.sampled_from(["fr", "en"]))
     verbs = data.draw(st.lists(verb_entries(), max_size=6))
-    preps = data.draw(st.lists(prep_entries(language), max_size=6))
+    preps = data.draw(st.lists(prep_entries(), max_size=6))
     lexicon = Lexicon(
         language=language,
         verbs={v.lemma: v for v in verbs},

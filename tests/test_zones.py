@@ -10,9 +10,7 @@ from motionsem.zones import (
     Zone,
     Phase,
     LrefRole,
-    adjacent,
     interpolate_zones,
-    role_for_phase,
     zone_distance,
 )
 
@@ -43,9 +41,7 @@ def test_phase_order_and_labels():
 def test_role_phase_bijection():
     seen = set()
     for role in LrefRole:
-        phase = role.phase
-        assert role_for_phase(phase) is role
-        seen.add(phase)
+        seen.add(role.phase)
     assert seen == set(Phase)
     assert LrefRole.INITIAL.phase is Phase.PRE
     assert LrefRole.MEDIAL.phase is Phase.DURING
@@ -99,9 +95,3 @@ def test_interpolation_properties_all_pairs():
         for x, y in zip(walk, walk[1:]):
             assert zone_distance(x, y) == 1
         assert list(reversed(walk)) == interpolate_zones(b, a)
-
-
-def test_adjacent():
-    assert adjacent(Zone.INSIDE, Zone.CONTACT)
-    assert adjacent(Zone.DISTAL, Zone.DISTAL)
-    assert not adjacent(Zone.INSIDE, Zone.PROXIMAL)
