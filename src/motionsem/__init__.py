@@ -22,7 +22,6 @@ from .lexicon import (
     Lexicon,
     PrepEntry,
     VerbEntry,
-    classify_prep,
     classify_verb,
     default_class_inventory,
     default_lexicon,
@@ -74,7 +73,6 @@ __all__ = [
     "default_lexicon",
     "default_class_inventory",
     "classify_verb",
-    "classify_prep",
     "lookup_verb",
     "lookup_prep",
     "Guard",

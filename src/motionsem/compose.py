@@ -27,6 +27,7 @@ from .errors import (
 from .lexicon import Lexicon, PrepEntry, VerbEntry, lookup_prep, lookup_verb
 from .rules import ComplexFeatures, CompositionRule, RuleBase
 from .trace import (
+    PROVENANCE_DISPLAY,
     Provenance,
     SpatiotemporalTrace,
     ZoneAssignment,
@@ -35,7 +36,7 @@ from .trace import (
     sorted_assignments,
     validate_trace,
 )
-from .zones import LrefRole, Phase, Zone
+from .zones import PHASE_LABELS, ZONE_LABELS, LrefRole, Phase, Zone
 
 
 class _MotionComplexFields(NamedTuple):
@@ -166,48 +167,37 @@ def _build_trace(
     verb: VerbEntry,
     prep: PrepEntry,
 ) -> SpatiotemporalTrace | None:
-    """Materialize a rule conclusion, or None when its constraints clash."""
+    """Materialize a rule conclusion, or None when its constraints clash.
+
+    The verb's constraints come first; the ground's one assignment may
+    coincide with one of them, and then keeps the verb's provenance.
+    """
     conclusion = rule.conclusion
-    collected: dict[tuple[str, Phase], tuple[Zone, Provenance]] = {}
-
-    def put(location: str, phase: Phase, zone: Zone, prov: Provenance) -> bool:
-        key = (location, phase)
-        if key in collected:
-            return collected[key][0] is zone  # keep the earlier provenance
-        collected[key] = (zone, prov)
-        return True
-
     if conclusion.kind == "identify":
         lref = ground = complex.ground
-        for phase, zone in verb_constraints(verb).items():
-            put(lref, phase, zone, Provenance.VERB)
-        pphase, pzone = prep_constraint(prep)
-        if not put(ground, pphase, pzone, Provenance.PREP):
-            return None
+        phase, zone = prep_constraint(prep)
+        prov = Provenance.PREP
     elif conclusion.kind == "bind":
         lref, ground = lref_location(complex), complex.ground
-        for phase, zone in verb_constraints(verb).items():
-            if not put(lref, phase, zone, Provenance.VERB):
-                return None
         assert conclusion.phase is not None
+        phase = conclusion.phase
         zone = conclusion.zone if conclusion.zone is not None else prep.effective_zone
         prov = (
             conclusion.provenance
             if conclusion.provenance is not None
             else Provenance.PREP
         )
-        if not put(ground, conclusion.phase, zone, prov):
-            return None
     else:
         return None  # forbid conclusions never materialize
 
+    collected = {
+        (lref, vphase): (vzone, Provenance.VERB)
+        for vphase, vzone in verb_constraints(verb).items()
+    }
+    if collected.setdefault((ground, phase), (zone, prov))[0] is not zone:
+        return None
     assignments = tuple(
-        sorted_assignments(
-            tuple(
-                ZoneAssignment(loc, phase, zone, prov)
-                for (loc, phase), (zone, prov) in collected.items()
-            )
-        )
+        ZoneAssignment(*key, *value) for key, value in sorted(collected.items())
     )
     trace = SpatiotemporalTrace(
         mobile=complex.mobile, lref=lref, ground=ground, assignments=assignments
@@ -388,14 +378,16 @@ def explain(derivation: Derivation) -> str:
             {a.phase for a in trace.assignments if a.location == trace.ground},
             key=int,
         )
-        at = ", ".join(p.label for p in ground_phases) or "no phase"
+        at = ", ".join(PHASE_LABELS[p] for p in ground_phases) or "no phase"
         lines.append(f"  ground: {trace.ground} (bound at {at})")
 
     lines.append("")
     lines.append("zones:")
     rows = [("location", "phase", "zone", "source")]
-    for a in sorted_assignments(trace.assignments):
-        rows.append((a.location, a.phase.label, a.zone.label, a.provenance.display))
+    for location, phase, zone, prov in sorted_assignments(trace.assignments):
+        rows.append(
+            (location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_DISPLAY[prov])
+        )
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     for row in rows:
         lines.append(

@@ -9,8 +9,8 @@ curated by hand:
     P <lemma> <kind> [<role>] <zone> [attained=true|false]
 
 Fields are tab separated (lemmas may therefore contain spaces), zone and
-role names are the fixed lowercase labels, and verb zone fields are only
-present on change-of-location (CoL) entries.
+role names are the lowercase labels but are accepted in any case, and
+verb zone fields are only present on change-of-location (CoL) entries.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 import io
 from importlib import resources
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import (
     DuplicateLemmaError,
@@ -28,7 +29,7 @@ from .errors import (
     UnknownZoneNameError,
     UnlexicalizedClassError,
 )
-from .zones import LrefRole, Zone
+from .zones import ROLE_BY_NAME, ZONE_BY_NAME, LrefRole, Zone
 
 LANGUAGES = ("fr", "en")
 
@@ -39,6 +40,7 @@ VERB_CATEGORIES = ("CoL", "CoPs", "ICoPs", "CoPtu")
 # configuration, not a hard-coded truth; this is the default shipped with
 # the package (see data/col_classes.txt).
 _MEDIAL_PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
+_MEDIAL_PATH_CLASSES = frozenset({_MEDIAL_PATH_PAIR})
 
 
 class VerbEntry(NamedTuple):
@@ -93,12 +95,28 @@ class PrepEntry(NamedTuple):
         return self.zone
 
 
-class Lexicon(NamedTuple):
-    """Immutable per-language lexicon with unique lemmas per part of speech."""
-
+class _LexiconFields(NamedTuple):
     language: str
-    verbs: dict[str, VerbEntry]
-    preps: dict[str, PrepEntry]
+    verbs: Mapping[str, VerbEntry]
+    preps: Mapping[str, PrepEntry]
+
+
+class Lexicon(_LexiconFields):
+    """Immutable per-language lexicon with unique lemmas per part of speech.
+
+    verbs and preps are read-only copies of the mappings passed in.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, language, verbs, preps):
+        return super().__new__(
+            cls, language, MappingProxyType(dict(verbs)), MappingProxyType(dict(preps))
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so _replace copies too
 
 
 @functools.cache
@@ -160,15 +178,6 @@ def classify_verb(
     return f"{pair[0].label}→{pair[1].label}"
 
 
-def classify_prep(entry: PrepEntry) -> str:
-    """Group identifier for a preposition: kind, role (if any), and zone."""
-    if entry.kind == "pos":
-        return f"pos/{entry.zone.label}"
-    if entry.role is None:
-        raise IllFormedEntryError(f"directional {entry.lemma!r} lacks a role")
-    return f"dir/{entry.role.label}/{entry.zone.label}"
-
-
 def lookup_verb(lexicon: Lexicon, lemma: str) -> VerbEntry:
     try:
         return lexicon.verbs[lemma]
@@ -188,28 +197,29 @@ def lookup_prep(lexicon: Lexicon, lemma: str) -> PrepEntry:
 
 
 def _parse_zone(tag: str, lineno: int) -> Zone:
-    try:
-        return Zone.from_label(tag)
-    except ValueError:
-        raise UnknownZoneNameError(f"unknown zone name {tag!r}", lineno) from None
+    zone = ZONE_BY_NAME.get(tag.upper())
+    if zone is None:
+        raise UnknownZoneNameError(f"unknown zone name {tag!r}", lineno)
+    return zone
 
 
 def _parse_role(tag: str, lineno: int) -> LrefRole:
-    try:
-        return LrefRole.from_label(tag)
-    except ValueError:
-        raise IllFormedEntryError(f"unknown role {tag!r}", lineno) from None
+    role = ROLE_BY_NAME.get(tag.upper())
+    if role is None:
+        raise IllFormedEntryError(f"unknown role {tag!r}", lineno)
+    return role
 
 
 def _parse_verb_line(fields: list[str], lineno: int, inventory) -> VerbEntry:
+    """One V line from its stripped fields."""
     if len(fields) < 3:
         raise IllFormedEntryError("verb line needs at least a lemma and category", lineno)
-    lemma, category = fields[1].strip(), fields[2].strip()
+    lemma, category = fields[1], fields[2]
     if not lemma:
         raise IllFormedEntryError("empty lemma", lineno)
     if category not in VERB_CATEGORIES:
         raise IllFormedEntryError(f"unknown verb category {category!r}", lineno)
-    rest = [f.strip() for f in fields[3:]]
+    rest = fields[3:]
 
     gloss = None
     if rest and rest[-1].startswith("gloss="):
@@ -220,36 +230,33 @@ def _parse_verb_line(fields: list[str], lineno: int, inventory) -> VerbEntry:
             raise IllFormedEntryError(
                 "CoL verb needs <lref_role> <start_zone> <end_zone>", lineno
             )
-        entry = VerbEntry(
-            lemma=lemma,
-            category=category,
-            lref_role=_parse_role(rest[0], lineno),
-            start_zone=_parse_zone(rest[1], lineno),
-            end_zone=_parse_zone(rest[2], lineno),
-            gloss=gloss,
-        )
-        try:
-            classify_verb(entry, inventory)
-        except UnlexicalizedClassError as exc:
-            raise UnlexicalizedClassError(str(exc), lineno) from None
+        role = _parse_role(rest[0], lineno)
+        pair = (_parse_zone(rest[1], lineno), _parse_zone(rest[2], lineno))
+        entry = VerbEntry(lemma, category, role, *pair, gloss)
+        if pair not in (_MEDIAL_PATH_CLASSES if role is LrefRole.MEDIAL else inventory):
+            try:
+                classify_verb(entry, inventory)  # raises with the class message
+            except UnlexicalizedClassError as exc:
+                raise UnlexicalizedClassError(str(exc), lineno) from None
         return entry
 
     if rest:
         raise IllFormedEntryError(
             f"{category} verb {lemma!r} must not carry zone fields", lineno
         )
-    return VerbEntry(lemma=lemma, category=category, gloss=gloss)
+    return VerbEntry(lemma, category, gloss=gloss)
 
 
 def _parse_prep_line(fields: list[str], lineno: int) -> PrepEntry:
+    """One P line from its stripped fields."""
     if len(fields) < 3:
         raise IllFormedEntryError("prep line needs at least a lemma and kind", lineno)
-    lemma, kind = fields[1].strip(), fields[2].strip()
+    lemma, kind = fields[1], fields[2]
     if not lemma:
         raise IllFormedEntryError("empty lemma", lineno)
     if kind not in ("pos", "dir"):
         raise IllFormedEntryError(f"unknown preposition kind {kind!r}", lineno)
-    rest = [f.strip() for f in fields[3:]]
+    rest = fields[3:]
 
     attained: bool | None = None
     if rest and rest[-1].startswith("attained="):
@@ -263,7 +270,7 @@ def _parse_prep_line(fields: list[str], lineno: int) -> PrepEntry:
             raise IllFormedEntryError("positional prep needs exactly a zone", lineno)
         if attained is not None:
             raise IllFormedEntryError("positional prep cannot carry attained", lineno)
-        return PrepEntry(lemma=lemma, kind=kind, zone=_parse_zone(rest[0], lineno))
+        return PrepEntry(lemma, kind, _parse_zone(rest[0], lineno))
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>", lineno)
@@ -276,7 +283,7 @@ def _parse_prep_line(fields: list[str], lineno: int) -> PrepEntry:
         raise IllFormedEntryError(
             "attained only applies to directional-final preps", lineno
         )
-    return PrepEntry(lemma=lemma, kind=kind, zone=zone, role=role, attained=attained)
+    return PrepEntry(lemma, kind, zone, role, attained)
 
 
 def load_lexicon(
@@ -299,15 +306,16 @@ def load_lexicon(
 
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
-        fields = line.split("\t")
-        tag = fields[0].strip()
+        fields = [field.strip() for field in line.split("\t")]
+        tag = fields[0]
 
         if tag == "LANG":
-            if len(fields) != 2 or not fields[1].strip():
+            if len(fields) != 2 or not fields[1]:
                 raise IllFormedEntryError("LANG line needs exactly one tag", lineno)
-            value = fields[1].strip()
+            value = fields[1]
             if value not in LANGUAGES:
                 raise IllFormedEntryError(f"unsupported language tag {value!r}", lineno)
             if file_language is not None:

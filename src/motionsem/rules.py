@@ -26,11 +26,12 @@ an error, never silently ordered.
 from __future__ import annotations
 
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IllFormedEntryError
 from .trace import Provenance
-from .zones import LrefRole, Phase, Zone
+from .zones import ROLE_LABELS, LrefRole, Phase, Zone
 
 GUARD_KEYS = ("lrefrole", "prepkind", "preprole", "zonecompat", "attained")
 
@@ -58,20 +59,22 @@ class ComplexFeatures(NamedTuple):
     zone_compatible: bool
     attained: bool | None
 
-    def atom_value(self, key: str) -> str | None:
-        if key == "lrefrole":
-            return self.lref_role.label
-        if key == "prepkind":
-            return self.prep_kind
-        if key == "preprole":
-            return None if self.prep_role is None else self.prep_role.label
-        if key == "zonecompat":
-            return "yes" if self.zone_compatible else "no"
-        if key == "attained":
-            if self.attained is None:
-                return None
-            return "yes" if self.attained else "no"
-        raise ValueError(f"unknown guard key {key!r}")
+    @property
+    def atoms(self) -> frozenset[tuple[str, str]]:
+        """The guard atoms these features satisfy; absent features give none."""
+        atoms = _FEATURE_ATOMS.get(self)  # built at import, see below
+        return _feature_atoms(self) if atoms is None else atoms
+
+
+def _feature_atoms(features: Sequence) -> frozenset[tuple[str, str]]:
+    lref_role, prep_kind, prep_role, zone_compatible, attained = features
+    atoms = {("lrefrole", ROLE_LABELS[lref_role]), ("prepkind", prep_kind)}
+    atoms.add(("zonecompat", "yes" if zone_compatible else "no"))
+    if prep_role is not None:
+        atoms.add(("preprole", ROLE_LABELS[prep_role]))
+    if attained is not None:
+        atoms.add(("attained", "yes" if attained else "no"))
+    return frozenset(atoms)
 
 
 class Guard(NamedTuple):
@@ -80,7 +83,7 @@ class Guard(NamedTuple):
     atoms: tuple[tuple[str, str], ...]
 
     def matches(self, features: ComplexFeatures) -> bool:
-        return all(features.atom_value(k) == v for k, v in self.atoms)
+        return features.atoms.issuperset(self.atoms)
 
     def subsumes(self, other: "Guard") -> bool:
         """True when this guard is strictly more specific than other."""
@@ -381,6 +384,17 @@ def _completions(
     ]
 
 
+# The atoms of the 30 feature vectors compute_features() can produce.
+_FEATURE_ATOMS = MappingProxyType(
+    {
+        features: _feature_atoms(features)
+        for lref_role in LrefRole
+        for shape in PREP_SHAPES
+        for features in _completions(lref_role, *shape)
+    }
+)
+
+
 class LintCell(NamedTuple):
     lref_role: LrefRole
     prep_kind: str
@@ -424,7 +438,7 @@ def applicable_rules(
     on it.
     """
     hits = [r for r in base.rules if r.guard.matches(features)]
-    hits.sort(key=lambda r: r.sort_key(), reverse=True)
+    hits.sort(key=CompositionRule.sort_key, reverse=True)
     return hits
 
 

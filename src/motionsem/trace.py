@@ -11,9 +11,11 @@ Traces are immutable values; all functions here are pure.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .zones import Phase, Zone, zone_distance
+from .zones import PHASE_LABELS, ZONE_LABELS, Phase, Zone, zone_distance
 
 
 class Provenance(enum.Enum):
@@ -26,26 +28,29 @@ class Provenance(enum.Enum):
     @property
     def label(self) -> str:
         """Short name used in trace records and corpus files."""
-        return self.value
+        return PROVENANCE_LABELS[self]
 
     @property
     def display(self) -> str:
         """Long name used in human-readable explanations."""
-        return _DISPLAY[self]
+        return PROVENANCE_DISPLAY[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Provenance":
-        try:
-            return cls(label)
-        except ValueError:
-            raise ValueError(f"unknown provenance name: {label!r}") from None
+        provenance = PROVENANCE_BY_LABEL.get(label)
+        if provenance is None:
+            raise ValueError(f"unknown provenance name: {label!r}")
+        return provenance
 
 
-_DISPLAY = {
-    Provenance.VERB: "Verb",
-    Provenance.PREP: "Preposition",
-    Provenance.INTERACTION: "Interaction",
-}
+# Read-only tables built once at import, like the label tables in zones.
+PROVENANCE_LABELS = MappingProxyType({p: p.value for p in Provenance})
+PROVENANCE_BY_LABEL = MappingProxyType({p.value: p for p in Provenance})
+PROVENANCE_DISPLAY = MappingProxyType(
+    dict(zip(Provenance, ("Verb", "Preposition", "Interaction")))
+)
+_PHASE_ORDER = tuple(Phase)
+_LOCATION_PHASE = itemgetter(0, 1)  # phases are IntEnums, so they sort as ints
 
 
 class ZoneAssignment(NamedTuple):
@@ -57,7 +62,8 @@ class ZoneAssignment(NamedTuple):
     provenance: Provenance
 
     def tuple(self) -> tuple[str, str, str, str]:
-        return (self.location, self.phase.label, self.zone.label, self.provenance.label)
+        location, phase, zone, prov = self
+        return location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov]
 
 
 class SpatiotemporalTrace(NamedTuple):
@@ -94,7 +100,7 @@ class SpatiotemporalTrace(NamedTuple):
 def sorted_assignments(
     assignments: tuple[ZoneAssignment, ...],
 ) -> list[ZoneAssignment]:
-    return sorted(assignments, key=lambda a: (a.location, int(a.phase)))
+    return sorted(assignments, key=_LOCATION_PHASE)
 
 
 class Violation(NamedTuple):
@@ -123,30 +129,30 @@ def validate_trace(trace: SpatiotemporalTrace) -> list[Violation]:
     violations: list[Violation] = []
     per_location: dict[str, dict[Phase, Zone]] = {}
 
-    for a in trace.assignments:
-        zones = per_location.setdefault(a.location, {})
-        if a.phase in zones:
-            if zones[a.phase] is not a.zone:
+    for location, phase, zone, _ in trace.assignments:
+        zones = per_location.setdefault(location, {})
+        if phase in zones:
+            if zones[phase] is not zone:
                 violations.append(
                     Violation(
-                        a.location,
-                        (a.phase,),
+                        location,
+                        (phase,),
                         "conflict",
                         f"two zones assigned in one phase "
-                        f"({zones[a.phase].label} vs {a.zone.label})",
+                        f"({zones[phase].label} vs {zone.label})",
                     )
                 )
             else:
                 violations.append(
                     Violation(
-                        a.location,
-                        (a.phase,),
+                        location,
+                        (phase,),
                         "conflict",
                         "duplicate assignment for this phase",
                     )
                 )
             continue
-        zones[a.phase] = a.zone
+        zones[phase] = zone
 
     for location in sorted(per_location):
         zones = per_location[location]
@@ -170,12 +176,11 @@ def discontinuities(zones: dict[Phase, Zone]) -> list[tuple[Phase, Phase]]:
     A missing during phase licenses the pre->post jump, so pre and post
     may then differ by any number of zones.
     """
-    defined = [p for p in (Phase.PRE, Phase.DURING, Phase.POST) if p in zones]
+    defined = [p for p in _PHASE_ORDER if p in zones]
     return [
         (a, b)
         for a, b in zip(defined, defined[1:])
-        if not (a is Phase.PRE and b is Phase.POST)
-        and zone_distance(zones[a], zones[b]) > 1
+        if b - a == 1 and zone_distance(zones[a], zones[b]) > 1  # b - a == 2: pre->post
     ]
 
 

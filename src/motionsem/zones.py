@@ -23,14 +23,12 @@ class Zone(enum.IntEnum):
     @property
     def label(self) -> str:
         """Stable lowercase name used in data files and trace output."""
-        return self.name.lower()
+        return ZONE_LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Zone":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown zone name: {label!r}") from None
+        """The zone named label, in any case."""
+        return _member(ZONE_BY_NAME, label, "zone")
 
 
 class Phase(enum.IntEnum):
@@ -42,14 +40,11 @@ class Phase(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower()
+        return PHASE_LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Phase":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown phase name: {label!r}") from None
+        return _member(PHASE_BY_NAME, label, "phase")
 
 
 class LrefRole(enum.IntEnum):
@@ -67,31 +62,40 @@ class LrefRole(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower()
+        return ROLE_LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "LrefRole":
-        try:
-            return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown role name: {label!r}") from None
+        return _member(ROLE_BY_NAME, label, "role")
 
     @property
     def phase(self) -> Phase:
         """The motion phase this role maps onto (fixed bijection)."""
-        return _ROLE_TO_PHASE[self]
+        return _ROLE_PHASES[self]
 
 
-_ROLE_TO_PHASE = {
-    LrefRole.INITIAL: Phase.PRE,
-    LrefRole.MEDIAL: Phase.DURING,
-    LrefRole.FINAL: Phase.POST,
-}
+# Read-only tables built once at import, so that parsing and rendering
+# never rebuild a label: labels indexed by member value (each enum counts
+# from 0), members by upper-case name (from_label accepts any case).
+ZONE_LABELS = tuple(zone.name.lower() for zone in Zone)
+PHASE_LABELS = tuple(phase.name.lower() for phase in Phase)
+ROLE_LABELS = tuple(role.name.lower() for role in LrefRole)
+ZONE_BY_NAME = Zone.__members__
+PHASE_BY_NAME = Phase.__members__
+ROLE_BY_NAME = LrefRole.__members__
+_ROLE_PHASES = (Phase.PRE, Phase.DURING, Phase.POST)
+
+
+def _member(by_name, label: str, kind: str):
+    member = by_name.get(label.upper())
+    if member is None:
+        raise ValueError(f"unknown {kind} name: {label!r}")
+    return member
 
 
 def zone_distance(a: Zone, b: Zone) -> int:
     """Number of adjacency steps between two zones (a metric)."""
-    return abs(int(a) - int(b))
+    return abs(a - b)
 
 
 def interpolate_zones(start: Zone, end: Zone) -> list[Zone]:

@@ -19,7 +19,6 @@ from motionsem.lexicon import (
     Lexicon,
     PrepEntry,
     VerbEntry,
-    classify_prep,
     classify_verb,
     default_class_inventory,
     default_lexicon,
@@ -188,30 +187,6 @@ def test_verb_and_prep_namespaces_are_separate():
         "LANG\tfr\nV\tpasser\tCoL\tmedial\tcontact\tcontact\nP\tpasser\tpos\tinside\n"
     )
     assert "passer" in lex.verbs and "passer" in lex.preps
-
-
-@pytest.mark.parametrize(
-    "lemma, language, expected",
-    [
-        ("dans", "fr", "pos/inside"),
-        ("into", "en", "dir/final/inside"),
-        ("through", "en", "dir/medial/inside"),
-    ],
-)
-def test_classify_prep_examples(lemma, language, expected):
-    lex = default_lexicon(language)
-    assert classify_prep(lex.preps[lemma]) == expected
-
-
-def test_classify_prep_identifier_space():
-    # distinct zone or role means distinct group
-    groups = {
-        classify_prep(p)
-        for lang in ("fr", "en")
-        for p in default_lexicon(lang).preps.values()
-    }
-    assert "pos/inside" in groups and "dir/initial/inside" in groups
-    assert len(groups) >= 7
 
 
 def test_lookups():

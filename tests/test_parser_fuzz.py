@@ -1,0 +1,174 @@
+"""Fuzzed data files: every parser either parses or raises a line-numbered FormatError.
+
+Lines are assembled from the formats' own tokens, with labels in mixed
+case, empty fields, stray tabs and non-ASCII text mixed in.  Hypothesis
+draws a seed and a seeded random.Random builds the lines: drawing each
+field through hypothesis would cost far more time per line than parsing.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from motionsem.corpus import parse_corpus
+from motionsem.errors import FormatError
+from motionsem.lexicon import default_lexicon, dump_lexicon, load_lexicon
+from motionsem.rules import load_rulebase
+from motionsem.zones import LrefRole, Phase, Zone
+
+LABELS = [m.name.lower() for enum in (Zone, Phase, LrefRole) for m in enum]
+NOISE = ["", " ", "\t", "é", "jusqu'à", "ß", "ınsıde", "ﬁnal", "\u00a0", "#", "=", "x"]
+ODD_CHARS = "aZ09 \t\r=,()#-éßı\u00a0\u0130"
+SEPARATORS = ["\t\t", " ", "\t \t", " \t"]
+
+
+def variants(word: str) -> list[str]:
+    """The word in lowercase, upper case, title case and two mixed cases."""
+    mixed = "".join(c.upper() if i % 2 else c for i, c in enumerate(word))
+    return [word, word.upper(), word.title(), mixed, mixed.swapcase()]
+
+
+def cased(words: list[str]) -> list[str]:
+    return [v for word in words for v in variants(word)]
+
+
+def noise(rng: random.Random) -> str:
+    if rng.random() < 0.5:
+        return rng.choice(NOISE)
+    return "".join(rng.choice(ODD_CHARS) for _ in range(rng.randrange(4)))
+
+
+def line_of(rng: random.Random, slots: list[list[str]]) -> str:
+    """A line with a field per slot, each slot a list of valid tokens.
+
+    Most fields are valid, so that errors come from deep in a parser; in
+    every other line one field is noise, and now and then a line is cut
+    short, gains an extra field or is joined by something other than one
+    tab.
+    """
+    shape = rng.randrange(16)
+    if shape == 0:
+        slots = slots[: rng.randint(1, len(slots))]
+    noisy = rng.randrange(2 * len(slots))
+    fields = [noise(rng) if i == noisy else rng.choice(s) for i, s in enumerate(slots)]
+    if shape == 1:
+        fields.append(noise(rng))
+    return (rng.choice(SEPARATORS) if shape == 2 else "\t").join(fields)
+
+
+def lines_of(seed: int, blocks: list[list[list[list[str]]]]) -> list[str]:
+    """Up to 12 blocks (each a list of line slots); lines may go missing."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(rng.randint(1, 12)):
+        block = rng.choice(blocks)
+        lines += [line_of(rng, slots) for slots in block if rng.random() > 0.08]
+        if rng.random() < 0.15:
+            lines.append(rng.choice(NOISE + ["# comment"]))
+    return lines
+
+
+ZONES = cased([z.name.lower() for z in Zone])
+ROLES = cased([r.name.lower() for r in LrefRole])
+LEMMAS = ["sortir", "dans", "se baisser", "jusqu'à", "x"]
+
+LEXICON_BLOCKS = [
+    [[["LANG"], cased(["fr", "en"]) + ["de", "fr en"]]],
+    [[["V"], LEMMAS, ["CoL"], ROLES, ZONES, ZONES, ["gloss=to go"]]],
+    [[["V"], LEMMAS, ["CoL"], ROLES, ZONES, ZONES]],
+    [[["V"], LEMMAS, ["CoPs", "ICoPs", "CoPtu", "col"], ["gloss=", "gloss=é"]]],
+    [[["P"], LEMMAS, ["dir"], ROLES, ZONES, ["attained=true", "attained=false"]]],
+    [[["P"], LEMMAS, ["dir", "Dir"], ROLES, ZONES]],
+    [[["P"], LEMMAS, ["pos"], ZONES, ["attained=false", "attained=maybe"]]],
+    [[["P"], LEMMAS, ["pos"], ZONES]],
+]
+
+GUARDS = ["prepkind=pos", "preprole=final,attained=yes", "zonecompat=maybe"]
+GUARDS += ["lrefrole=Initial", "color=red", "prepkind=pos,prepkind=dir", "a,b"]
+GUARDS += ["lrefrole=medial, prepkind=dir", "attained=no", "prepkind=dir"]
+BINDS = [f"bind({phase})" for phase in cased(["pre", "during", "post"])]
+BINDS += ["bind(", "bind()", "bind(nowhere)"]
+OPTIONS = [f"zone={zone}" for zone in ZONES[:6]] + ["zone=outside", "colour=red"]
+OPTIONS += ["Zone=inside", "zone:inside", "prov"]
+OPTIONS += ["prov=prep", "prov=verb", "prov=interaction", "prov=Verb", ""]
+RULE_HEAD = [["R"], ["D1", "D2", "S1", "D3", ""], ["strict", "defeasible", "Strict"]]
+RULE_HEAD += [["1", "-3", "٣", "1.5", "x", "7"], GUARDS]
+
+RULE_BLOCKS = [
+    [[["VERSION"], ["1", "2024-custom", "v 2", ""]]],
+    [RULE_HEAD + [["identify", "forbid(identify)", "identify now", "veto"]]],
+    [RULE_HEAD + [[f"{bind} {option}" for bind in BINDS for option in OPTIONS]]],
+]
+
+CASE_HEAD = [[["CASE"], ["c1", "c2", "c 3"]]]
+CASE_HEAD += [[["INPUT"], ["sortir", "se baisser"], ["dans"], ["jardin"], ["fr", "en"]]]
+EXPECT = [["EXPECT"], ["jardin"], cased(["post"]), ZONES, ["interaction", "verb"]]
+
+CORPUS_BLOCKS = [
+    CASE_HEAD + [EXPECT, EXPECT, [["END"]]],
+    CASE_HEAD + [[["EXPECT-ERROR"], ["UnknownLemma", "NotACoLVerb"]], [["END"]]],
+]
+
+
+def check_every_suffix(parse, lines, unlined=()):
+    """Parse each suffix of the lines, so that errors behind the first show too.
+
+    Each must parse or raise a FormatError that names a line in range;
+    any other exception fails the test.
+    """
+    for start in range(len(lines) + 1):
+        text = "\n".join(lines[start:])
+        try:
+            parse(io.StringIO(text))
+        except FormatError as exc:
+            if str(exc) not in unlined:
+                assert exc.line is not None, (str(exc), text)
+                assert str(exc).startswith(f"line {exc.line}: "), (str(exc), text)
+                assert 1 <= exc.line <= len(lines) - start, (str(exc), text)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, language=st.sampled_from([None, "fr", "en"]))
+def test_fuzzed_lexicons(seed, language):
+    check_every_suffix(
+        lambda source: load_lexicon(source, language),
+        lines_of(seed, LEXICON_BLOCKS),
+        unlined=["lexicon has no LANG header and no default language"],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_fuzzed_rule_bases(seed):
+    check_every_suffix(load_rulebase, lines_of(seed, RULE_BLOCKS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_fuzzed_corpora(seed):
+    check_every_suffix(parse_corpus, lines_of(seed, CORPUS_BLOCKS))
+
+
+@pytest.mark.parametrize("variant", range(5))
+def test_mixed_case_labels_parse_like_lowercase(variant):
+    seen = set()
+    for language in ("fr", "en"):
+        lexicon = default_lexicon(language)
+        text = dump_lexicon(lexicon)
+        seen.update(f for line in text.splitlines() for f in line.split("\t")[3:])
+        lines = [
+            "\t".join(
+                variants(field)[variant] if i >= 3 and field in LABELS else field
+                for i, field in enumerate(line.split("\t"))
+            )
+            for line in text.splitlines()
+        ]
+        assert load_lexicon(io.StringIO("\n".join(lines))) == lexicon
+    assert {m.name.lower() for m in (*Zone, *LrefRole)} <= seen  # every label recased

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import io
+import itertools
 
 import pytest
 
 from motionsem.errors import IllFormedEntryError
 from motionsem.rules import (
+    _GUARD_VALUES,
+    GUARD_KEYS,
     ComplexFeatures,
     CompositionRule,
     Conclusion,
@@ -203,3 +206,96 @@ def test_with_rule_rejects_duplicate_id():
     )
     with pytest.raises(IllFormedEntryError):
         base.with_rule(rule)
+
+
+# The 30 feature vectors compute_features can produce: 3 verb roles x 4
+# preposition shapes, times zone compatibility, times attainment where the
+# preposition is directional-final.
+COMPLETIONS = [
+    ComplexFeatures(lref_role, prep_kind, prep_role, compatible, attained)
+    for lref_role in LrefRole
+    for prep_kind, prep_role in (
+        ("pos", None),
+        ("dir", LrefRole.INITIAL),
+        ("dir", LrefRole.MEDIAL),
+        ("dir", LrefRole.FINAL),
+    )
+    for compatible in (True, False)
+    for attained in ((True, False) if prep_role is LrefRole.FINAL else (None,))
+]
+
+
+def atom_by_atom(atoms, features) -> bool:
+    """Reference guard semantics: an atom on an absent feature never matches."""
+    lref_role, prep_kind, prep_role, compatible, attained = features
+    values = {
+        "lrefrole": lref_role.name.lower(),
+        "prepkind": prep_kind,
+        "preprole": None if prep_role is None else prep_role.name.lower(),
+        "zonecompat": "yes" if compatible else "no",
+        "attained": None if attained is None else ("yes" if attained else "no"),
+    }
+    return all(values[key] is not None and values[key] == value for key, value in atoms)
+
+
+def test_guard_matching_equals_atom_by_atom_definition():
+    assert len(COMPLETIONS) == 30
+    guards = [
+        Guard(tuple((key, value) for key, value in zip(GUARD_KEYS, choice) if value))
+        for choice in itertools.product(
+            *[(None,) + _GUARD_VALUES[key] for key in GUARD_KEYS]
+        )
+    ][1:]  # the first choice is the empty guard
+    assert len(guards) == 4 * 3 * 4 * 3 * 3 - 1
+    for guard in guards:
+        for features in COMPLETIONS:
+            assert guard.matches(features) == atom_by_atom(guard.atoms, features), (
+                guard,
+                features,
+            )
+
+
+I, M, F = LrefRole.INITIAL, LrefRole.MEDIAL, LrefRole.FINAL
+
+# (lref_role, prep_kind, prep_role, zone_compatible, attained) -> ranked ids
+DEFAULT_RANKING = {
+    (I, "pos", None, True, None): "D1",
+    (I, "pos", None, False, None): "D2i",
+    (I, "dir", I, True, None): "D3i D4i",
+    (I, "dir", I, False, None): "S1 D3i D4i",
+    (I, "dir", M, True, None): "D4m",
+    (I, "dir", M, False, None): "S1 D4m",
+    (I, "dir", F, True, True): "D4f",
+    (I, "dir", F, True, False): "D5 D4f",
+    (I, "dir", F, False, True): "S1 D4f",
+    (I, "dir", F, False, False): "S1 D5 D4f",
+    (M, "pos", None, True, None): "D1",
+    (M, "pos", None, False, None): "D2m",
+    (M, "dir", I, True, None): "D4i",
+    (M, "dir", I, False, None): "S1 D4i",
+    (M, "dir", M, True, None): "D3m D4m",
+    (M, "dir", M, False, None): "S1 D3m D4m",
+    (M, "dir", F, True, True): "D4f",
+    (M, "dir", F, True, False): "D5 D4f",
+    (M, "dir", F, False, True): "S1 D4f",
+    (M, "dir", F, False, False): "S1 D5 D4f",
+    (F, "pos", None, True, None): "D1",
+    (F, "pos", None, False, None): "D2f",
+    (F, "dir", I, True, None): "D4i",
+    (F, "dir", I, False, None): "S1 D4i",
+    (F, "dir", M, True, None): "D4m",
+    (F, "dir", M, False, None): "S1 D4m",
+    (F, "dir", F, True, True): "D3f D4f",
+    (F, "dir", F, True, False): "D3f D5 D4f",
+    (F, "dir", F, False, True): "S1 D3f D4f",
+    (F, "dir", F, False, False): "S1 D3f D5 D4f",
+}
+
+
+def test_default_ranking_is_pinned():
+    base = default_rulebase()
+    assert set(DEFAULT_RANKING) == set(COMPLETIONS)
+    for features in COMPLETIONS:
+        ranked, tie = base.ranking(features)
+        assert " ".join(r.id for r in ranked) == DEFAULT_RANKING[features], features
+        assert tie is None

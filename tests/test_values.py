@@ -10,7 +10,7 @@ import pytest
 
 from motionsem.compose import Defeat, Derivation, MotionComplex
 from motionsem.corpus import CaseResult, CorpusCase, CorpusReport
-from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry
+from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_lexicon
 from motionsem.rules import (
     ComplexFeatures,
     CompositionRule,
@@ -87,11 +87,35 @@ def test_record_is_an_immutable_value(cls, values):
             delattr(a, name)
     with pytest.raises(AttributeError):
         a.extra = 1
+    if cls is Lexicon:  # its mappings are read-only too
+        for mapping in (a.verbs, a.preps):
+            with pytest.raises(TypeError):
+                mapping["x"] = VERB
+            with pytest.raises(TypeError):
+                del mapping[next(iter(mapping))]
     assert a == b
     if cls is RuleBase:
         assert a != values
     else:
         assert tuple(a) == values and a == values  # named tuples unpack
+
+
+def test_lexicon_holds_read_only_copies():
+    verbs, preps = {"sortir": VERB}, {"dans": PREP}
+    lexicon = Lexicon("fr", verbs, preps)
+    verbs["entrer"] = VERB._replace(lemma="entrer")
+    del preps["dans"]
+    assert dict(lexicon.verbs) == {"sortir": VERB}
+    assert dict(lexicon.preps) == {"dans": PREP}
+    loaded = default_lexicon("fr")
+    for lex in (lexicon._replace(verbs={}), loaded):
+        with pytest.raises(TypeError):
+            lex.verbs["x"] = VERB
+        with pytest.raises(TypeError):
+            lex.preps["x"] = PREP
+    assert lexicon._replace(verbs={}).verbs == {}
+    with pytest.raises(TypeError):
+        hash(loaded)  # compares by value, but cannot be hashed
 
 
 # One example per module, pinned to the repr text these classes have always had.

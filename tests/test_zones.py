@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 
 import pytest
 
+from motionsem import trace, zones
+from motionsem.trace import Provenance
 from motionsem.zones import (
     Zone,
     Phase,
@@ -31,6 +34,34 @@ def test_zone_labels_round_trip():
         assert Zone.from_label(z.label) is z
     with pytest.raises(ValueError):
         Zone.from_label("outside")
+
+
+@pytest.mark.parametrize(
+    "enum", [Zone, Phase, LrefRole, Provenance], ids=lambda enum: enum.__name__
+)
+def test_every_label_round_trips(enum):
+    for member in enum:
+        assert enum.from_label(member.label) is member
+        if enum is not Provenance:  # provenance names are case-sensitive
+            assert member.label == member.name.lower()
+            assert enum.from_label(member.label.title()) is member
+            assert enum.from_label(member.name) is member
+    with pytest.raises(ValueError, match="unknown .* name: 'outside'"):
+        enum.from_label("outside")
+
+
+def test_label_tables_are_read_only():
+    tables = [zones.ZONE_LABELS, zones.PHASE_LABELS, zones.ROLE_LABELS]
+    tables += [zones.ZONE_BY_NAME, zones.PHASE_BY_NAME, zones.ROLE_BY_NAME]
+    tables += [trace.PROVENANCE_LABELS, trace.PROVENANCE_BY_LABEL]
+    tables += [trace.PROVENANCE_DISPLAY]
+    for table in tables:
+        key = next(iter(table)) if isinstance(table, Mapping) else 0
+        with pytest.raises(TypeError):
+            table[key] = "x"
+    with pytest.raises(AttributeError):
+        Zone.INSIDE.label = "x"
+    assert Zone.INSIDE.label == "inside"
 
 
 def test_phase_order_and_labels():
