@@ -90,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     query = sub.add_parser("query", help="compose one motion complex")
+    query.set_defaults(handler=cmd_query)
     query.add_argument("verb")
     query.add_argument("prep")
     query.add_argument("ground")
@@ -104,10 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(query)
 
     corpus = sub.add_parser("corpus", help="run a corpus of golden cases")
+    corpus.set_defaults(handler=cmd_corpus)
     corpus.add_argument("corpus_path")
     _add_data_flags(corpus)
 
     lint = sub.add_parser("lint", help="validate lexicons and rule base coverage")
+    lint.set_defaults(handler=cmd_lint)
     _add_data_flags(lint)
 
     return parser
@@ -186,16 +189,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "query":
-        return cmd_query(args)
-    if args.command == "corpus":
-        return cmd_corpus(args)
-    if args.command == "lint":
-        return cmd_lint(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_LOAD_ERROR
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 def entry() -> None:

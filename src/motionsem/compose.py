@@ -91,10 +91,12 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
     """Zones a CoL verb assigns to its reference location, per phase.
 
     Medial verbs carry a lexical default: the mobile is inside the path
-    location while under way.
+    location while under way.  A non-CoL verb raises NotACoLVerbError.
     """
     if not verb.is_col:
-        raise NotACoLVerbError(f"{verb.lemma!r} is {verb.category}, not CoL")
+        raise NotACoLVerbError(
+            f"{verb.lemma!r} is a {verb.category} verb; only CoL verbs compose"
+        )
     assert verb.start_zone is not None and verb.end_zone is not None
     constraints = {Phase.PRE: verb.start_zone, Phase.POST: verb.end_zone}
     if verb.lref_role is LrefRole.MEDIAL:
@@ -234,12 +236,9 @@ def compose(
         )
     verb = lookup_verb(lexicon, complex.verb_lemma)
     prep = lookup_prep(lexicon, complex.prep_lemma)
-    if not verb.is_col:
-        raise NotACoLVerbError(
-            f"{verb.lemma!r} is a {verb.category} verb; only CoL verbs compose"
-        )
 
-    shape = (
+    shape = (  # with the category, a non-CoL verb never hits a template: _derive raises
+        verb.category,
         verb.lref_role,
         verb.start_zone,
         verb.end_zone,

@@ -94,8 +94,8 @@ def _split_input(rest: str) -> list[str]:
     return rest.split()
 
 
-def parse_corpus(source, default_mobile: str = "mobile") -> list[CorpusCase]:
-    """Parse a corpus stream; errors carry line numbers."""
+def parse_corpus(source) -> list[CorpusCase]:
+    """Parse a corpus stream; errors carry line numbers.  Every mobile is "mobile"."""
     cases: list[CorpusCase] = []
     seen_ids: set[str] = set()
 
@@ -160,7 +160,7 @@ def parse_corpus(source, default_mobile: str = "mobile") -> list[CorpusCase]:
                     verb_lemma=parts[0],
                     prep_lemma=parts[1],
                     ground=parts[2],
-                    mobile=default_mobile,
+                    mobile="mobile",
                     language=parts[3],
                 )
             except ValueError as exc:

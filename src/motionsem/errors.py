@@ -33,7 +33,7 @@ class DuplicateLemmaError(FormatError):
 
 
 class UnlexicalizedClassError(FormatError):
-    """A verb's begin/end zone pair is outside the configured class inventory."""
+    """A verb's begin/end zone pair is outside the class inventory."""
 
 
 class UnknownLemmaError(MotionSemError):

@@ -35,13 +35,6 @@ LANGUAGES = ("fr", "en")
 
 VERB_CATEGORIES = ("CoL", "CoPs", "ICoPs", "CoPtu")
 
-# Begin/end zone pairs a change-of-location verb may lexicalize.  Not every
-# geometrically possible pair is an actual verb class, so the inventory is
-# configuration, not a hard-coded truth; this is the default shipped with
-# the package (see data/col_classes.txt).
-_MEDIAL_PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
-_MEDIAL_PATH_CLASSES = frozenset({_MEDIAL_PATH_PAIR})
-
 
 class VerbEntry(NamedTuple):
     """One motion verb.
@@ -121,61 +114,60 @@ class Lexicon(_LexiconFields):
 
 @functools.cache
 def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
-    """The shipped begin/end zone pair inventory for CoL verbs (read once)."""
+    """The begin/end zone pairs a CoL verb may lexicalize (read once).
+
+    Not every geometrically possible pair is an actual verb class; the
+    inventory is the data file data/col_classes.txt, one
+    `<start_zone>\\t<end_zone>` per line.
+    """
+    pairs: set[tuple[Zone, Zone]] = set()
     with resources.files("motionsem.data").joinpath("col_classes.txt").open(
         "r", encoding="utf-8"
     ) as fh:
-        return load_class_inventory(fh)
-
-
-def load_class_inventory(source: io.TextIOBase) -> frozenset[tuple[Zone, Zone]]:
-    """Parse a class inventory file: one `<start_zone>\\t<end_zone>` per line."""
-    pairs: set[tuple[Zone, Zone]] = set()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise IllFormedEntryError("class line needs exactly two zones", lineno)
-        try:
-            pairs.add((Zone.from_label(parts[0]), Zone.from_label(parts[1])))
-        except ValueError as exc:
-            raise UnknownZoneNameError(str(exc), lineno) from None
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise IllFormedEntryError("class line needs exactly two zones", lineno)
+            try:
+                pairs.add((Zone.from_label(parts[0]), Zone.from_label(parts[1])))
+            except ValueError as exc:
+                raise UnknownZoneNameError(str(exc), lineno) from None
     return frozenset(pairs)
 
 
-def classify_verb(
-    entry: VerbEntry,
-    inventory: frozenset[tuple[Zone, Zone]] | None = None,
-) -> str:
-    """Class identifier for a CoL verb, derived from its zone pair alone.
+def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
+    """Whether a CoL verb of this role may use this begin/end zone pair.
 
     Medial-role verbs use the fixed path encoding contact->contact (the
     mobile hugs the path location's boundary before and after, and is
-    inside it along the way); all other roles must use a pair from the
-    configured inventory.
+    inside it along the way); all other roles a pair from the inventory.
     """
+    if role is LrefRole.MEDIAL:
+        return pair == (Zone.CONTACT, Zone.CONTACT)
+    return pair in default_class_inventory()
+
+
+def classify_verb(entry: VerbEntry) -> str:
+    """Class identifier for a CoL verb, derived from its zone pair alone."""
     if not entry.is_col:
         raise NotACoLVerbError(f"{entry.lemma!r} is {entry.category}, not CoL")
     if entry.start_zone is None or entry.end_zone is None or entry.lref_role is None:
         raise IllFormedEntryError(f"CoL entry {entry.lemma!r} lacks zone constraints")
     pair = (entry.start_zone, entry.end_zone)
+    if _lexicalized(entry.lref_role, pair):
+        return f"{pair[0].label}→{pair[1].label}"
     if entry.lref_role is LrefRole.MEDIAL:
-        if pair != _MEDIAL_PATH_PAIR:
-            raise UnlexicalizedClassError(
-                f"medial verb {entry.lemma!r} must use the path encoding "
-                f"contact→contact, got {pair[0].label}→{pair[1].label}"
-            )
-    else:
-        if inventory is None:
-            inventory = default_class_inventory()
-        if pair not in inventory:
-            raise UnlexicalizedClassError(
-                f"zone pair {pair[0].label}→{pair[1].label} of "
-                f"{entry.lemma!r} is not a lexicalized class"
-            )
-    return f"{pair[0].label}→{pair[1].label}"
+        raise UnlexicalizedClassError(
+            f"medial verb {entry.lemma!r} must use the path encoding "
+            f"contact→contact, got {pair[0].label}→{pair[1].label}"
+        )
+    raise UnlexicalizedClassError(
+        f"zone pair {pair[0].label}→{pair[1].label} of "
+        f"{entry.lemma!r} is not a lexicalized class"
+    )
 
 
 def lookup_verb(lexicon: Lexicon, lemma: str) -> VerbEntry:
@@ -210,7 +202,7 @@ def _parse_role(tag: str, lineno: int) -> LrefRole:
     return role
 
 
-def _parse_verb_line(fields: list[str], lineno: int, inventory) -> VerbEntry:
+def _parse_verb_line(fields: list[str], lineno: int) -> VerbEntry:
     """One V line from its stripped fields."""
     if len(fields) < 3:
         raise IllFormedEntryError("verb line needs at least a lemma and category", lineno)
@@ -233,9 +225,9 @@ def _parse_verb_line(fields: list[str], lineno: int, inventory) -> VerbEntry:
         role = _parse_role(rest[0], lineno)
         pair = (_parse_zone(rest[1], lineno), _parse_zone(rest[2], lineno))
         entry = VerbEntry(lemma, category, role, *pair, gloss)
-        if pair not in (_MEDIAL_PATH_CLASSES if role is LrefRole.MEDIAL else inventory):
+        if not _lexicalized(role, pair):
             try:
-                classify_verb(entry, inventory)  # raises with the class message
+                classify_verb(entry)  # raises with the class message
             except UnlexicalizedClassError as exc:
                 raise UnlexicalizedClassError(str(exc), lineno) from None
         return entry
@@ -286,20 +278,13 @@ def _parse_prep_line(fields: list[str], lineno: int) -> PrepEntry:
     return PrepEntry(lemma, kind, zone, role, attained)
 
 
-def load_lexicon(
-    source: io.TextIOBase,
-    language: str | None = None,
-    inventory: frozenset[tuple[Zone, Zone]] | None = None,
-) -> Lexicon:
+def load_lexicon(source: io.TextIOBase, language: str | None = None) -> Lexicon:
     """Parse a lexicon stream into a validated Lexicon.
 
     The language normally comes from the file's LANG header; an explicit
     argument acts as a default when the header is absent and is
     cross-checked against it otherwise.  Errors carry line numbers.
     """
-    if inventory is None:
-        inventory = default_class_inventory()
-
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
     file_language: str | None = None
@@ -331,7 +316,7 @@ def load_lexicon(
             raise IllFormedEntryError("entry before any LANG header", lineno)
 
         if tag == "V":
-            entry = _parse_verb_line(fields, lineno, inventory)
+            entry = _parse_verb_line(fields, lineno)
             if entry.lemma in verbs:
                 raise DuplicateLemmaError(f"verb {entry.lemma!r} defined twice", lineno)
             verbs[entry.lemma] = entry

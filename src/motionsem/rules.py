@@ -18,6 +18,9 @@ or forbids identification outright (the strict continuity guard):
                   bind(<phase>) [zone=<zone>] [prov=verb|prep|interaction]
                   forbid(identify)
 
+Role, phase, zone and provenance names are accepted in any case; the
+other words are exact.
+
 Strict rules outrank every defeasible rule regardless of priority;
 among rules of equal strength, higher priority wins and exact ties are
 an error, never silently ordered.
@@ -25,13 +28,13 @@ an error, never silently ordered.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
-from types import MappingProxyType
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IllFormedEntryError
 from .trace import Provenance
-from .zones import ROLE_LABELS, LrefRole, Phase, Zone
+from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
 
 GUARD_KEYS = ("lrefrole", "prepkind", "preprole", "zonecompat", "attained")
 
@@ -62,10 +65,10 @@ class ComplexFeatures(NamedTuple):
     @property
     def atoms(self) -> frozenset[tuple[str, str]]:
         """The guard atoms these features satisfy; absent features give none."""
-        atoms = _FEATURE_ATOMS.get(self)  # built at import, see below
-        return _feature_atoms(self) if atoms is None else atoms
+        return _feature_atoms(self)
 
 
+@functools.cache  # compute_features() produces at most 30 vectors
 def _feature_atoms(features: Sequence) -> frozenset[tuple[str, str]]:
     lref_role, prep_kind, prep_role, zone_compatible, attained = features
     atoms = {("lrefrole", ROLE_LABELS[lref_role]), ("prepkind", prep_kind)}
@@ -226,6 +229,9 @@ def parse_guard(text: str, lineno: int | None = None) -> Guard:
         key, value = chunk.split("=", 1)
         if key not in GUARD_KEYS:
             raise IllFormedEntryError(f"unknown guard key {key!r}", lineno)
+        if key in ("lrefrole", "preprole"):  # role names, like every label, in any case
+            role = ROLE_BY_NAME.get(value.upper())
+            value = value if role is None else ROLE_LABELS[role]
         if value not in _GUARD_VALUES[key]:
             raise IllFormedEntryError(f"bad value {value!r} for {key}", lineno)
         if key in seen:
@@ -254,28 +260,27 @@ def parse_conclusion(text: str, lineno: int | None = None) -> Conclusion:
         return Conclusion(kind="forbid")
 
     if head.startswith("bind(") and head.endswith(")"):
-        try:
-            phase = Phase.from_label(head[len("bind(") : -1])
-        except ValueError as exc:
-            raise IllFormedEntryError(str(exc), lineno) from None
+        phase = _label(Phase, head[len("bind(") : -1], lineno)
         zone: Zone | None = None
         prov: Provenance | None = None
         for opt in options:
             if opt.startswith("zone="):
-                try:
-                    zone = Zone.from_label(opt[len("zone=") :])
-                except ValueError as exc:
-                    raise IllFormedEntryError(str(exc), lineno) from None
+                zone = _label(Zone, opt[len("zone=") :], lineno)
             elif opt.startswith("prov="):
-                try:
-                    prov = Provenance.from_label(opt[len("prov=") :])
-                except ValueError as exc:
-                    raise IllFormedEntryError(str(exc), lineno) from None
+                prov = _label(Provenance, opt[len("prov=") :], lineno)
             else:
                 raise IllFormedEntryError(f"unknown bind option {opt!r}", lineno)
         return Conclusion(kind="bind", phase=phase, zone=zone, provenance=prov)
 
     raise IllFormedEntryError(f"unknown conclusion {head!r}", lineno)
+
+
+def _label(enum, text: str, lineno: int | None):
+    """The member of enum named text, in any case, or a line-numbered error."""
+    try:
+        return enum.from_label(text)
+    except ValueError as exc:
+        raise IllFormedEntryError(str(exc), lineno) from None
 
 
 def load_rulebase(source: Iterable[str]) -> RuleBase:
@@ -382,17 +387,6 @@ def _completions(
         for compat in (True, False)
         for att in attained_values
     ]
-
-
-# The atoms of the 30 feature vectors compute_features() can produce.
-_FEATURE_ATOMS = MappingProxyType(
-    {
-        features: _feature_atoms(features)
-        for lref_role in LrefRole
-        for shape in PREP_SHAPES
-        for features in _completions(lref_role, *shape)
-    }
-)
 
 
 class LintCell(NamedTuple):

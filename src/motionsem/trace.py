@@ -15,7 +15,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .zones import PHASE_LABELS, ZONE_LABELS, Phase, Zone, zone_distance
+from .zones import PHASE_LABELS, ZONE_LABELS, Phase, Zone, _member, zone_distance
 
 
 class Provenance(enum.Enum):
@@ -30,22 +30,15 @@ class Provenance(enum.Enum):
         """Short name used in trace records and corpus files."""
         return PROVENANCE_LABELS[self]
 
-    @property
-    def display(self) -> str:
-        """Long name used in human-readable explanations."""
-        return PROVENANCE_DISPLAY[self]
-
     @classmethod
     def from_label(cls, label: str) -> "Provenance":
-        provenance = PROVENANCE_BY_LABEL.get(label)
-        if provenance is None:
-            raise ValueError(f"unknown provenance name: {label!r}")
-        return provenance
+        """The provenance named label, in any case."""
+        return _member(_PROVENANCE_BY_NAME, label, "provenance")
 
 
 # Read-only tables built once at import, like the label tables in zones.
 PROVENANCE_LABELS = MappingProxyType({p: p.value for p in Provenance})
-PROVENANCE_BY_LABEL = MappingProxyType({p.value: p for p in Provenance})
+_PROVENANCE_BY_NAME = Provenance.__members__  # each read of __members__ builds a proxy
 PROVENANCE_DISPLAY = MappingProxyType(
     dict(zip(Provenance, ("Verb", "Preposition", "Interaction")))
 )
@@ -79,18 +72,6 @@ class SpatiotemporalTrace(NamedTuple):
     lref: str | None = None
     ground: str | None = None
     assignments: tuple[ZoneAssignment, ...] = ()
-
-    def locations(self) -> list[str]:
-        """All locations the trace mentions, sorted."""
-        seen = {a.location for a in self.assignments}
-        seen.update(loc for loc in (self.lref, self.ground) if loc is not None)
-        return sorted(seen)
-
-    def zone_at(self, location: str, phase: Phase) -> Zone | None:
-        for a in self.assignments:
-            if a.location == location and a.phase is phase:
-                return a.zone
-        return None
 
     def tuples(self) -> tuple[tuple[str, str, str, str], ...]:
         """Assignment tuples in canonical (location, phase) order."""

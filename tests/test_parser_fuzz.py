@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import random
+import re
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from motionsem.corpus import parse_corpus
 from motionsem.errors import FormatError
 from motionsem.lexicon import default_lexicon, dump_lexicon, load_lexicon
 from motionsem.rules import load_rulebase
+from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 
 LABELS = [m.name.lower() for enum in (Zone, Phase, LrefRole) for m in enum]
@@ -172,3 +175,28 @@ def test_mixed_case_labels_parse_like_lowercase(variant):
         ]
         assert load_lexicon(io.StringIO("\n".join(lines))) == lexicon
     assert {m.name.lower() for m in (*Zone, *LrefRole)} <= seen  # every label recased
+
+    # the shipped rule base, plus a bind for every zone and provenance
+    text = resources.files("motionsem.data").joinpath("default.rules").read_text("utf-8")
+    text += "".join(
+        f"R\tX{z.label}{p.label}\tdefeasible\t0\tprepkind=dir\t"
+        f"bind(post) zone={z.label} prov={p.label}\n"
+        for z in Zone
+        for p in Provenance
+    )
+    rule_labels = set(LABELS) | {p.label for p in Provenance}
+    seen.clear()
+
+    def recase(match: re.Match) -> str:
+        if match[0] not in rule_labels:
+            return match[0]  # keywords such as pos, yes and identify stay exact
+        seen.add(match[0])
+        return variants(match[0])[variant]
+
+    recased = re.sub(r"(?<=[=(])[a-z]+", recase, text)
+    assert load_rulebase(io.StringIO(recased)) == load_rulebase(io.StringIO(text))
+    assert seen == rule_labels  # every role, phase, zone and provenance label
+    bad_values = [("prepkind=POS", "'POS' for prepkind"), ("lrefrole=Mid", "'Mid'")]
+    for atom, quoted in bad_values:
+        with pytest.raises(FormatError, match=f"line 1: bad value {quoted}"):
+            load_rulebase(io.StringIO(f"R\tx\tdefeasible\t1\t{atom}\tidentify\n"))

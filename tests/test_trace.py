@@ -168,5 +168,4 @@ def test_provenance_labels():
     assert Provenance.VERB.label == "verb"
     assert Provenance.PREP.label == "prep"
     assert Provenance.INTERACTION.label == "interaction"
-    assert Provenance.PREP.display == "Preposition"
     assert Provenance.from_label("interaction") is Provenance.INTERACTION

@@ -170,3 +170,23 @@ def test_cli_import_does_not_load_dataclasses():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "False\n"
+
+
+# The names the benchmark (perfbench/run.py, load_program) reads from the package.
+BENCHMARK_API = (
+    "MotionComplex compose compute_features applicable_rules validate_trace "
+    "explain render_records load_lexicon default_lexicon default_class_inventory "
+    "load_rulebase default_rulebase parse_corpus run_corpus"
+).split()
+
+
+def test_benchmark_api_is_present():
+    import motionsem
+    import motionsem.rules
+
+    assert len(BENCHMARK_API) == 14
+    for name in BENCHMARK_API:
+        assert name in motionsem.__all__ and callable(getattr(motionsem, name))
+    # the traced benchmark counts guard checks by wrapping Guard.matches; a
+    # matches inherited or renamed would silently stop the count
+    assert "matches" in motionsem.rules.Guard.__dict__
