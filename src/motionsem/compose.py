@@ -10,8 +10,8 @@ tagged as interaction information.
 
 Everything here is pure: lexicons, rule bases and traces are immutable
 values, and repeated composition of the same inputs yields identical
-results.  A rule base memoizes derivations per entry shape (see
-compose()); the memo never changes a result.
+results.  Rule bases with equal rules share one memo of derivations per
+entry shape (see compose()); the memo never changes a result.
 """
 
 from __future__ import annotations
@@ -223,12 +223,13 @@ def compose(
     A derivation depends on the ground, mobile and lref names only
     through renaming, so the rule base memoizes one per entry shape (the
     zones and roles of the two entries, never their lemmas) and later
-    calls rename it.  The memo is bounded by the finite shape space and
-    ignored by the rule base's ==, hash and repr; concurrent fills at
-    worst compute the same value twice.  A ground named like the
-    reference location merges the two locations of a bind conclusion,
-    so such a call derives afresh and leaves the memo alone.  Errors are
-    never memoized.
+    calls rename it.  Rule bases with equal rules share that memo, also
+    when loaded separately (see RuleBase).  The memo is bounded by the
+    finite shape space and ignored by the rule base's ==, hash and repr;
+    concurrent fills at worst compute the same value twice.  A ground
+    named like the reference location merges the two locations of a bind
+    conclusion, so such a call derives afresh and leaves the memo alone.
+    Errors are never memoized.
     """
     if complex.language != lexicon.language:
         raise UnknownLanguageError(

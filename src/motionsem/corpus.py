@@ -23,6 +23,7 @@ from .errors import (
     IllFormedEntryError,
     MotionSemError,
     UnknownLanguageError,
+    read_data_file,
     wire_name,
 )
 from .lexicon import Lexicon
@@ -191,8 +192,7 @@ def parse_corpus(source) -> list[CorpusCase]:
 
 
 def parse_corpus_path(path: str) -> list[CorpusCase]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_corpus(fh)
+    return parse_corpus(read_data_file(path))
 
 
 def run_case(

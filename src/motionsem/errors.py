@@ -1,6 +1,12 @@
-"""Errors raised across the package, with the wire names used in corpus files."""
+"""Errors raised across the package, with the wire names used in corpus files.
+
+Also holds the one reader of data files, so that every parser reports
+undecodable bytes as a line-numbered FormatError.
+"""
 
 from __future__ import annotations
+
+import io
 
 
 class MotionSemError(Exception):
@@ -18,6 +24,22 @@ class FormatError(MotionSemError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def read_data_file(path: str) -> io.StringIO:
+    """A data file's UTF-8 text as a line stream with universal newlines.
+
+    A byte sequence that is not UTF-8 raises FormatError carrying the
+    1-based line of its first byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
+        line = before.getvalue().count("\n") + 1
+        raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line) from None
 
 
 class IllFormedEntryError(FormatError):

@@ -28,6 +28,7 @@ from .errors import (
     UnknownLemmaError,
     UnknownZoneNameError,
     UnlexicalizedClassError,
+    read_data_file,
 )
 from .zones import ROLE_BY_NAME, ZONE_BY_NAME, LrefRole, Zone
 
@@ -365,8 +366,7 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 
 
 def load_lexicon_path(path: str, language: str | None = None) -> Lexicon:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_lexicon(fh, language)
+    return load_lexicon(read_data_file(path), language)
 
 
 def default_lexicon(language: str) -> Lexicon:

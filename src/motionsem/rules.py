@@ -32,7 +32,7 @@ import functools
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import IllFormedEntryError
+from .errors import IllFormedEntryError, read_data_file
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
 
@@ -169,21 +169,33 @@ def first_tie(ranked: Sequence[CompositionRule]) -> Tie | None:
     return None
 
 
+@functools.lru_cache(maxsize=8)
+def _memos(rules: tuple[CompositionRule, ...]) -> tuple[dict, dict]:
+    """The ranking and derivation memos shared by every base with these rules."""
+    return {}, {}
+
+
 class RuleBase:
     """A versioned set of composition rules.
 
     Carries two lazily filled memos that ==, hash and repr ignore: the
     ranking per feature vector (at most 30) and compose()'s derivation
-    per entry shape (at most 960).  Its fields cannot be reassigned.
+    per entry shape (at most 960).  Neither reads the version, so every
+    base with equal rules shares one pair: construction takes it from a
+    registry of the last 8 rule tuples, and a base the registry has
+    since dropped keeps its own.  Sharing never changes a result, and
+    concurrent fills at worst compute the same value twice.  Its fields
+    cannot be reassigned.
     """
 
     __slots__ = ("version", "rules", "_rankings", "_derivations")
 
     def __init__(self, version: str, rules: tuple[CompositionRule, ...] = ()):
+        rankings, derivations = _memos(rules)
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_rankings", {})
-        object.__setattr__(self, "_derivations", {})
+        object.__setattr__(self, "_rankings", rankings)
+        object.__setattr__(self, "_derivations", derivations)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -348,8 +360,7 @@ def dump_rulebase(base: RuleBase) -> str:
 
 
 def load_rulebase_path(path: str) -> RuleBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_rulebase(fh)
+    return load_rulebase(read_data_file(path))
 
 
 def default_rulebase() -> RuleBase:

@@ -167,3 +167,35 @@ def test_query_missing_language(tmp_path, capsys):
     )
     assert code == cli.EXIT_UNKNOWN_LEMMA
     assert "fr" in err
+
+
+@pytest.mark.parametrize(
+    "name, data, argv, message",
+    [
+        (
+            "bad.lex",
+            b"LANG\tfr\nP\tda\xffns\tpos\tinside\n",
+            ("query", "x", "y", "z", "--lexicon"),
+            "error: line 2: not UTF-8: byte 0xff",
+        ),
+        (
+            "bad.rules",
+            b"VERSION\t1\r\n\r\nR\tD\tdefeasible\t1\tprepkind=dir\tid\xc3\n",
+            ("lint", "--rules"),
+            "rule base error: line 3: not UTF-8: byte 0xc3",
+        ),
+        (
+            "bad.corpus",
+            b"CASE x\nINPUT a b c fr\nEND\n\xff\n",
+            ("corpus",),
+            "error: line 4: not UTF-8: byte 0xff",
+        ),
+    ],
+    ids=["lexicon", "rules", "corpus"],
+)
+def test_non_utf8_data_file_is_a_load_error(tmp_path, capsys, name, data, argv, message):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    code, _, err = run(capsys, *argv, str(bad))
+    assert code == cli.EXIT_LOAD_ERROR
+    assert err == message + "\n"

@@ -25,7 +25,11 @@ from motionsem.errors import (
 )
 from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_lexicon
 from motionsem.rules import (
+    CompositionRule,
+    Conclusion,
+    Guard,
     RuleBase,
+    _memos,
     applicable_rules,
     default_rulebase,
     load_rulebase,
@@ -538,7 +542,9 @@ def test_memoized_compose_matches_a_cold_rule_base(
     warm = MEMO_BASES[base]
     lexicon = Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", role, start, end)}, {"p": prep})
     complex_ = MotionComplex(lemma, "p", ground, "m", "fr")
+    _memos.cache_clear()  # so cold gets fresh memos instead of sharing warm's
     cold = RuleBase(warm.version, warm.rules)
+    assert cold._derivations is not warm._derivations
     expected = outcome(complex_, lexicon, cold)
     assert outcome(complex_, lexicon, warm) == expected
     assert outcome(complex_, lexicon, warm) == expected
@@ -549,18 +555,100 @@ def test_memoized_compose_matches_a_cold_rule_base(
 
 
 def test_derivation_memo_holds_one_entry_per_shape():
-    rules = RuleBase(RULES.version, RULES.rules)
+    # two separately loaded, equal bases share one memo; the second adds nothing
+    _memos.cache_clear()
+    first, second = default_rulebase(), default_rulebase()
+    assert first is not second and first._derivations is second._derivations
     shapes = set()
-    for lexicon, language in ((FR, "fr"), (EN, "en")):
-        for verb, prep in all_col_prep_pairs(lexicon):
-            shapes.add(
-                (verb.lref_role, verb.start_zone, verb.end_zone, prep.kind)
-                + (prep.role, prep.zone, prep.attained)
-            )
-            for ground in ("a", "g", "maison", "zz", f"lref#{verb.lemma}"):
-                complex_ = MotionComplex(verb.lemma, prep.lemma, ground, "m", language)
-                try:
-                    compose(complex_, lexicon, rules)
-                except InfelicitousError:
-                    pass  # a bind onto a ground named like the lref clashes
-    assert 0 < len(rules._derivations) <= len(shapes)
+    sizes = []
+    for rules in (first, second):
+        for lexicon, language in ((FR, "fr"), (EN, "en")):
+            for verb, prep in all_col_prep_pairs(lexicon):
+                shapes.add(
+                    (verb.lref_role, verb.start_zone, verb.end_zone, prep.kind)
+                    + (prep.role, prep.zone, prep.attained)
+                )
+                for ground in ("a", "g", "maison", "zz", f"lref#{verb.lemma}"):
+                    complex_ = MotionComplex(verb.lemma, prep.lemma, ground, "m", language)
+                    try:
+                        compose(complex_, lexicon, rules)
+                    except InfelicitousError:
+                        pass  # a bind onto a ground named like the lref clashes
+        sizes.append(len(first._derivations))
+    assert 0 < sizes[0] == sizes[1] <= len(shapes)
+
+
+VERB_SHAPES = [(role, start, end) for role in LrefRole for start in Zone for end in Zone]
+PREP_SHAPES = [PrepEntry("p", "pos", zone) for zone in Zone] + [
+    PrepEntry("p", "dir", zone, role=role, attained=attained)
+    for zone in Zone
+    for role in LrefRole
+    for attained in ((True, False) if role is LrefRole.FINAL else (None,))
+]
+
+
+def derivation_or_error(complex_, lexicon, rules):
+    try:
+        return compose(complex_, lexicon, rules)
+    except (AmbiguousRuleBaseError, InfelicitousError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_BASES))
+def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
+    # all 48 x 20 hand-built shapes: a base sharing a memo filled under other
+    # names must rename to exactly what a cold compile derives
+    base = MEMO_BASES[name]
+    grounds = ("lref#v", "g")  # g sorts before the lref, the filler's zz after it
+    cold = {}
+    for ground in grounds:  # one base per ground, so each cold call compiles
+        _memos.cache_clear()
+        cold[ground] = RuleBase(base.version, base.rules)
+    _memos.cache_clear()
+    filler = RuleBase(base.version, base.rules)
+    shared = RuleBase(base.version, base.rules)
+    assert shared._derivations is filler._derivations
+    assert not any(filler._derivations is c._derivations for c in cold.values())
+    assert len(VERB_SHAPES) * len(PREP_SHAPES) == 960
+
+    def lexicon(lemma, verb, prep):
+        return Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", *verb)}, {"p": prep})
+
+    for verb in VERB_SHAPES:
+        for prep in PREP_SHAPES:
+            complex_ = MotionComplex("u", "p", "zz", "m", "fr")
+            derivation_or_error(complex_, lexicon("u", verb, prep), filler)
+    filled = len(filler._derivations)
+    for verb in VERB_SHAPES:
+        for prep in PREP_SHAPES:
+            lex = lexicon("v", verb, prep)
+            for ground in grounds:  # a merged lref#v derivation must not reach g
+                complex_ = MotionComplex("v", "p", ground, "m", "fr")
+                expected = derivation_or_error(complex_, lex, cold[ground])
+                assert derivation_or_error(complex_, lex, shared) == expected
+                if isinstance(expected, Derivation):
+                    assert validate_trace(expected.trace) == []
+    assert 0 < len(filler._derivations) == filled <= 960
+
+
+def test_memo_registry_is_bounded_and_an_evicted_base_still_composes():
+    _memos.cache_clear()
+    bound = _memos.cache_info().maxsize
+    guard, conclusion = Guard((("prepkind", "pos"),)), Conclusion("bind", Phase.POST)
+    bases = [  # each outranks every default rule, so its id shows in what fires
+        RULES.with_rule(CompositionRule(f"X{i}", "defeasible", 1000 + i, guard, conclusion))
+        for i in range(bound + 2)
+    ]
+    assert _memos.cache_info().currsize == bound
+    evicted = bases[0]
+    cases = [
+        (MotionComplex(verb.lemma, prep.lemma, "g", "m", language), lexicon)
+        for lexicon, language in ((FR, "fr"), (EN, "en"))
+        for verb, prep in all_col_prep_pairs(lexicon)
+    ]
+    warm = [derivation_or_error(c, lexicon, evicted) for c, lexicon in cases]
+    assert [derivation_or_error(c, lexicon, evicted) for c, lexicon in cases] == warm
+    assert any(d.fired.id == "X0" for d in warm if isinstance(d, Derivation))
+    cold = RuleBase(evicted.version, evicted.rules)  # evicted, so not shared
+    assert cold._derivations is not evicted._derivations
+    assert [derivation_or_error(c, lexicon, cold) for c, lexicon in cases] == warm
