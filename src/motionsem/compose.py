@@ -11,12 +11,18 @@ tagged as interaction information.
 Everything here is pure: lexicons, rule bases and traces are immutable
 values, and repeated composition of the same inputs yields identical
 results.  Rule bases with equal rules share one memo of derivations per
-entry shape (see compose()); the memo never changes a result.
+entry shape (see compose()), and explain() fills in the names of a
+layout made once per shape of derivation (see _plain_layout); neither
+cache ever changes a result.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import functools
+import re
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import (
     AmbiguousRuleBaseError,
@@ -36,7 +42,7 @@ from .trace import (
     sorted_assignments,
     validate_trace,
 )
-from .zones import PHASE_LABELS, ZONE_LABELS, LrefRole, Phase, Zone
+from .zones import LrefRole, Phase, Zone
 
 
 class _MotionComplexFields(NamedTuple):
@@ -82,6 +88,11 @@ class Derivation(NamedTuple):
     trace: SpatiotemporalTrace
 
 
+# Enum members read once: a class attribute read costs about 130 ns a time.
+_PRE, _DURING, _POST = Phase.PRE, Phase.DURING, Phase.POST
+_MEDIAL, _INSIDE = LrefRole.MEDIAL, Zone.INSIDE
+
+
 def lref_location(complex: MotionComplex) -> str:
     """Name for the verb's reference location when it stays implicit."""
     return f"lref#{complex.verb_lemma}"
@@ -98,9 +109,9 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
             f"{verb.lemma!r} is a {verb.category} verb; only CoL verbs compose"
         )
     assert verb.start_zone is not None and verb.end_zone is not None
-    constraints = {Phase.PRE: verb.start_zone, Phase.POST: verb.end_zone}
-    if verb.lref_role is LrefRole.MEDIAL:
-        constraints[Phase.DURING] = Zone.INSIDE
+    constraints = {_PRE: verb.start_zone, _POST: verb.end_zone}
+    if verb.lref_role is _MEDIAL:
+        constraints[_DURING] = _INSIDE
     return constraints
 
 
@@ -115,7 +126,7 @@ def prep_constraint(prep: PrepEntry) -> tuple[Phase, Zone]:
     if prep.is_directional:
         assert prep.role is not None
         return (prep.role.phase, prep.effective_zone)
-    return (Phase.POST, prep.effective_zone)
+    return (_POST, prep.effective_zone)
 
 
 def verb_projection(verb: VerbEntry, location: str) -> set[tuple[str, Phase, Zone]]:
@@ -223,13 +234,13 @@ def compose(
     A derivation depends on the ground, mobile and lref names only
     through renaming, so the rule base memoizes one per entry shape (the
     zones and roles of the two entries, never their lemmas) and later
-    calls rename it.  Rule bases with equal rules share that memo, also
-    when loaded separately (see RuleBase).  The memo is bounded by the
-    finite shape space and ignored by the rule base's ==, hash and repr;
-    concurrent fills at worst compute the same value twice.  A ground
-    named like the reference location merges the two locations of a bind
-    conclusion, so such a call derives afresh and leaves the memo alone.
-    Errors are never memoized.
+    calls rename it.  Rule bases with equal rules of equal field types
+    share that memo, also when loaded separately (see RuleBase).  The
+    memo is bounded by the finite shape space and ignored by the rule
+    base's ==, hash and repr; concurrent fills at worst compute the same
+    value twice.  A ground named like the reference location merges the
+    two locations of a bind conclusion, so such a call derives afresh and
+    leaves the memo alone.  Errors are never memoized.
     """
     if complex.language != lexicon.language:
         raise UnknownLanguageError(
@@ -347,22 +358,98 @@ def explain(derivation: Derivation) -> str:
     """Human-readable account of a derivation, deterministic for fixed input.
 
     Ends with the machine-diffable trace records so a reader has both
-    views in one place.
+    views in one place.  All but the names is laid out once per fired
+    rule, defeats and shape of trace, and kept in a bounded cache (see
+    _plain_layout); a call fills in the names.  A trace that is not
+    plain, as only hand-built ones are (an absent binding, a third
+    location, a name with a line break), is laid out afresh with its
+    names written in.  The cache never changes the text.
     """
-    c = derivation.complex
-    trace = derivation.trace
-    fired = derivation.fired
+    complex_, _, fired, defeated, trace = derivation
+    rule = (fired.id, fired.strength, fired.priority, *chain.from_iterable(defeated))
+    mobile, lref, ground, assignments = trace
+    if (  # plain: the locations are exactly lref and ground, printable str names
+        type(lref) is str
+        and type(ground) is str
+        and {lref, ground} == {a[0] for a in assignments}
+        and f"{mobile}{lref}{ground}".isprintable()
+    ):
+        ground_first = ground < lref
+        rows = tuple(
+            [
+                (location == ground, phase, zone, source)
+                for location, phase, zone, source in assignments
+            ]
+        )
+        parts, pick = _plain_layout(ground_first, rows, *rule)
+        first, second = (ground, lref) if ground_first else (lref, ground)
+        width = max(8, len(lref), len(ground))
+        cells = (first.ljust(width), second.ljust(width), "location".ljust(width))
+        return _fill(parts, pick((*complex_, mobile, first, second, *cells)))
+    parts, pick = _layout(trace, True, *rule)
+    return _fill(parts, pick(complex_))
+
+
+def _fill(parts: tuple, values: tuple) -> str:
+    """A layout's text: its literal parts with the values in the slots between."""
+    text = list(parts)
+    text[1::2] = values
+    return "".join(text)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _plain_layout(ground_first: bool, rows: tuple, *rule) -> tuple[tuple, Callable]:
+    """explain()'s layout for every plain trace of one shape and rule outcome.
+
+    Each row is an assignment whose location is replaced by whether it is
+    the ground; if every row is, the ground is identified with the lref.
+    The cache is keyed by content, never by identity, and typed, so that
+    fields which compare equal but print differently, such as priority 43
+    and 43.0, get layouts of their own; for that the defeats come
+    flattened to their fields.  It holds the last 1024 layouts; the seed
+    lexicons under the default rules need 162.
+    """
+    if all(row[0] for row in rows):
+        lref = ground = "{6}"
+    else:
+        lref, ground = ("{7}", "{6}") if ground_first else ("{6}", "{7}")
+    assignments = tuple(
+        ZoneAssignment(ground if at_ground else lref, *cells)
+        for at_ground, *cells in rows
+    )
+    return _layout(SpatiotemporalTrace("{5}", lref, ground, assignments), False, *rule)
+
+
+def _layout(
+    trace: SpatiotemporalTrace, literal: bool, rule_id, strength, priority, *defeats
+) -> tuple[tuple, Callable]:
+    """explain()'s text as parts with slots for names, and their getter.
+
+    With literal set the trace's names are written in.  Otherwise they
+    are str.format fields: {5} the mobile, {6} and {7} the two locations
+    in sort order, and {8}, {9} and {10} the same locations and the
+    heading of the location column, padded to its width.  Fields {0} to
+    {4} are the motion complex's, in order.  Field names sort like the
+    names they stand for, so tuples() orders the rows the same way.
+    """
+    rows = trace.tuples()
+    if literal:
+        width = max([8, *(len(row[0]) for row in rows)])
+        name, cell = _escape, lambda location: _escape(location.ljust(width))
+        heading = cell("location")
+    else:
+        name, cell, heading = str, {"{6}": "{8}", "{7}": "{9}"}.get, "{10}"
     lines = [
-        f"motion complex: {c.verb_lemma} + {c.prep_lemma} + {c.ground}  [{c.language}]",
-        f"mobile: {c.mobile}",
+        "motion complex: {0} + {1} + {2}  [{4}]",
+        "mobile: {3}",
         "",
-        f"fired rule: {fired.id} ({fired.strength}, priority {fired.priority})",
+        _escape(f"fired rule: {rule_id} ({strength}, priority {priority})"),
     ]
-    if derivation.defeated:
+    if defeats:
         lines.append("defeated:")
-        for d in derivation.defeated:
-            by = f" by {d.defeated_by}" if d.defeated_by else ""
-            lines.append(f"  {d.rule_id} ({d.reason}{by})")
+        for defeated, by, reason in zip(*[iter(defeats)] * 3):
+            by = f" by {by}" if by else ""
+            lines.append(_escape(f"  {defeated} ({reason}{by})"))
     else:
         lines.append("defeated: none")
 
@@ -370,31 +457,52 @@ def explain(derivation: Derivation) -> str:
     lines.append("bindings:")
     if trace.lref == trace.ground:
         lines.append(
-            f"  ground: {trace.ground} (identified with the reference location)"
+            f"  ground: {name(trace.ground)} (identified with the reference location)"
         )
     else:
-        lines.append(f"  reference location: {trace.lref} (implicit)")
-        ground_phases = sorted(
-            {a.phase for a in trace.assignments if a.location == trace.ground},
-            key=int,
-        )
-        at = ", ".join(PHASE_LABELS[p] for p in ground_phases) or "no phase"
-        lines.append(f"  ground: {trace.ground} (bound at {at})")
+        lines.append(f"  reference location: {name(trace.lref)} (implicit)")
+        ground_phases = dict.fromkeys(row[1] for row in rows if row[0] == trace.ground)
+        at = ", ".join(ground_phases) or "no phase"
+        lines.append(f"  ground: {name(trace.ground)} (bound at {at})")
 
     lines.append("")
     lines.append("zones:")
-    rows = [("location", "phase", "zone", "source")]
-    for location, phase, zone, prov in sorted_assignments(trace.assignments):
-        rows.append(
-            (location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_DISPLAY[prov])
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    for row in rows:
-        lines.append(
-            "  " + "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
+    table = [(heading, "phase", "zone", "source")] + [
+        (cell(location), phase, zone, PROVENANCE_DISPLAY[Provenance(source)])
+        for location, phase, zone, source in rows
+    ]
+    widths = [max(len(row[i]) for row in table) for i in range(1, 4)]
+    for location, *cells in table:
+        cells = "  ".join(c.ljust(w) for c, w in zip(cells, widths))
+        lines.append(f"  {location}  {cells.rstrip()}")
 
     lines.append("")
     lines.append("records:")
-    lines += [f"  {record}" for record in render_records(trace).splitlines()]
-    return "\n".join(lines)
+    lines += [f"  {record}" for record in name(render_records(trace)).splitlines()]
+    return _slots("\n".join(lines))
+
+
+def _escape(value) -> str:
+    """value as text that str.format prints back unchanged."""
+    return f"{value}".replace("{", "{{").replace("}", "}}")
+
+
+def _slots(template: str) -> tuple[tuple, Callable]:
+    """A str.format template as literal parts with slots, and the slots' getter.
+
+    The parts alternate text and a None slot for each field; the getter
+    picks the fields' values from the fill-ins.  Filling the slots and
+    joining is several times as fast as str.format, and the text comes
+    out at its exact size.
+    """
+    parts, picks, start = [""], [], 0
+    for match in re.finditer(r"\{\{|\}\}|\{(\d+)\}", template):
+        parts[-1] += template[start : match.start()]
+        start = match.end()
+        if match[1] is None:  # an escaped brace
+            parts[-1] += match[0][0]
+        else:
+            parts += (None, "")
+            picks.append(int(match[1]))
+    parts[-1] += template[start:]
+    return tuple(parts), itemgetter(*picks)

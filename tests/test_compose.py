@@ -34,8 +34,9 @@ from motionsem.rules import (
     default_rulebase,
     load_rulebase,
 )
-from motionsem.trace import validate_trace
+from motionsem.trace import Provenance, validate_trace
 from motionsem.zones import LrefRole, Phase, Zone
+from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, shape_lexicons
 
 FR = default_lexicon("fr")
 EN = default_lexicon("en")
@@ -489,22 +490,6 @@ def test_lref_location_naming():
 
 # -- derivation memo -------------------------------------------------------------
 
-MEMO_BASES = {
-    "default": RULES,
-    "identify-only": load_rulebase(
-        io.StringIO("R\tonly\tdefeasible\t1\tprepkind=dir\tidentify\n")
-    ),
-    "tie-and-bind": load_rulebase(
-        io.StringIO(
-            "R\tA\tdefeasible\t5\tprepkind=pos\tbind(post)\n"
-            "R\tB\tdefeasible\t5\tprepkind=pos\tbind(pre)\n"
-            "R\tC\tdefeasible\t9\tprepkind=dir\tbind(pre) zone=distal\n"
-            "R\tD\tdefeasible\t3\tprepkind=dir\tidentify\n"
-        )
-    ),
-}
-
-
 @st.composite
 def prep_entries(draw):
     zone = draw(st.sampled_from(Zone))
@@ -578,15 +563,6 @@ def test_derivation_memo_holds_one_entry_per_shape():
     assert 0 < sizes[0] == sizes[1] <= len(shapes)
 
 
-VERB_SHAPES = [(role, start, end) for role in LrefRole for start in Zone for end in Zone]
-PREP_SHAPES = [PrepEntry("p", "pos", zone) for zone in Zone] + [
-    PrepEntry("p", "dir", zone, role=role, attained=attained)
-    for zone in Zone
-    for role in LrefRole
-    for attained in ((True, False) if role is LrefRole.FINAL else (None,))
-]
-
-
 def derivation_or_error(complex_, lexicon, rules):
     try:
         return compose(complex_, lexicon, rules)
@@ -609,26 +585,72 @@ def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
     shared = RuleBase(base.version, base.rules)
     assert shared._derivations is filler._derivations
     assert not any(filler._derivations is c._derivations for c in cold.values())
-    assert len(VERB_SHAPES) * len(PREP_SHAPES) == 960
+    assert len(VERB_SHAPES) * len(PREP_SHAPES) == len(shape_lexicons("v")) == 960
 
-    def lexicon(lemma, verb, prep):
-        return Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", *verb)}, {"p": prep})
-
-    for verb in VERB_SHAPES:
-        for prep in PREP_SHAPES:
-            complex_ = MotionComplex("u", "p", "zz", "m", "fr")
-            derivation_or_error(complex_, lexicon("u", verb, prep), filler)
+    for lex in shape_lexicons("u"):
+        derivation_or_error(MotionComplex("u", "p", "zz", "m", "fr"), lex, filler)
     filled = len(filler._derivations)
-    for verb in VERB_SHAPES:
-        for prep in PREP_SHAPES:
-            lex = lexicon("v", verb, prep)
-            for ground in grounds:  # a merged lref#v derivation must not reach g
-                complex_ = MotionComplex("v", "p", ground, "m", "fr")
-                expected = derivation_or_error(complex_, lex, cold[ground])
-                assert derivation_or_error(complex_, lex, shared) == expected
-                if isinstance(expected, Derivation):
-                    assert validate_trace(expected.trace) == []
+    for lex in shape_lexicons("v"):
+        for ground in grounds:  # a merged lref#v derivation must not reach g
+            complex_ = MotionComplex("v", "p", ground, "m", "fr")
+            expected = derivation_or_error(complex_, lex, cold[ground])
+            assert derivation_or_error(complex_, lex, shared) == expected
+            if isinstance(expected, Derivation):
+                assert validate_trace(expected.trace) == []
     assert 0 < len(filler._derivations) == filled <= 960
+
+
+def test_rule_bases_that_print_differently_share_no_memo():
+    # equal rule tuples whose fields differ in type (43 vs 43.0) must not
+    # hand each other their compiled derivations, which carry the rule
+    complex_ = fr_complex("sortir", "dans")
+    ints = default_rulebase()
+    as_int = compose(complex_, FR, ints)
+    rules = tuple(r._replace(priority=float(r.priority)) for r in ints.rules)
+    floats = RuleBase(ints.version, rules)
+    assert floats == ints and floats._derivations is not ints._derivations
+    as_float = compose(complex_, FR, floats)
+    assert "fired rule: D2i (defeasible, priority 43)\n" in explain(as_int)
+    assert "fired rule: D2i (defeasible, priority 43.0)\n" in explain(as_float)
+    assert type(as_float.fired.priority) is float
+    assert RuleBase(ints.version, rules)._derivations is floats._derivations
+
+
+# Rules whose own bind conclusion tags a fact unsoundly: C binds the ground
+# at pre with zone distal but keeps the default prep tag, which the
+# preposition alone supports only when it is itself initial and distal.
+UNSOUND_RULES = {"default": set(), "identify-only": set(), "tie-and-bind": {"C"}}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_BASES))
+def test_provenance_is_sound_and_composing_is_idempotent_on_every_shape(name):
+    # all 960 hand-built shapes: a verb fact lies in the verb's projection at
+    # the lref, a prep fact in the preposition's at the ground, an interaction
+    # fact in neither; composing again gives an equal derivation and text
+    base = MEMO_BASES[name]
+    unsound = set()
+    complex_ = MotionComplex("v", "p", "g", "m", "fr")  # names only rename
+    for lex in shape_lexicons("v"):
+        first = derivation_or_error(complex_, lex, base)
+        again = derivation_or_error(complex_, lex, base)
+        assert again == first
+        if not isinstance(first, Derivation):
+            continue
+        assert explain(again) == explain(first)
+        trace = first.trace
+        by_verb = verb_projection(lex.verbs["v"], trace.lref)
+        by_prep = prep_projection(lex.preps["p"], trace.ground)
+        for location, phase, zone, source in trace.assignments:
+            fact = (location, phase, zone)
+            sound = {
+                Provenance.VERB: fact in by_verb,
+                Provenance.PREP: fact in by_prep,
+                Provenance.INTERACTION: fact not in by_verb | by_prep,
+            }[source]
+            if not sound:
+                assert source is Provenance.PREP and location == trace.ground
+                unsound.add(first.fired.id)
+    assert unsound == UNSOUND_RULES[name]
 
 
 def test_memo_registry_is_bounded_and_an_evicted_base_still_composes():
