@@ -17,15 +17,7 @@ import argparse
 import sys
 
 from .compose import MotionComplex, compose, explain
-from .errors import (
-    AmbiguousRuleBaseError,
-    FormatError,
-    InfelicitousError,
-    MotionSemError,
-    NotACoLVerbError,
-    UnknownLanguageError,
-    UnknownLemmaError,
-)
+from .errors import FormatError, MotionSemError, UnknownLanguageError, wire_name
 from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon_path
 from .rules import RuleBase, default_rulebase, lint_rulebase, load_rulebase_path
 from .corpus import parse_corpus_path, run_corpus
@@ -39,17 +31,14 @@ EXIT_NOT_COL = 4
 EXIT_INFELICITOUS = 5
 EXIT_AMBIGUOUS = 6
 
-
-def _error_exit_code(exc: MotionSemError) -> int:
-    if isinstance(exc, UnknownLemmaError) or isinstance(exc, UnknownLanguageError):
-        return EXIT_UNKNOWN_LEMMA
-    if isinstance(exc, NotACoLVerbError):
-        return EXIT_NOT_COL
-    if isinstance(exc, InfelicitousError):
-        return EXIT_INFELICITOUS
-    if isinstance(exc, AmbiguousRuleBaseError):
-        return EXIT_AMBIGUOUS
-    return EXIT_LOAD_ERROR
+# Exit codes of the query errors by wire name; any other error is a load error.
+_EXIT_CODES = {
+    "UnknownLemma": EXIT_UNKNOWN_LEMMA,
+    "UnknownLanguage": EXIT_UNKNOWN_LEMMA,
+    "NotACoLVerb": EXIT_NOT_COL,
+    "Infelicitous": EXIT_INFELICITOUS,
+    "AmbiguousRuleBase": EXIT_AMBIGUOUS,
+}
 
 
 def _load_lexicons(paths: list[str] | None) -> dict[str, Lexicon]:
@@ -138,7 +127,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         derivation = compose(complex_, lexicon, rules)
     except MotionSemError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _error_exit_code(exc)
+        return _EXIT_CODES.get(wire_name(exc), EXIT_LOAD_ERROR)
 
     if args.format == "records":
         print(render_records(derivation.trace))

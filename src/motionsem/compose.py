@@ -11,15 +11,15 @@ tagged as interaction information.
 Everything here is pure: lexicons, rule bases and traces are immutable
 values, and repeated composition of the same inputs yields identical
 results.  Rule bases with equal rules share one memo of derivations per
-entry shape (see compose()), and explain() fills in the names of a
-layout made once per shape of derivation (see _plain_layout); neither
-cache ever changes a result.
+entry shape (see compose()).  explain() has one renderer (_render): it
+renders a hand-built trace directly, and renders every other trace once
+per shape of derivation with markers for the names, which each call
+fills in (see _plain_layout).  Neither cache ever changes a result.
 """
 
 from __future__ import annotations
 
 import functools
-import re
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -362,8 +362,9 @@ def explain(derivation: Derivation) -> str:
     rule, defeats and shape of trace, and kept in a bounded cache (see
     _plain_layout); a call fills in the names.  A trace that is not
     plain, as only hand-built ones are (an absent binding, a third
-    location, a name with a line break), is laid out afresh with its
-    names written in.  The cache never changes the text.
+    location, a name with a line break), is rendered directly with its
+    names, as is a rule or defeat field holding a NUL.  The cache never
+    changes the text.
     """
     complex_, _, fired, defeated, trace = derivation
     rule = (fired.id, fired.strength, fired.priority, *chain.from_iterable(defeated))
@@ -375,95 +376,109 @@ def explain(derivation: Derivation) -> str:
         and f"{mobile}{lref}{ground}".isprintable()
     ):
         ground_first = ground < lref
-        rows = tuple(
-            [
-                (location == ground, phase, zone, source)
-                for location, phase, zone, source in assignments
-            ]
-        )
-        parts, pick = _plain_layout(ground_first, rows, *rule)
-        first, second = (ground, lref) if ground_first else (lref, ground)
-        width = max(8, len(lref), len(ground))
-        cells = (first.ljust(width), second.ljust(width), "location".ljust(width))
-        return _fill(parts, pick((*complex_, mobile, first, second, *cells)))
-    parts, pick = _layout(trace, True, *rule)
-    return _fill(parts, pick(complex_))
+        rows = []  # flat, so that the typed key holds the type of every field
+        for location, phase, zone, source in assignments:
+            rows += (location == ground, phase, zone, source)
+        layout = _plain_layout(ground_first, len(assignments), *rows, *rule)
+        if layout is not None:
+            parts, pick = layout
+            first, second = (ground, lref) if ground_first else (lref, ground)
+            width = max(8, len(lref), len(ground))
+            cells = (first.ljust(width), second.ljust(width), "location".ljust(width))
+            text = list(parts)
+            text[1::2] = pick((*complex_, mobile, first, second, *cells))
+            return "".join(text)
+    return _render(complex_, trace, str, "location", *rule)
 
 
-def _fill(parts: tuple, values: tuple) -> str:
-    """A layout's text: its literal parts with the values in the slots between."""
-    text = list(parts)
-    text[1::2] = values
-    return "".join(text)
+# Slot markers: NUL and one hex digit each, so all have one width and
+# never occur in a plain name, which is printable.  Slots 0 to 4 are the
+# motion complex's fields in order, 5 the mobile, 6 and 7 the two
+# locations in sort order, and 8, 9 and 10 the same locations and the
+# heading of the location column, padded to its width.
+_SLOTS = tuple(f"\0{slot:x}" for slot in range(11))
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
-def _plain_layout(ground_first: bool, rows: tuple, *rule) -> tuple[tuple, Callable]:
-    """explain()'s layout for every plain trace of one shape and rule outcome.
+def _plain_layout(
+    ground_first: bool, size: int, *fields
+) -> tuple[tuple, Callable] | None:
+    """explain()'s text for every plain trace of one shape and rule outcome.
 
-    Each row is an assignment whose location is replaced by whether it is
-    the ground; if every row is, the ground is identified with the lref.
+    fields holds size rows and then the rule outcome.  Each row is an
+    assignment whose location is replaced by whether it is the ground; if
+    every row is, the ground is identified with the lref.  The text is
+    rendered once with slot markers for the names and split at them into
+    literal parts, with a None slot between each two, and a getter that
+    picks each slot's value from the fill-ins.  Markers sort like the
+    names they stand for, so the rows keep their order.  None when a rule
+    field holds a NUL, which would read as a marker.
+
     The cache is keyed by content, never by identity, and typed, so that
     fields which compare equal but print differently, such as priority 43
-    and 43.0, get layouts of their own; for that the defeats come
-    flattened to their fields.  It holds the last 1024 layouts; the seed
-    lexicons under the default rules need 162.
+    and 43.0 or phase 2.0 and Phase.POST, get layouts of their own; for
+    that the rows and defeats come flattened to their fields.  It holds
+    the last 1024 layouts; the seed lexicons under the default rules need
+    162.
     """
-    if all(row[0] for row in rows):
-        lref = ground = "{6}"
+    rows, rule = fields[: 4 * size], fields[4 * size :]
+    if any("\0" in f"{field}" for field in rule):
+        return None
+    slot = _SLOTS
+    if all(rows[::4]):
+        lref = ground = slot[6]
     else:
-        lref, ground = ("{7}", "{6}") if ground_first else ("{6}", "{7}")
+        lref, ground = (slot[7], slot[6]) if ground_first else (slot[6], slot[7])
     assignments = tuple(
-        ZoneAssignment(ground if at_ground else lref, *cells)
-        for at_ground, *cells in rows
+        ZoneAssignment(ground if at_ground else lref, phase, zone, source)
+        for at_ground, phase, zone, source in zip(*[iter(rows)] * 4)
     )
-    return _layout(SpatiotemporalTrace("{5}", lref, ground, assignments), False, *rule)
+    trace = SpatiotemporalTrace(slot[5], lref, ground, assignments)
+    cell = {slot[6]: slot[8], slot[7]: slot[9]}.get
+    head, *pieces = _render(slot[:5], trace, cell, slot[10], *rule).split("\0")
+    parts, picks = [head], []
+    for piece in pieces:
+        picks.append(int(piece[0], 16))
+        parts += (None, piece[1:])
+    return tuple(parts), itemgetter(*picks)
 
 
-def _layout(
-    trace: SpatiotemporalTrace, literal: bool, rule_id, strength, priority, *defeats
-) -> tuple[tuple, Callable]:
-    """explain()'s text as parts with slots for names, and their getter.
+def _render(
+    complex_, trace: SpatiotemporalTrace, cell: Callable, heading: str,
+    rule_id, strength, priority, *defeats
+) -> str:
+    """explain()'s text for a motion complex's fields, a trace and a rule outcome.
 
-    With literal set the trace's names are written in.  Otherwise they
-    are str.format fields: {5} the mobile, {6} and {7} the two locations
-    in sort order, and {8}, {9} and {10} the same locations and the
-    heading of the location column, padded to its width.  Fields {0} to
-    {4} are the motion complex's, in order.  Field names sort like the
-    names they stand for, so tuples() orders the rows the same way.
+    cell gives a location's cell in the zone table and heading that
+    column's heading; each column is padded to its widest cell.
     """
-    rows = trace.tuples()
-    if literal:
-        width = max([8, *(len(row[0]) for row in rows)])
-        name, cell = _escape, lambda location: _escape(location.ljust(width))
-        heading = cell("location")
-    else:
-        name, cell, heading = str, {"{6}": "{8}", "{7}": "{9}"}.get, "{10}"
+    verb, prep, ground, mobile, language = complex_
     lines = [
-        "motion complex: {0} + {1} + {2}  [{4}]",
-        "mobile: {3}",
+        f"motion complex: {verb} + {prep} + {ground}  [{language}]",
+        f"mobile: {mobile}",
         "",
-        _escape(f"fired rule: {rule_id} ({strength}, priority {priority})"),
+        f"fired rule: {rule_id} ({strength}, priority {priority})",
     ]
     if defeats:
         lines.append("defeated:")
         for defeated, by, reason in zip(*[iter(defeats)] * 3):
             by = f" by {by}" if by else ""
-            lines.append(_escape(f"  {defeated} ({reason}{by})"))
+            lines.append(f"  {defeated} ({reason}{by})")
     else:
         lines.append("defeated: none")
 
     lines.append("")
     lines.append("bindings:")
+    rows = trace.tuples()
     if trace.lref == trace.ground:
         lines.append(
-            f"  ground: {name(trace.ground)} (identified with the reference location)"
+            f"  ground: {trace.ground} (identified with the reference location)"
         )
     else:
-        lines.append(f"  reference location: {name(trace.lref)} (implicit)")
+        lines.append(f"  reference location: {trace.lref} (implicit)")
         ground_phases = dict.fromkeys(row[1] for row in rows if row[0] == trace.ground)
         at = ", ".join(ground_phases) or "no phase"
-        lines.append(f"  ground: {name(trace.ground)} (bound at {at})")
+        lines.append(f"  ground: {trace.ground} (bound at {at})")
 
     lines.append("")
     lines.append("zones:")
@@ -471,38 +486,12 @@ def _layout(
         (cell(location), phase, zone, PROVENANCE_DISPLAY[Provenance(source)])
         for location, phase, zone, source in rows
     ]
-    widths = [max(len(row[i]) for row in table) for i in range(1, 4)]
-    for location, *cells in table:
-        cells = "  ".join(c.ljust(w) for c, w in zip(cells, widths))
-        lines.append(f"  {location}  {cells.rstrip()}")
+    widths = [max(len(row[i]) for row in table) for i in range(4)]
+    for row in table:
+        cells = "  ".join(c.ljust(w) for c, w in zip(row, widths))
+        lines.append(f"  {cells.rstrip()}")
 
     lines.append("")
     lines.append("records:")
-    lines += [f"  {record}" for record in name(render_records(trace)).splitlines()]
-    return _slots("\n".join(lines))
-
-
-def _escape(value) -> str:
-    """value as text that str.format prints back unchanged."""
-    return f"{value}".replace("{", "{{").replace("}", "}}")
-
-
-def _slots(template: str) -> tuple[tuple, Callable]:
-    """A str.format template as literal parts with slots, and the slots' getter.
-
-    The parts alternate text and a None slot for each field; the getter
-    picks the fields' values from the fill-ins.  Filling the slots and
-    joining is several times as fast as str.format, and the text comes
-    out at its exact size.
-    """
-    parts, picks, start = [""], [], 0
-    for match in re.finditer(r"\{\{|\}\}|\{(\d+)\}", template):
-        parts[-1] += template[start : match.start()]
-        start = match.end()
-        if match[1] is None:  # an escaped brace
-            parts[-1] += match[0][0]
-        else:
-            parts += (None, "")
-            picks.append(int(match[1]))
-    parts[-1] += template[start:]
-    return tuple(parts), itemgetter(*picks)
+    lines += [f"  {record}" for record in render_records(trace).splitlines()]
+    return "\n".join(lines)

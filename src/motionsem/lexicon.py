@@ -369,8 +369,8 @@ def dump_lexicon(lexicon: Lexicon) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_lexicon_path(path: str, language: str | None = None) -> Lexicon:
-    return load_lexicon(read_data_file(path), language)
+def load_lexicon_path(path: str) -> Lexicon:
+    return load_lexicon(read_data_file(path))
 
 
 def default_lexicon(language: str) -> Lexicon:

@@ -170,38 +170,37 @@ def first_tie(ranked: Sequence[CompositionRule]) -> Tie | None:
 
 
 @functools.lru_cache(maxsize=8)
-def _memos(rules: tuple[CompositionRule, ...], types: tuple) -> tuple[dict, dict]:
-    """The ranking and derivation memos shared by every base with these rules.
+def _memos(rules: tuple[CompositionRule, ...], types: tuple) -> dict:
+    """The derivation memo shared by every base with these rules.
 
     types holds the type of each field of each rule and of its
     conclusion: rule tuples that compare equal but print differently,
     such as priority 43 and 43.0, must not share derivations.
     """
-    return {}, {}
+    return {}
 
 
 class RuleBase:
     """A versioned set of composition rules.
 
-    Carries two lazily filled memos that ==, hash and repr ignore: the
-    ranking per feature vector (at most 30) and compose()'s derivation
-    per entry shape (at most 960).  Neither reads the version, so every
-    base with equal rules of equal field types (43 is not 43.0) shares
-    one pair: construction takes it from a registry of the last 8 rule
-    tuples, and a base the registry has since dropped keeps its own.
-    Sharing never changes a result, and concurrent fills at worst compute
-    the same value twice.  Its fields cannot be reassigned.
+    Carries one lazily filled memo that ==, hash and repr ignore:
+    compose()'s derivation per entry shape (at most 960).  No derivation
+    reads the version, so every base with equal rules of equal field
+    types (43 is not 43.0) shares one memo: construction takes it from a
+    registry of the last 8 rule tuples, and a base the registry has since
+    dropped keeps its own.  Sharing never changes a result, and
+    concurrent fills at worst compute the same value twice.  Rankings
+    are not memoized: ranking() is one pass over the rules.  Its fields
+    cannot be reassigned.
     """
 
-    __slots__ = ("version", "rules", "_rankings", "_derivations")
+    __slots__ = ("version", "rules", "_derivations")
 
     def __init__(self, version: str, rules: tuple[CompositionRule, ...] = ()):
         types = tuple([(*map(type, r), *map(type, r.conclusion)) for r in rules])
-        rankings, derivations = _memos(rules, types)
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_rankings", rankings)
-        object.__setattr__(self, "_derivations", derivations)
+        object.__setattr__(self, "_derivations", _memos(rules, types))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -224,11 +223,8 @@ class RuleBase:
         self, features: ComplexFeatures
     ) -> tuple[tuple[CompositionRule, ...], Tie | None]:
         """The applicable rules for features, ranked, and their first tie."""
-        ranking = self._rankings.get(features)
-        if ranking is None:
-            ranked = tuple(applicable_rules(features, self))
-            ranking = self._rankings[features] = (ranked, first_tie(ranked))
-        return ranking
+        ranked = tuple(applicable_rules(features, self))
+        return ranked, first_tie(ranked)
 
     def with_rule(self, rule: CompositionRule) -> "RuleBase":
         """A copy of this base with one extra rule (ids must stay unique)."""

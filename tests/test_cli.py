@@ -9,6 +9,16 @@ import pytest
 from motionsem import cli
 
 GOLDEN = str(resources.files("motionsem.data").joinpath("golden.corpus"))
+EN_LEXICON = str(resources.files("motionsem.data").joinpath("en.lex"))
+
+# rule bases written to the working directory of test_query_error_exit_codes
+QUERY_RULES = {
+    "no-positional.rules": "R\tD4\tdefeasible\t1\tprepkind=dir\tbind(post)\n",
+    "tie.rules": (
+        "R\tA\tdefeasible\t1\tprepkind=pos\tidentify\n"
+        "R\tB\tdefeasible\t1\tprepkind=pos\tbind(post)\n"
+    ),
+}
 
 
 def run(capsys, *argv):
@@ -60,9 +70,20 @@ def test_query_output_is_byte_identical_across_runs(capsys):
         (("query", "voyager", "dans", "ville"), cli.EXIT_NOT_COL, "CoPs"),
         (("query", "sortir", "dans", "jardin", "--lexicon", "/no/such/file"),
          cli.EXIT_LOAD_ERROR, "no/such/file"),
+        (("query", "sortir", "dans", "jardin", "--lexicon", EN_LEXICON),
+         cli.EXIT_UNKNOWN_LEMMA, "no lexicon loaded for 'fr'"),
+        (("query", "sortir", "dans", "jardin", "--rules", "no-positional.rules"),
+         cli.EXIT_INFELICITOUS, "no rule yields a well-formed trace"),
+        (("query", "sortir", "dans", "jardin", "--rules", "tie.rules"),
+         cli.EXIT_AMBIGUOUS, "rules A, B tie on strength and priority"),
     ],
 )
-def test_query_error_exit_codes(capsys, argv, expected_code, fragment):
+def test_query_error_exit_codes(
+    tmp_path, monkeypatch, capsys, argv, expected_code, fragment
+):
+    for name, text in QUERY_RULES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, *argv)
     assert code == expected_code
     assert fragment in err

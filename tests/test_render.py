@@ -90,11 +90,13 @@ def hand_built_variants(derivation):
         (),
         (Defeat("X", None, "conclusion inconsistent"), Defeat("Y", "X", "lower priority")),
         (Defeat("{0}", "%s", "100%"),),
+        (Defeat("X\x006", "\x00a", "\x000 NUL"),),  # NUL starts explain's slot markers
     ]
     for variant in traces:
         for defeated in defeats:
             yield derivation._replace(trace=variant, defeated=defeated)
     yield derivation._replace(fired=derivation.fired._replace(id="R{1}", strength="{x}"))
+    yield derivation._replace(fired=derivation.fired._replace(id="R\x006", strength="\0"))
 
 
 @pytest.mark.parametrize("verb", ["sortir", "entrer", "passer"])
@@ -111,6 +113,27 @@ def test_names_that_break_lines_render_like_the_reference():
         for mobile in ("m", "m\n", "m\x0bn"):
             complex_ = MotionComplex("sortir", "de", ground, mobile, "fr")
             assert_renders_like_the_reference(compose(complex_, fr, RULES))
+
+
+@pytest.mark.parametrize("field", ["phase", "zone"])
+def test_a_float_phase_or_zone_raises_like_the_reference(field):
+    # 2.0 == Phase.POST, with the same hash: the layout of the Phase.POST
+    # trace explained first must not serve it; a plain int prints as the member
+    fr = default_lexicon("fr")
+    derivation = compose(MotionComplex("sortir", "dans", "jardin", "m", "fr"), fr, RULES)
+    explain(derivation)
+    trace = derivation.trace
+
+    def converted(number):
+        rows = tuple(
+            a._replace(**{field: number(getattr(a, field))}) for a in trace.assignments
+        )
+        return derivation._replace(trace=trace._replace(assignments=rows))
+
+    for render in (explain, reference.explain):
+        with pytest.raises(TypeError, match="tuple indices must be integers"):
+            render(converted(float))
+    assert_renders_like_the_reference(converted(int))
 
 
 def test_fields_that_compare_equal_but_print_differently_get_their_own_layout():
