@@ -17,10 +17,16 @@ import argparse
 import sys
 
 from .compose import MotionComplex, compose, explain
-from .errors import FormatError, MotionSemError, UnknownLanguageError, wire_name
-from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon_path
-from .rules import RuleBase, default_rulebase, lint_rulebase, load_rulebase_path
-from .corpus import parse_corpus_path, run_corpus
+from .errors import (
+    FormatError,
+    MotionSemError,
+    UnknownLanguageError,
+    read_data_file,
+    wire_name,
+)
+from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon
+from .rules import RuleBase, default_rulebase, lint_rulebase, load_rulebase
+from .corpus import parse_corpus, run_corpus
 from .trace import render_records
 
 EXIT_OK = 0
@@ -46,7 +52,7 @@ def _load_lexicons(paths: list[str] | None) -> dict[str, Lexicon]:
         return {lang: default_lexicon(lang) for lang in LANGUAGES}
     lexicons: dict[str, Lexicon] = {}
     for path in paths:
-        lexicon = load_lexicon_path(path)
+        lexicon = load_lexicon(read_data_file(path))
         if lexicon.language in lexicons:
             raise FormatError(f"two lexicons given for {lexicon.language!r}")
         lexicons[lexicon.language] = lexicon
@@ -56,7 +62,7 @@ def _load_lexicons(paths: list[str] | None) -> dict[str, Lexicon]:
 def _load_rules(path: str | None) -> RuleBase:
     if path is None:
         return default_rulebase()
-    return load_rulebase_path(path)
+    return load_rulebase(read_data_file(path))
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,7 +146,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     try:
         lexicons = _load_lexicons(args.lexicon)
         rules = _load_rules(args.rules)
-        cases = parse_corpus_path(args.corpus_path)
+        cases = parse_corpus(read_data_file(args.corpus_path))
     except (MotionSemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR

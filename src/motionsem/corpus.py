@@ -16,14 +16,15 @@ error name, never both.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .compose import MotionComplex, compose
 from .errors import (
+    FormatError,
     IllFormedEntryError,
     MotionSemError,
     UnknownLanguageError,
-    read_data_file,
+    data_lines,
     wire_name,
 )
 from .lexicon import Lexicon
@@ -95,8 +96,12 @@ def _split_input(rest: str) -> list[str]:
     return rest.split()
 
 
-def parse_corpus(source) -> list[CorpusCase]:
-    """Parse a corpus stream; errors carry line numbers.  Every mobile is "mobile"."""
+def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
+    """Parse the lines of a corpus into its cases.
+
+    Errors carry line numbers; a case left open at the end of the file
+    names its CASE line.  Every mobile is "mobile".
+    """
     cases: list[CorpusCase] = []
     seen_ids: set[str] = set()
 
@@ -106,93 +111,84 @@ def parse_corpus(source) -> list[CorpusCase]:
     tuples: list[Tuple4] = []
     error_name: str | None = None
 
-    def finish(lineno: int):
-        nonlocal case_id, complex_, tuples, error_name
-        if complex_ is None:
-            raise IllFormedEntryError(f"case {case_id!r} has no INPUT line", lineno)
-        if error_name is not None and tuples:
-            raise IllFormedEntryError(
-                f"case {case_id!r} mixes EXPECT and EXPECT-ERROR", lineno
-            )
-        if error_name is None and not tuples:
-            raise IllFormedEntryError(f"case {case_id!r} has no expectation", lineno)
-        cases.append(
-            CorpusCase(
-                id=case_id,
-                complex=complex_,
-                expected_tuples=tuple(tuples),
-                expected_error=error_name,
-            )
-        )
-        case_id, complex_, tuples, error_name = None, None, [], None
-
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(source):
         head = line.split(None, 1)
         tag = head[0]
-        rest = head[1] if len(head) > 1 else ""
-
-        if tag == "CASE":
-            if case_id is not None:
-                raise IllFormedEntryError(
-                    f"case {case_id!r} (line {case_line}) not closed with END", lineno
+        rest = head[1].strip() if len(head) > 1 else ""
+        try:
+            if tag == "CASE":
+                if case_id is not None:
+                    raise IllFormedEntryError(
+                        f"case {case_id!r} (line {case_line}) not closed with END"
+                    )
+                if not rest:
+                    raise IllFormedEntryError("CASE line needs an id")
+                case_id = rest
+                case_line = lineno
+                if case_id in seen_ids:
+                    raise IllFormedEntryError(f"case id {case_id!r} repeated")
+                seen_ids.add(case_id)
+            elif case_id is None:
+                raise IllFormedEntryError(f"{tag!r} line outside any case")
+            elif tag == "INPUT":
+                if complex_ is not None:
+                    raise IllFormedEntryError(f"case {case_id!r} has two INPUT lines")
+                parts = _split_input(rest)
+                if len(parts) != 4:
+                    raise IllFormedEntryError(
+                        "INPUT needs <verb> <prep> <ground> <lang>"
+                    )
+                try:
+                    complex_ = MotionComplex(
+                        verb_lemma=parts[0],
+                        prep_lemma=parts[1],
+                        ground=parts[2],
+                        mobile="mobile",
+                        language=parts[3],
+                    )
+                except ValueError as exc:
+                    raise IllFormedEntryError(str(exc)) from None
+            elif tag == "EXPECT":
+                parts = rest.split()
+                if len(parts) != 4:
+                    raise IllFormedEntryError(
+                        "EXPECT needs <location> <phase> <zone> <provenance>"
+                    )
+                tuples.append((parts[0], parts[1], parts[2], parts[3]))
+            elif tag == "EXPECT-ERROR":
+                if error_name is not None:
+                    raise IllFormedEntryError(
+                        f"case {case_id!r} has two EXPECT-ERROR lines"
+                    )
+                if not rest:
+                    raise IllFormedEntryError("EXPECT-ERROR needs a name")
+                error_name = rest
+            elif tag == "END":
+                if complex_ is None:
+                    raise IllFormedEntryError(f"case {case_id!r} has no INPUT line")
+                if error_name is not None and tuples:
+                    raise IllFormedEntryError(
+                        f"case {case_id!r} mixes EXPECT and EXPECT-ERROR"
+                    )
+                if error_name is None and not tuples:
+                    raise IllFormedEntryError(f"case {case_id!r} has no expectation")
+                cases.append(
+                    CorpusCase(
+                        id=case_id,
+                        complex=complex_,
+                        expected_tuples=tuple(tuples),
+                        expected_error=error_name,
+                    )
                 )
-            if not rest.strip():
-                raise IllFormedEntryError("CASE line needs an id", lineno)
-            case_id = rest.strip()
-            case_line = lineno
-            if case_id in seen_ids:
-                raise IllFormedEntryError(f"case id {case_id!r} repeated", lineno)
-            seen_ids.add(case_id)
-        elif case_id is None:
-            raise IllFormedEntryError(f"{tag!r} line outside any case", lineno)
-        elif tag == "INPUT":
-            if complex_ is not None:
-                raise IllFormedEntryError(f"case {case_id!r} has two INPUT lines", lineno)
-            parts = _split_input(rest)
-            if len(parts) != 4:
-                raise IllFormedEntryError(
-                    "INPUT needs <verb> <prep> <ground> <lang>", lineno
-                )
-            try:
-                complex_ = MotionComplex(
-                    verb_lemma=parts[0],
-                    prep_lemma=parts[1],
-                    ground=parts[2],
-                    mobile="mobile",
-                    language=parts[3],
-                )
-            except ValueError as exc:
-                raise IllFormedEntryError(str(exc), lineno) from None
-        elif tag == "EXPECT":
-            parts = rest.split()
-            if len(parts) != 4:
-                raise IllFormedEntryError(
-                    "EXPECT needs <location> <phase> <zone> <provenance>", lineno
-                )
-            tuples.append((parts[0], parts[1], parts[2], parts[3]))
-        elif tag == "EXPECT-ERROR":
-            if error_name is not None:
-                raise IllFormedEntryError(
-                    f"case {case_id!r} has two EXPECT-ERROR lines", lineno
-                )
-            if not rest.strip():
-                raise IllFormedEntryError("EXPECT-ERROR needs a name", lineno)
-            error_name = rest.strip()
-        elif tag == "END":
-            finish(lineno)
-        else:
-            raise IllFormedEntryError(f"unknown line tag {tag!r}", lineno)
+                case_id, complex_, tuples, error_name = None, None, [], None
+            else:
+                raise IllFormedEntryError(f"unknown line tag {tag!r}")
+        except FormatError as exc:
+            raise exc.at_line(lineno)
 
     if case_id is not None:
         raise IllFormedEntryError(f"case {case_id!r} not closed with END", case_line)
     return cases
-
-
-def parse_corpus_path(path: str) -> list[CorpusCase]:
-    return parse_corpus(read_data_file(path))
 
 
 def run_case(

@@ -1,12 +1,13 @@
 """Errors raised across the package, with the wire names used in corpus files.
 
-Also holds the one reader of data files, so that every parser reports
-undecodable bytes as a line-numbered FormatError.
+Also holds the one reader of data files, bundled or given, and the one
+line loop of their parsers, so that all four formats load alike.
 """
 
 from __future__ import annotations
 
 import io
+from typing import Iterable, Iterator
 
 
 class MotionSemError(Exception):
@@ -25,21 +26,36 @@ class FormatError(MotionSemError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
+    def at_line(self, line: int) -> "FormatError":
+        """This error tagged with line, unless it already names one."""
+        if self.line is None:
+            FormatError.__init__(self, self.args[0], line)
+        return self
 
-def read_data_file(path: str) -> io.StringIO:
-    """A data file's UTF-8 text as a line stream with universal newlines.
 
-    A byte sequence that is not UTF-8 raises FormatError carrying the
-    1-based line of its first byte.
+def read_data_file(path) -> io.StringIO:
+    """The UTF-8 text of the file at path (a name or a path object) as lines.
+
+    Newlines are universal and one leading byte-order mark is dropped; a
+    byte that cannot be decoded raises FormatError naming its 1-based line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
+        return io.StringIO(data.decode("utf-8").removeprefix("\ufeff"), newline=None)
     except UnicodeDecodeError as exc:
         before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
         line = before.getvalue().count("\n") + 1
         raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line) from None
+
+
+def data_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Number (from 1) and newline-cut text of each line not blank or a `#` comment."""
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        stripped = line.strip()
+        if stripped and stripped[0] != "#":
+            yield lineno, line
 
 
 class IllFormedEntryError(FormatError):

@@ -16,18 +16,19 @@ verb zone fields are only present on change-of-location (CoL) entries.
 from __future__ import annotations
 
 import functools
-import io
 from importlib import resources
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateLemmaError,
+    FormatError,
     IllFormedEntryError,
     NotACoLVerbError,
     UnknownLemmaError,
     UnknownZoneNameError,
     UnlexicalizedClassError,
+    data_lines,
     read_data_file,
 )
 from .zones import ROLE_BY_NAME, ZONE_BY_NAME, LrefRole, Zone
@@ -122,20 +123,18 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
     `<start_zone>\\t<end_zone>` per line.
     """
     pairs: set[tuple[Zone, Zone]] = set()
-    with resources.files("motionsem.data").joinpath("col_classes.txt").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+    path = resources.files("motionsem.data") / "col_classes.txt"
+    for lineno, line in data_lines(read_data_file(path)):
+        parts = line.split()
+        try:
             if len(parts) != 2:
-                raise IllFormedEntryError("class line needs exactly two zones", lineno)
+                raise IllFormedEntryError("class line needs exactly two zones")
             try:
                 pairs.add((Zone.from_label(parts[0]), Zone.from_label(parts[1])))
             except ValueError as exc:
-                raise UnknownZoneNameError(str(exc), lineno) from None
+                raise UnknownZoneNameError(str(exc)) from None
+        except FormatError as exc:
+            raise exc.at_line(lineno)
     return frozenset(pairs)
 
 
@@ -193,29 +192,29 @@ def lookup_prep(lexicon: Lexicon, lemma: str) -> PrepEntry:
         ) from None
 
 
-def _parse_zone(tag: str, lineno: int) -> Zone:
+def _parse_zone(tag: str) -> Zone:
     zone = ZONE_BY_NAME.get(tag.upper())
     if zone is None:
-        raise UnknownZoneNameError(f"unknown zone name {tag!r}", lineno)
+        raise UnknownZoneNameError(f"unknown zone name {tag!r}")
     return zone
 
 
-def _parse_role(tag: str, lineno: int) -> LrefRole:
+def _parse_role(tag: str) -> LrefRole:
     role = ROLE_BY_NAME.get(tag.upper())
     if role is None:
-        raise IllFormedEntryError(f"unknown role {tag!r}", lineno)
+        raise IllFormedEntryError(f"unknown role {tag!r}")
     return role
 
 
-def _parse_verb_line(fields: list[str], lineno: int) -> VerbEntry:
+def _parse_verb_line(fields: list[str]) -> VerbEntry:
     """One V line from its stripped fields."""
     if len(fields) < 3:
-        raise IllFormedEntryError("verb line needs at least a lemma and category", lineno)
+        raise IllFormedEntryError("verb line needs at least a lemma and category")
     lemma, category = fields[1], fields[2]
     if not lemma:
-        raise IllFormedEntryError("empty lemma", lineno)
+        raise IllFormedEntryError("empty lemma")
     if category not in VERB_CATEGORIES:
-        raise IllFormedEntryError(f"unknown verb category {category!r}", lineno)
+        raise IllFormedEntryError(f"unknown verb category {category!r}")
     rest = fields[3:]
 
     gloss = None
@@ -225,115 +224,112 @@ def _parse_verb_line(fields: list[str], lineno: int) -> VerbEntry:
     if category == "CoL":
         if len(rest) != 3:
             raise IllFormedEntryError(
-                "CoL verb needs <lref_role> <start_zone> <end_zone>", lineno
+                "CoL verb needs <lref_role> <start_zone> <end_zone>"
             )
-        role = _parse_role(rest[0], lineno)
-        pair = (_parse_zone(rest[1], lineno), _parse_zone(rest[2], lineno))
+        role = _parse_role(rest[0])
+        pair = (_parse_zone(rest[1]), _parse_zone(rest[2]))
         entry = VerbEntry(lemma, category, role, *pair, gloss)
         if not _lexicalized(role, pair):
-            try:
-                classify_verb(entry)  # raises with the class message
-            except UnlexicalizedClassError as exc:
-                raise UnlexicalizedClassError(str(exc), lineno) from None
+            classify_verb(entry)  # raises with the class message
         return entry
 
     if rest:
         raise IllFormedEntryError(
-            f"{category} verb {lemma!r} must not carry zone fields", lineno
+            f"{category} verb {lemma!r} must not carry zone fields"
         )
     return VerbEntry(lemma, category, gloss=gloss)
 
 
-def _parse_prep_line(fields: list[str], lineno: int) -> PrepEntry:
+def _parse_prep_line(fields: list[str]) -> PrepEntry:
     """One P line from its stripped fields."""
     if len(fields) < 3:
-        raise IllFormedEntryError("prep line needs at least a lemma and kind", lineno)
+        raise IllFormedEntryError("prep line needs at least a lemma and kind")
     lemma, kind = fields[1], fields[2]
     if not lemma:
-        raise IllFormedEntryError("empty lemma", lineno)
+        raise IllFormedEntryError("empty lemma")
     if kind not in ("pos", "dir"):
-        raise IllFormedEntryError(f"unknown preposition kind {kind!r}", lineno)
+        raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
     rest = fields[3:]
 
     attained: bool | None = None
     if rest and rest[-1].startswith("attained="):
         value = rest.pop()[len("attained=") :]
         if value not in ("true", "false"):
-            raise IllFormedEntryError(f"bad attained value {value!r}", lineno)
+            raise IllFormedEntryError(f"bad attained value {value!r}")
         attained = value == "true"
 
     if kind == "pos":
         if len(rest) != 1:
-            raise IllFormedEntryError("positional prep needs exactly a zone", lineno)
+            raise IllFormedEntryError("positional prep needs exactly a zone")
         if attained is not None:
-            raise IllFormedEntryError("positional prep cannot carry attained", lineno)
-        return PrepEntry(lemma, kind, _parse_zone(rest[0], lineno))
+            raise IllFormedEntryError("positional prep cannot carry attained")
+        return PrepEntry(lemma, kind, _parse_zone(rest[0]))
 
     if len(rest) != 2:
-        raise IllFormedEntryError("directional prep needs <role> <zone>", lineno)
-    role = _parse_role(rest[0], lineno)
-    zone = _parse_zone(rest[1], lineno)
+        raise IllFormedEntryError("directional prep needs <role> <zone>")
+    role = _parse_role(rest[0])
+    zone = _parse_zone(rest[1])
     if role is LrefRole.FINAL:
         if attained is None:
             attained = True  # to/into-style arrival is the default
     elif attained is not None:
-        raise IllFormedEntryError(
-            "attained only applies to directional-final preps", lineno
-        )
+        raise IllFormedEntryError("attained only applies to directional-final preps")
     return PrepEntry(lemma, kind, zone, role, attained)
 
 
-def load_lexicon(source: io.TextIOBase, language: str | None = None) -> Lexicon:
-    """Parse a lexicon stream into a validated Lexicon.
+def load_lexicon(source: Iterable[str], language: str | None = None) -> Lexicon:
+    """Parse the lines of a lexicon into a validated Lexicon.
 
-    The language normally comes from the file's LANG header; an explicit
-    argument acts as a default when the header is absent and is
-    cross-checked against it otherwise.  Errors carry line numbers.
+    source is any iterable of lines, such as an open file, a list or
+    read_data_file's stream.  The language normally comes from the
+    file's LANG header; an explicit argument acts as a default when the
+    header is absent and is cross-checked against it otherwise.  Errors
+    carry line numbers, except for a missing or unsupported language,
+    which no one line holds.
     """
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
     file_language: str | None = None
 
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
+    for lineno, line in data_lines(source):
         fields = [field.strip() for field in line.split("\t")]
         tag = fields[0]
+        try:
+            if tag == "LANG":
+                if len(fields) != 2 or not fields[1]:
+                    raise IllFormedEntryError("LANG line needs exactly one tag")
+                value = fields[1]
+                if value not in LANGUAGES:
+                    raise IllFormedEntryError(f"unsupported language tag {value!r}")
+                if file_language is not None:
+                    raise IllFormedEntryError("second LANG line")
+                if language is not None and value != language:
+                    raise IllFormedEntryError(
+                        f"file is tagged {value!r} but {language!r} was requested"
+                    )
+                file_language = value
+                continue
 
-        if tag == "LANG":
-            if len(fields) != 2 or not fields[1]:
-                raise IllFormedEntryError("LANG line needs exactly one tag", lineno)
-            value = fields[1]
-            if value not in LANGUAGES:
-                raise IllFormedEntryError(f"unsupported language tag {value!r}", lineno)
-            if file_language is not None:
-                raise IllFormedEntryError("second LANG line", lineno)
-            if language is not None and value != language:
-                raise IllFormedEntryError(
-                    f"file is tagged {value!r} but {language!r} was requested", lineno
-                )
-            file_language = value
-            continue
+            if file_language is None and language is None:
+                raise IllFormedEntryError("entry before any LANG header")
 
-        if file_language is None and language is None:
-            raise IllFormedEntryError("entry before any LANG header", lineno)
-
-        if tag == "V":
-            entry = _parse_verb_line(fields, lineno)
-            if entry.lemma in verbs:
-                raise DuplicateLemmaError(f"verb {entry.lemma!r} defined twice", lineno)
-            verbs[entry.lemma] = entry
-        elif tag == "P":
-            pentry = _parse_prep_line(fields, lineno)
-            if pentry.lemma in preps:
-                raise DuplicateLemmaError(
-                    f"preposition {pentry.lemma!r} defined twice", lineno
-                )
-            preps[pentry.lemma] = pentry
-        else:
-            raise IllFormedEntryError(f"unknown line tag {tag!r}", lineno)
+            if tag == "V":
+                entry = _parse_verb_line(fields)
+                if entry.lemma in verbs:
+                    raise DuplicateLemmaError(f"verb {entry.lemma!r} defined twice")
+                verbs[entry.lemma] = entry
+            elif tag == "P":
+                pentry = _parse_prep_line(fields)
+                if pentry.lemma in preps:
+                    raise DuplicateLemmaError(
+                        f"preposition {pentry.lemma!r} defined twice"
+                    )
+                preps[pentry.lemma] = pentry
+            else:
+                raise IllFormedEntryError(f"unknown line tag {tag!r}")
+        except FormatError as exc:
+            # an inventory error raised here already names its own file's line
+            raise exc.at_line(lineno)
 
     lang = file_language or language
     if lang is None:
@@ -369,14 +365,7 @@ def dump_lexicon(lexicon: Lexicon) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_lexicon_path(path: str) -> Lexicon:
-    return load_lexicon(read_data_file(path))
-
-
 def default_lexicon(language: str) -> Lexicon:
     """The seed lexicon shipped with the package for fr or en."""
-    name = f"{language}.lex"
-    with resources.files("motionsem.data").joinpath(name).open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return load_lexicon(fh, language)
+    path = resources.files("motionsem.data") / f"{language}.lex"
+    return load_lexicon(read_data_file(path), language)

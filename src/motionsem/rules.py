@@ -32,7 +32,7 @@ import functools
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import IllFormedEntryError, read_data_file
+from .errors import FormatError, IllFormedEntryError, data_lines, read_data_file
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
 
@@ -233,114 +233,112 @@ class RuleBase:
         return RuleBase(version=self.version, rules=self.rules + (rule,))
 
 
-def parse_guard(text: str, lineno: int | None = None) -> Guard:
+def parse_guard(text: str) -> Guard:
     atoms: list[tuple[str, str]] = []
     seen: set[str] = set()
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk or "=" not in chunk:
-            raise IllFormedEntryError(f"bad guard atom {chunk!r}", lineno)
+            raise IllFormedEntryError(f"bad guard atom {chunk!r}")
         key, value = chunk.split("=", 1)
         if key not in GUARD_KEYS:
-            raise IllFormedEntryError(f"unknown guard key {key!r}", lineno)
+            raise IllFormedEntryError(f"unknown guard key {key!r}")
         if key in ("lrefrole", "preprole"):  # role names, like every label, in any case
             role = ROLE_BY_NAME.get(value.upper())
             value = value if role is None else ROLE_LABELS[role]
         if value not in _GUARD_VALUES[key]:
-            raise IllFormedEntryError(f"bad value {value!r} for {key}", lineno)
+            raise IllFormedEntryError(f"bad value {value!r} for {key}")
         if key in seen:
-            raise IllFormedEntryError(f"guard repeats key {key!r}", lineno)
+            raise IllFormedEntryError(f"guard repeats key {key!r}")
         seen.add(key)
         atoms.append((key, value))
     if not atoms:
-        raise IllFormedEntryError("empty guard", lineno)
+        raise IllFormedEntryError("empty guard")
     return Guard(atoms=tuple(atoms))
 
 
-def parse_conclusion(text: str, lineno: int | None = None) -> Conclusion:
+def parse_conclusion(text: str) -> Conclusion:
     parts = text.split()
     if not parts:
-        raise IllFormedEntryError("empty conclusion", lineno)
+        raise IllFormedEntryError("empty conclusion")
     head, options = parts[0], parts[1:]
 
     if head == "identify":
         if options:
-            raise IllFormedEntryError("identify takes no options", lineno)
+            raise IllFormedEntryError("identify takes no options")
         return Conclusion(kind="identify")
 
     if head == "forbid(identify)":
         if options:
-            raise IllFormedEntryError("forbid(identify) takes no options", lineno)
+            raise IllFormedEntryError("forbid(identify) takes no options")
         return Conclusion(kind="forbid")
 
     if head.startswith("bind(") and head.endswith(")"):
-        phase = _label(Phase, head[len("bind(") : -1], lineno)
+        phase = _label(Phase, head[len("bind(") : -1])
         zone: Zone | None = None
         prov: Provenance | None = None
         for opt in options:
             if opt.startswith("zone="):
-                zone = _label(Zone, opt[len("zone=") :], lineno)
+                zone = _label(Zone, opt[len("zone=") :])
             elif opt.startswith("prov="):
-                prov = _label(Provenance, opt[len("prov=") :], lineno)
+                prov = _label(Provenance, opt[len("prov=") :])
             else:
-                raise IllFormedEntryError(f"unknown bind option {opt!r}", lineno)
+                raise IllFormedEntryError(f"unknown bind option {opt!r}")
         return Conclusion(kind="bind", phase=phase, zone=zone, provenance=prov)
 
-    raise IllFormedEntryError(f"unknown conclusion {head!r}", lineno)
+    raise IllFormedEntryError(f"unknown conclusion {head!r}")
 
 
-def _label(enum, text: str, lineno: int | None):
-    """The member of enum named text, in any case, or a line-numbered error."""
+def _label(enum, text: str):
+    """The member of enum named text, in any case, or a FormatError."""
     try:
         return enum.from_label(text)
     except ValueError as exc:
-        raise IllFormedEntryError(str(exc), lineno) from None
+        raise IllFormedEntryError(str(exc)) from None
 
 
 def load_rulebase(source: Iterable[str]) -> RuleBase:
-    """Parse a rule-base stream; errors carry line numbers."""
+    """Parse the lines of a rule base; errors carry line numbers."""
     version = "unversioned"
     saw_version = False
     rules: list[CompositionRule] = []
     ids: set[str] = set()
 
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in data_lines(source):
         fields = line.split("\t")
         tag = fields[0].strip()
-
-        if tag == "VERSION":
-            if saw_version:
-                raise IllFormedEntryError("second VERSION line", lineno)
-            if len(fields) != 2 or not fields[1].strip():
-                raise IllFormedEntryError("VERSION line needs exactly one value", lineno)
-            version = fields[1].strip()
-            saw_version = True
-            continue
-
-        if tag != "R":
-            raise IllFormedEntryError(f"unknown line tag {tag!r}", lineno)
-        if len(fields) != 6:
-            raise IllFormedEntryError(
-                "rule line needs R <id> <strength> <priority> <guard> <conclusion>",
-                lineno,
-            )
-        rule_id = fields[1].strip()
-        strength = fields[2].strip()
-        if not rule_id:
-            raise IllFormedEntryError("empty rule id", lineno)
-        if rule_id in ids:
-            raise IllFormedEntryError(f"rule id {rule_id!r} repeated", lineno)
-        if strength not in ("strict", "defeasible"):
-            raise IllFormedEntryError(f"bad strength {strength!r}", lineno)
         try:
-            priority = int(fields[3].strip())
-        except ValueError:
-            raise IllFormedEntryError(f"bad priority {fields[3]!r}", lineno) from None
-        guard = parse_guard(fields[4].strip(), lineno)
-        conclusion = parse_conclusion(fields[5].strip(), lineno)
+            if tag == "VERSION":
+                if saw_version:
+                    raise IllFormedEntryError("second VERSION line")
+                if len(fields) != 2 or not fields[1].strip():
+                    raise IllFormedEntryError("VERSION line needs exactly one value")
+                version = fields[1].strip()
+                saw_version = True
+                continue
+
+            if tag != "R":
+                raise IllFormedEntryError(f"unknown line tag {tag!r}")
+            if len(fields) != 6:
+                raise IllFormedEntryError(
+                    "rule line needs R <id> <strength> <priority> <guard> <conclusion>"
+                )
+            rule_id = fields[1].strip()
+            strength = fields[2].strip()
+            if not rule_id:
+                raise IllFormedEntryError("empty rule id")
+            if rule_id in ids:
+                raise IllFormedEntryError(f"rule id {rule_id!r} repeated")
+            if strength not in ("strict", "defeasible"):
+                raise IllFormedEntryError(f"bad strength {strength!r}")
+            try:
+                priority = int(fields[3].strip())
+            except ValueError:
+                raise IllFormedEntryError(f"bad priority {fields[3]!r}") from None
+            guard = parse_guard(fields[4].strip())
+            conclusion = parse_conclusion(fields[5].strip())
+        except FormatError as exc:
+            raise exc.at_line(lineno)
         ids.add(rule_id)
         rules.append(
             CompositionRule(
@@ -361,16 +359,10 @@ def dump_rulebase(base: RuleBase) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_rulebase_path(path: str) -> RuleBase:
-    return load_rulebase(read_data_file(path))
-
-
 def default_rulebase() -> RuleBase:
     """The rule base shipped with the package (data/default.rules)."""
-    with resources.files("motionsem.data").joinpath("default.rules").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return load_rulebase(fh)
+    path = resources.files("motionsem.data") / "default.rules"
+    return load_rulebase(read_data_file(path))
 
 
 # ---------------------------------------------------------------------------

@@ -220,3 +220,30 @@ def test_non_utf8_data_file_is_a_load_error(tmp_path, capsys, name, data, argv, 
     code, _, err = run(capsys, *argv, str(bad))
     assert code == cli.EXIT_LOAD_ERROR
     assert err == message + "\n"
+
+
+def test_non_utf8_bundled_file_is_a_load_error(bundled_data, capsys):
+    inventory = bundled_data / "col_classes.txt"
+    inventory.write_bytes(b"# caf\xe9\n" + inventory.read_bytes())
+    code, out, err = run(capsys, "query", "sortir", "dans", "jardin")
+    assert (code, out) == (cli.EXIT_LOAD_ERROR, "")
+    assert err == "error: line 1: not UTF-8: byte 0xe9\n"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fr.lex", ("query", "sortir", "dans", "jardin", "--lexicon")),
+        ("default.rules", ("lint", "--rules")),
+        ("golden.corpus", ("corpus",)),
+    ],
+    ids=["lexicon", "rules", "corpus"],
+)
+def test_byte_order_mark_is_ignored(tmp_path, capsys, name, argv):
+    data = resources.files("motionsem.data").joinpath(name).read_bytes()
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    expected = run(capsys, *argv, str(plain))
+    assert expected[0] == cli.EXIT_OK
+    assert run(capsys, *argv, str(marked)) == expected

@@ -148,6 +148,18 @@ def test_default_class_inventory_has_ten_pairs():
     assert all(start is not end for start, end in inventory)
 
 
+def test_an_inventory_error_names_its_own_line(bundled_data):
+    inventory = bundled_data / "col_classes.txt"
+    lines = inventory.read_text(encoding="utf-8").splitlines()[:15]
+    inventory.write_text("\n".join(lines + ["inside\tbogus", ""]), encoding="utf-8")
+    # the inventory is first read while line 2 of the lexicon is parsed
+    lexicon = ["LANG\tfr\n", "V\tentrer\tCoL\tfinal\tproximal\tinside\n"]
+    with pytest.raises(UnknownZoneNameError) as info:
+        load_lexicon(lexicon)
+    assert str(info.value) == "line 16: unknown zone name: 'bogus'"
+    assert info.value.line == 16
+
+
 @pytest.mark.parametrize(
     "lemma, expected",
     [
