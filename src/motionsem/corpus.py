@@ -10,8 +10,11 @@ Corpus files are line oriented:
 
 INPUT fields are tab separated when the line contains a tab (lemmas may
 hold spaces) and whitespace separated otherwise.  EXPECT lines mirror
-the trace record lines; a case expects either assignment tuples or one
-error name, never both.
+the trace record lines: the last three fields are the phase, zone and
+provenance labels, in any case (an unknown one raises UnknownNameError,
+as in every data file), and all before them is the location, which may
+hold spaces.  A case expects either assignment tuples or one error name,
+never both.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import (
 )
 from .lexicon import Lexicon
 from .rules import RuleBase
+from .trace import Provenance
+from .zones import Phase, Zone
 
 Tuple4 = tuple[str, str, str, str]
 
@@ -149,12 +154,20 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                 except ValueError as exc:
                     raise IllFormedEntryError(str(exc)) from None
             elif tag == "EXPECT":
-                parts = rest.split()
+                parts = rest.rsplit(None, 3)
                 if len(parts) != 4:
                     raise IllFormedEntryError(
                         "EXPECT needs <location> <phase> <zone> <provenance>"
                     )
-                tuples.append((parts[0], parts[1], parts[2], parts[3]))
+                location, phase, zone, prov = parts
+                tuples.append(
+                    (
+                        location,
+                        Phase.from_label(phase).label,
+                        Zone.from_label(zone).label,
+                        Provenance.from_label(prov).label,
+                    )
+                )
             elif tag == "EXPECT-ERROR":
                 if error_name is not None:
                     raise IllFormedEntryError(

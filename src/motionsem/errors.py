@@ -1,5 +1,7 @@
 """Errors raised across the package, with the wire names used in corpus files.
 
+An unknown zone, phase, role or provenance name raises one error,
+UnknownNameError, with one wording, whichever file or call it comes from.
 Also holds the one reader of data files, bundled or given, and the one
 line loop of their parsers, so that all four formats load alike.
 """
@@ -62,8 +64,12 @@ class IllFormedEntryError(FormatError):
     """An entry line misses a required field or carries a bad one."""
 
 
-class UnknownZoneNameError(FormatError):
-    """A zone tag is not one of the four fixed names."""
+class UnknownNameError(IllFormedEntryError, ValueError):
+    """A zone, phase, role or provenance label names no member.
+
+    Raised by every from_label, so it is a ValueError there and a
+    FormatError, tagged with its line, in every data file.
+    """
 
 
 class DuplicateLemmaError(FormatError):

@@ -11,6 +11,9 @@ curated by hand:
 Fields are tab separated (lemmas may therefore contain spaces), zone and
 role names are the lowercase labels but are accepted in any case, and
 verb zone fields are only present on change-of-location (CoL) entries.
+The LANG header comes before every entry.  A zone or role name that
+names no member raises UnknownNameError through the enums' from_label,
+as in every other data file.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from .errors import (
     IllFormedEntryError,
     NotACoLVerbError,
     UnknownLemmaError,
-    UnknownZoneNameError,
     UnlexicalizedClassError,
     data_lines,
     read_data_file,
 )
-from .zones import ROLE_BY_NAME, ZONE_BY_NAME, LrefRole, Zone
+from .zones import LrefRole, Zone
 
 LANGUAGES = ("fr", "en")
 
@@ -129,17 +131,16 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
         try:
             if len(parts) != 2:
                 raise IllFormedEntryError("class line needs exactly two zones")
-            try:
-                pairs.add((Zone.from_label(parts[0]), Zone.from_label(parts[1])))
-            except ValueError as exc:
-                raise UnknownZoneNameError(str(exc)) from None
+            pairs.add((Zone.from_label(parts[0]), Zone.from_label(parts[1])))
         except FormatError as exc:
             raise exc.at_line(lineno)
     return frozenset(pairs)
 
 
-# Read once: an enum member read as a class attribute costs about 130 ns.
+# Read once: an enum member or method read as a class attribute costs
+# about 130 ns, and a lexicon reads hundreds of labels.
 _MEDIAL, _PATH_PAIR = LrefRole.MEDIAL, (Zone.CONTACT, Zone.CONTACT)
+_zone, _role = Zone.from_label, LrefRole.from_label
 
 
 def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
@@ -192,20 +193,6 @@ def lookup_prep(lexicon: Lexicon, lemma: str) -> PrepEntry:
         ) from None
 
 
-def _parse_zone(tag: str) -> Zone:
-    zone = ZONE_BY_NAME.get(tag.upper())
-    if zone is None:
-        raise UnknownZoneNameError(f"unknown zone name {tag!r}")
-    return zone
-
-
-def _parse_role(tag: str) -> LrefRole:
-    role = ROLE_BY_NAME.get(tag.upper())
-    if role is None:
-        raise IllFormedEntryError(f"unknown role {tag!r}")
-    return role
-
-
 def _parse_verb_line(fields: list[str]) -> VerbEntry:
     """One V line from its stripped fields."""
     if len(fields) < 3:
@@ -226,8 +213,8 @@ def _parse_verb_line(fields: list[str]) -> VerbEntry:
             raise IllFormedEntryError(
                 "CoL verb needs <lref_role> <start_zone> <end_zone>"
             )
-        role = _parse_role(rest[0])
-        pair = (_parse_zone(rest[1]), _parse_zone(rest[2]))
+        role = _role(rest[0])
+        pair = (_zone(rest[1]), _zone(rest[2]))
         entry = VerbEntry(lemma, category, role, *pair, gloss)
         if not _lexicalized(role, pair):
             classify_verb(entry)  # raises with the class message
@@ -263,12 +250,12 @@ def _parse_prep_line(fields: list[str]) -> PrepEntry:
             raise IllFormedEntryError("positional prep needs exactly a zone")
         if attained is not None:
             raise IllFormedEntryError("positional prep cannot carry attained")
-        return PrepEntry(lemma, kind, _parse_zone(rest[0]))
+        return PrepEntry(lemma, kind, _zone(rest[0]))
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>")
-    role = _parse_role(rest[0])
-    zone = _parse_zone(rest[1])
+    role = _role(rest[0])
+    zone = _zone(rest[1])
     if role is LrefRole.FINAL:
         if attained is None:
             attained = True  # to/into-style arrival is the default
@@ -277,19 +264,17 @@ def _parse_prep_line(fields: list[str]) -> PrepEntry:
     return PrepEntry(lemma, kind, zone, role, attained)
 
 
-def load_lexicon(source: Iterable[str], language: str | None = None) -> Lexicon:
+def load_lexicon(source: Iterable[str]) -> Lexicon:
     """Parse the lines of a lexicon into a validated Lexicon.
 
     source is any iterable of lines, such as an open file, a list or
-    read_data_file's stream.  The language normally comes from the
-    file's LANG header; an explicit argument acts as a default when the
-    header is absent and is cross-checked against it otherwise.  Errors
-    carry line numbers, except for a missing or unsupported language,
-    which no one line holds.
+    read_data_file's stream.  The language comes from the file's LANG
+    header, which must precede every entry.  Errors carry line numbers,
+    except for a missing header, which no one line holds.
     """
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
-    file_language: str | None = None
+    language: str | None = None
 
     for lineno, line in data_lines(source):
         fields = [field.strip() for field in line.split("\t")]
@@ -301,16 +286,12 @@ def load_lexicon(source: Iterable[str], language: str | None = None) -> Lexicon:
                 value = fields[1]
                 if value not in LANGUAGES:
                     raise IllFormedEntryError(f"unsupported language tag {value!r}")
-                if file_language is not None:
+                if language is not None:
                     raise IllFormedEntryError("second LANG line")
-                if language is not None and value != language:
-                    raise IllFormedEntryError(
-                        f"file is tagged {value!r} but {language!r} was requested"
-                    )
-                file_language = value
+                language = value
                 continue
 
-            if file_language is None and language is None:
+            if language is None:
                 raise IllFormedEntryError("entry before any LANG header")
 
             if tag == "V":
@@ -331,12 +312,9 @@ def load_lexicon(source: Iterable[str], language: str | None = None) -> Lexicon:
             # an inventory error raised here already names its own file's line
             raise exc.at_line(lineno)
 
-    lang = file_language or language
-    if lang is None:
-        raise IllFormedEntryError("lexicon has no LANG header and no default language")
-    if lang not in LANGUAGES:
-        raise IllFormedEntryError(f"unsupported language tag {lang!r}")
-    return Lexicon(language=lang, verbs=verbs, preps=preps)
+    if language is None:
+        raise IllFormedEntryError("lexicon has no LANG header")
+    return Lexicon(language=language, verbs=verbs, preps=preps)
 
 
 def dump_lexicon(lexicon: Lexicon) -> str:
@@ -368,4 +346,9 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 def default_lexicon(language: str) -> Lexicon:
     """The seed lexicon shipped with the package for fr or en."""
     path = resources.files("motionsem.data") / f"{language}.lex"
-    return load_lexicon(read_data_file(path), language)
+    lexicon = load_lexicon(read_data_file(path))
+    if lexicon.language != language:
+        raise IllFormedEntryError(
+            f"{language}.lex is tagged {lexicon.language!r}, not {language!r}"
+        )
+    return lexicon

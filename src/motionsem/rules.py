@@ -19,7 +19,9 @@ or forbids identification outright (the strict continuity guard):
                   forbid(identify)
 
 Role, phase, zone and provenance names are accepted in any case; the
-other words are exact.
+other words are exact.  An unknown phase, zone or provenance name raises
+UnknownNameError from the enum's from_label, as in every data file; an
+unknown guard value is a bad value of its key.
 
 Strict rules outrank every defeasible rule regardless of priority;
 among rules of equal strength, higher priority wins and exact ties are
@@ -36,15 +38,14 @@ from .errors import FormatError, IllFormedEntryError, data_lines, read_data_file
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
 
-GUARD_KEYS = ("lrefrole", "prepkind", "preprole", "zonecompat", "attained")
-
 _GUARD_VALUES = {
-    "lrefrole": ("initial", "medial", "final"),
+    "lrefrole": ROLE_LABELS,
     "prepkind": ("pos", "dir"),
-    "preprole": ("initial", "medial", "final"),
+    "preprole": ROLE_LABELS,
     "zonecompat": ("yes", "no"),
     "attained": ("yes", "no"),
 }
+GUARD_KEYS = tuple(_GUARD_VALUES)
 
 
 class ComplexFeatures(NamedTuple):
@@ -274,27 +275,19 @@ def parse_conclusion(text: str) -> Conclusion:
         return Conclusion(kind="forbid")
 
     if head.startswith("bind(") and head.endswith(")"):
-        phase = _label(Phase, head[len("bind(") : -1])
+        phase = Phase.from_label(head[len("bind(") : -1])
         zone: Zone | None = None
         prov: Provenance | None = None
         for opt in options:
             if opt.startswith("zone="):
-                zone = _label(Zone, opt[len("zone=") :])
+                zone = Zone.from_label(opt[len("zone=") :])
             elif opt.startswith("prov="):
-                prov = _label(Provenance, opt[len("prov=") :])
+                prov = Provenance.from_label(opt[len("prov=") :])
             else:
                 raise IllFormedEntryError(f"unknown bind option {opt!r}")
         return Conclusion(kind="bind", phase=phase, zone=zone, provenance=prov)
 
     raise IllFormedEntryError(f"unknown conclusion {head!r}")
-
-
-def _label(enum, text: str):
-    """The member of enum named text, in any case, or a FormatError."""
-    try:
-        return enum.from_label(text)
-    except ValueError as exc:
-        raise IllFormedEntryError(str(exc)) from None
 
 
 def load_rulebase(source: Iterable[str]) -> RuleBase:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import enum
 
+from .errors import UnknownNameError
+
 
 class Zone(enum.IntEnum):
     """One of the four regions induced by a location, ordered by distance."""
@@ -87,9 +89,10 @@ _ROLE_PHASES = (Phase.PRE, Phase.DURING, Phase.POST)
 
 
 def _member(by_name, label: str, kind: str):
+    """The member named label in any case: the one lookup of every label."""
     member = by_name.get(label.upper())
     if member is None:
-        raise ValueError(f"unknown {kind} name: {label!r}")
+        raise UnknownNameError(f"unknown {kind} name: {label!r}")
     return member
 
 

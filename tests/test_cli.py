@@ -109,6 +109,22 @@ def test_corpus_golden_passes(capsys):
     assert "fail: 0" in out and "error: 0" in out
 
 
+def test_corpus_expect_takes_a_spaced_location_and_any_case(tmp_path, capsys):
+    spaced = tmp_path / "spaced.corpus"
+    spaced.write_text(
+        "CASE spaced\n"
+        "INPUT\tsortir\tdans\tla maison\tfr\n"
+        "EXPECT la maison POST Inside interaction\n"
+        "EXPECT lref#sortir pre inside Verb\n"
+        "EXPECT lref#sortir post proximal verb\n"
+        "END\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "corpus", str(spaced))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == "cases: 1  pass: 1  fail: 0  error: 0\nfired rules:\n  D2i: 1\n"
+
+
 def test_corpus_failure_exit_and_diff(tmp_path, capsys):
     bad = tmp_path / "bad.corpus"
     bad.write_text(

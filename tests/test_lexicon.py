@@ -12,7 +12,7 @@ from motionsem.errors import (
     IllFormedEntryError,
     NotACoLVerbError,
     UnknownLemmaError,
-    UnknownZoneNameError,
+    UnknownNameError,
     UnlexicalizedClassError,
 )
 from motionsem.lexicon import (
@@ -30,12 +30,12 @@ from motionsem.lexicon import (
 from motionsem.zones import LrefRole, Zone
 
 
-def load(text: str, language: str | None = None) -> Lexicon:
-    return load_lexicon(io.StringIO(text), language)
+def load(text: str) -> Lexicon:
+    return load_lexicon(io.StringIO(text))
 
 
 def test_single_verb_line():
-    lex = load("V\tsortir\tCoL\tinitial\tinside\tproximal\n", language="fr")
+    lex = load("LANG\tfr\nV\tsortir\tCoL\tinitial\tinside\tproximal\n")
     assert len(lex.verbs) == 1 and not lex.preps
     entry = lex.verbs["sortir"]
     assert entry.category == "CoL"
@@ -50,14 +50,17 @@ def test_lang_header_sets_language():
     assert lex.preps["dans"] == PrepEntry("dans", "pos", Zone.INSIDE)
 
 
-def test_lang_header_conflict():
-    with pytest.raises(IllFormedEntryError):
-        load("LANG\ten\n", language="fr")
+def test_lang_header_conflict(bundled_data):
+    (bundled_data / "fr.lex").write_text("LANG\ten\n", encoding="utf-8")
+    with pytest.raises(IllFormedEntryError, match="^fr.lex is tagged 'en', not 'fr'$"):
+        default_lexicon("fr")
 
 
 def test_no_language_anywhere():
     with pytest.raises(IllFormedEntryError):
         load("P\tdans\tpos\tinside\n")
+    with pytest.raises(IllFormedEntryError, match="^lexicon has no LANG header$"):
+        load("# no entries\n")
 
 
 def test_duplicate_lemma():
@@ -68,7 +71,7 @@ def test_duplicate_lemma():
 
 
 def test_unknown_zone_name():
-    with pytest.raises(UnknownZoneNameError) as err:
+    with pytest.raises(UnknownNameError) as err:
         load("LANG\tfr\nP\tdehors\tpos\toutside\n")
     assert err.value.line == 2
 
@@ -154,7 +157,7 @@ def test_an_inventory_error_names_its_own_line(bundled_data):
     inventory.write_text("\n".join(lines + ["inside\tbogus", ""]), encoding="utf-8")
     # the inventory is first read while line 2 of the lexicon is parsed
     lexicon = ["LANG\tfr\n", "V\tentrer\tCoL\tfinal\tproximal\tinside\n"]
-    with pytest.raises(UnknownZoneNameError) as info:
+    with pytest.raises(UnknownNameError) as info:
         load_lexicon(lexicon)
     assert str(info.value) == "line 16: unknown zone name: 'bogus'"
     assert info.value.line == 16

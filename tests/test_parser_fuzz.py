@@ -138,12 +138,12 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, language=st.sampled_from([None, "fr", "en"]))
-def test_fuzzed_lexicons(seed, language):
+@given(seed=SEEDS)
+def test_fuzzed_lexicons(seed):
     check_every_suffix(
-        lambda source: load_lexicon(source, language),
+        load_lexicon,
         lines_of(seed, LEXICON_BLOCKS),
-        unlined=["lexicon has no LANG header and no default language"],
+        unlined=["lexicon has no LANG header"],
     )
 
 

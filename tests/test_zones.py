@@ -8,6 +8,10 @@ from collections.abc import Mapping
 import pytest
 
 from motionsem import trace, zones
+from motionsem.corpus import parse_corpus
+from motionsem.errors import FormatError, UnknownNameError, read_data_file, wire_name
+from motionsem.lexicon import default_class_inventory, load_lexicon
+from motionsem.rules import load_rulebase
 from motionsem.trace import Provenance
 from motionsem.zones import (
     Zone,
@@ -47,6 +51,45 @@ def test_every_label_round_trips(enum):
         assert enum.from_label(member.name) is member
     with pytest.raises(ValueError, match="unknown .* name: 'outside'"):
         enum.from_label("outside")
+
+
+RULE = "VERSION\t1\nR\tx\tdefeasible\t1\tprepkind=dir\t{}\n"
+CASE = "CASE a\nINPUT sortir dans jardin fr\nEXPECT jardin {}\nEND\n"
+LOADERS = {
+    ".lex": load_lexicon,
+    ".txt": lambda source: default_class_inventory(),  # reads col_classes.txt
+    ".rules": load_rulebase,
+    ".corpus": parse_corpus,
+}
+
+
+@pytest.mark.parametrize(
+    "name, text, line, message",
+    [
+        ("x.lex", "LANG\tfr\nP\tdans\tpos\tnowhere\n", 2, "zone name: 'nowhere'"),
+        ("x.lex", "LANG\tfr\nP\tde\tdir\tup\tinside\n", 2, "role name: 'up'"),
+        ("col_classes.txt", "inside\tdistal\nInside\tBogus\n", 2, "zone name: 'Bogus'"),
+        ("x.rules", RULE.format("bind(later)"), 2, "phase name: 'later'"),
+        ("x.rules", RULE.format("bind(post) zone=outside"), 2, "zone name: 'outside'"),
+        ("x.rules", RULE.format("bind(post) prov=sky"), 2, "provenance name: 'sky'"),
+        ("x.corpus", CASE.format("postt inside interaction"), 3, "phase name: 'postt'"),
+        ("x.corpus", CASE.format("post insid interaction"), 3, "zone name: 'insid'"),
+        ("x.corpus", CASE.format("post inside ground"), 3, "provenance name: 'ground'"),
+    ],
+    ids=["lex-zone", "lex-role", "inventory-zone", "rules-phase", "rules-zone"]
+    + ["rules-prov", "corpus-phase", "corpus-zone", "corpus-prov"],
+)
+def test_an_unknown_name_reads_alike_in_every_file(
+    bundled_data, name, text, line, message
+):
+    path = bundled_data / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(UnknownNameError) as info:
+        LOADERS[path.suffix](read_data_file(path))
+    assert str(info.value) == f"line {line}: unknown {message}"
+    assert info.value.line == line
+    assert isinstance(info.value, FormatError) and isinstance(info.value, ValueError)
+    assert wire_name(info.value) == "FormatError"
 
 
 def test_label_tables_are_read_only():
