@@ -9,22 +9,24 @@ Exit codes are fixed and published:
     4  verb is not a change-of-location verb
     5  infelicitous combination (no rule yields a well-formed trace)
     6  ambiguous rule base (tie on strength and priority)
+  141  standard output was closed before all of it was written (as a shell
+       reports a process ended by SIGPIPE); nothing is printed
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .compose import MotionComplex, compose, explain
 from .errors import (
     FormatError,
     MotionSemError,
-    UnknownLanguageError,
     read_data_file,
     wire_name,
 )
-from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon
+from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon, lookup_lexicon
 from .rules import RuleBase, default_rulebase, lint_rulebase, load_rulebase
 from .corpus import parse_corpus, run_corpus
 from .trace import render_records
@@ -36,6 +38,7 @@ EXIT_UNKNOWN_LEMMA = 3
 EXIT_NOT_COL = 4
 EXIT_INFELICITOUS = 5
 EXIT_AMBIGUOUS = 6
+EXIT_BROKEN_PIPE = 141
 
 # Exit codes of the query errors by wire name; any other error is a load error.
 _EXIT_CODES = {
@@ -47,9 +50,9 @@ _EXIT_CODES = {
 }
 
 
-def _load_lexicons(paths: list[str] | None) -> dict[str, Lexicon]:
+def _load_lexicons(paths: list[str] | None, languages=LANGUAGES) -> dict[str, Lexicon]:
     if not paths:
-        return {lang: default_lexicon(lang) for lang in LANGUAGES}
+        return {lang: default_lexicon(lang) for lang in languages}
     lexicons: dict[str, Lexicon] = {}
     for path in paths:
         lexicon = load_lexicon(read_data_file(path))
@@ -113,16 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_query(args: argparse.Namespace) -> int:
     try:
-        lexicons = _load_lexicons(args.lexicon)
+        lexicons = _load_lexicons(args.lexicon, (args.lang,))
         rules = _load_rules(args.rules)
     except (MotionSemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR
 
     try:
-        lexicon = lexicons.get(args.lang)
-        if lexicon is None:
-            raise UnknownLanguageError(f"no lexicon loaded for {args.lang!r}")
         complex_ = MotionComplex(
             verb_lemma=args.verb,
             prep_lemma=args.prep,
@@ -130,7 +130,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             mobile=args.mobile,
             language=args.lang,
         )
-        derivation = compose(complex_, lexicon, rules)
+        derivation = compose(complex_, lookup_lexicon(lexicons, args.lang), rules)
     except MotionSemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(wire_name(exc), EXIT_LOAD_ERROR)
@@ -160,15 +160,16 @@ def cmd_lint(args: argparse.Namespace) -> int:
     status = EXIT_OK
     try:
         lexicons = _load_lexicons(args.lexicon)
-        for lang in sorted(lexicons):
-            lexicon = lexicons[lang]
-            print(
-                f"lexicon {lang}: {len(lexicon.verbs)} verbs, "
-                f"{len(lexicon.preps)} prepositions"
-            )
     except (MotionSemError, OSError) as exc:
         print(f"lexicon error: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR
+
+    for lang in sorted(lexicons):
+        lexicon = lexicons[lang]
+        print(
+            f"lexicon {lang}: {len(lexicon.verbs)} verbs, "
+            f"{len(lexicon.preps)} prepositions"
+        )
 
     try:
         rules = _load_rules(args.rules)
@@ -189,7 +190,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # to devnull, so that the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,11 +26,10 @@ from .errors import (
     FormatError,
     IllFormedEntryError,
     MotionSemError,
-    UnknownLanguageError,
     data_lines,
     wire_name,
 )
-from .lexicon import Lexicon
+from .lexicon import Lexicon, lookup_lexicon
 from .rules import RuleBase
 from .trace import Provenance
 from .zones import Phase, Zone
@@ -209,11 +208,7 @@ def run_case(
 ) -> CaseResult:
     """Evaluate one case; never raises for in-case semantic errors."""
     try:
-        lexicon = lexicons.get(case.complex.language)
-        if lexicon is None:
-            raise UnknownLanguageError(
-                f"no lexicon loaded for {case.complex.language!r}"
-            )
+        lexicon = lookup_lexicon(lexicons, case.complex.language)
         derivation = compose(case.complex, lexicon, rules)
     except MotionSemError as exc:
         name = wire_name(exc)

@@ -2,14 +2,17 @@
 
 An unknown zone, phase, role or provenance name raises one error,
 UnknownNameError, with one wording, whichever file or call it comes from.
-Also holds the one reader of data files, bundled or given, and the one
-line loop of their parsers, so that all four formats load alike.
+Also holds the one reader of data files, given or bundled in DATA_DIR, and
+the one line loop of their parsers, so that all four formats load alike.
 """
 
 from __future__ import annotations
 
 import io
+import os
 from typing import Iterable, Iterator
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 class MotionSemError(Exception):
@@ -49,6 +52,11 @@ def read_data_file(path) -> io.StringIO:
         before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None)
         line = before.getvalue().count("\n") + 1
         raise FormatError(f"not UTF-8: byte 0x{data[exc.start]:02x}", line) from None
+
+
+def read_bundled(name: str) -> io.StringIO:
+    """read_data_file of DATA_DIR/name: bundled data is read from disk, not a zip."""
+    return read_data_file(os.path.join(DATA_DIR, name))
 
 
 def data_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -19,7 +19,6 @@ as in every other data file.
 from __future__ import annotations
 
 import functools
-from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -28,10 +27,11 @@ from .errors import (
     FormatError,
     IllFormedEntryError,
     NotACoLVerbError,
+    UnknownLanguageError,
     UnknownLemmaError,
     UnlexicalizedClassError,
     data_lines,
-    read_data_file,
+    read_bundled,
 )
 from .zones import LrefRole, Zone
 
@@ -125,8 +125,7 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
     `<start_zone>\\t<end_zone>` per line.
     """
     pairs: set[tuple[Zone, Zone]] = set()
-    path = resources.files("motionsem.data") / "col_classes.txt"
-    for lineno, line in data_lines(read_data_file(path)):
+    for lineno, line in data_lines(read_bundled("col_classes.txt")):
         parts = line.split()
         try:
             if len(parts) != 2:
@@ -191,6 +190,12 @@ def lookup_prep(lexicon: Lexicon, lemma: str) -> PrepEntry:
         raise UnknownLemmaError(
             f"preposition {lemma!r} not in the {lexicon.language} lexicon"
         ) from None
+
+
+def lookup_lexicon(lexicons: Mapping[str, Lexicon], language: str) -> Lexicon:
+    if language not in lexicons:
+        raise UnknownLanguageError(f"no lexicon loaded for {language!r}")
+    return lexicons[language]
 
 
 def _parse_verb_line(fields: list[str]) -> VerbEntry:
@@ -345,8 +350,9 @@ def dump_lexicon(lexicon: Lexicon) -> str:
 
 def default_lexicon(language: str) -> Lexicon:
     """The seed lexicon shipped with the package for fr or en."""
-    path = resources.files("motionsem.data") / f"{language}.lex"
-    lexicon = load_lexicon(read_data_file(path))
+    if language not in LANGUAGES:
+        raise UnknownLanguageError(f"no bundled lexicon for {language!r}")
+    lexicon = load_lexicon(read_bundled(f"{language}.lex"))
     if lexicon.language != language:
         raise IllFormedEntryError(
             f"{language}.lex is tagged {lexicon.language!r}, not {language!r}"

@@ -31,10 +31,9 @@ an error, never silently ordered.
 from __future__ import annotations
 
 import functools
-from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import FormatError, IllFormedEntryError, data_lines, read_data_file
+from .errors import FormatError, IllFormedEntryError, data_lines, read_bundled
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
 
@@ -354,8 +353,7 @@ def dump_rulebase(base: RuleBase) -> str:
 
 def default_rulebase() -> RuleBase:
     """The rule base shipped with the package (data/default.rules)."""
-    path = resources.files("motionsem.data") / "default.rules"
-    return load_rulebase(read_data_file(path))
+    return load_rulebase(read_bundled("default.rules"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -10,6 +13,7 @@ from motionsem import cli
 
 GOLDEN = str(resources.files("motionsem.data").joinpath("golden.corpus"))
 EN_LEXICON = str(resources.files("motionsem.data").joinpath("en.lex"))
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 # rule bases written to the working directory of test_query_error_exit_codes
 QUERY_RULES = {
@@ -25,6 +29,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(args, cwd, **kwargs):
+    """A python child with args, importing motionsem from this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, **kwargs)
 
 
 def test_query_worked_example(capsys):
@@ -98,8 +109,9 @@ def test_exit_codes_are_distinct():
         cli.EXIT_NOT_COL,
         cli.EXIT_INFELICITOUS,
         cli.EXIT_AMBIGUOUS,
+        cli.EXIT_BROKEN_PIPE,
     }
-    assert len(codes) == 7
+    assert len(codes) == 8
     assert cli.EXIT_OK == 0 and 0 not in codes - {cli.EXIT_OK}
 
 
@@ -244,6 +256,62 @@ def test_non_utf8_bundled_file_is_a_load_error(bundled_data, capsys):
     code, out, err = run(capsys, "query", "sortir", "dans", "jardin")
     assert (code, out) == (cli.EXIT_LOAD_ERROR, "")
     assert err == "error: line 1: not UTF-8: byte 0xe9\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("query", "sortir", "dans", "jardin"), "error: line 2: not UTF-8: byte 0xff\n"),
+        (("lint",), "rule base error: line 2: not UTF-8: byte 0xff\n"),
+    ],
+    ids=["query", "lint"],
+)
+def test_non_utf8_bundled_rules_are_a_load_error(bundled_data, capsys, argv, err):
+    (bundled_data / "default.rules").write_bytes(b"VERSION\t1\n\xff\n")
+    code, _, actual = run(capsys, *argv)
+    assert (code, actual) == (cli.EXIT_LOAD_ERROR, err)
+
+
+def test_query_reads_only_the_bundled_lexicon_of_its_language(bundled_data, capsys):
+    intact = run(capsys, "query", "sortir", "dans", "jardin")
+    assert intact[0] == cli.EXIT_OK
+    (bundled_data / "en.lex").write_text("LANG\ten\nV\tbroken\n", encoding="utf-8")
+    assert run(capsys, "query", "sortir", "dans", "jardin") == intact
+    # corpus and lint still load, and so check, both seed lexicons
+    message = "line 2: verb line needs at least a lemma and category\n"
+    assert run(capsys, "corpus", GOLDEN) == (cli.EXIT_LOAD_ERROR, "", "error: " + message)
+    assert run(capsys, "lint") == (cli.EXIT_LOAD_ERROR, "", "lexicon error: " + message)
+
+
+@pytest.mark.parametrize(
+    "argv", [["query", "sortir", "dans", "jardin"], ["lint"]], ids=["query", "lint"]
+)
+def test_a_closed_stdout_exits_quietly_with_its_own_code(tmp_path, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        child = run_child(
+            ["-m", "motionsem.cli", *argv],
+            tmp_path,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
+
+def test_commands_do_not_import_importlib_resources(tmp_path):
+    # -S: a clean interpreter, as site-packages may import the module at start-up
+    script = (
+        "import sys\n"
+        "from motionsem import cli\n"
+        "codes = cli.main(['query', 'sortir', 'dans', 'jardin']), cli.main(['lint'])\n"
+        "print(codes, 'importlib.resources' in sys.modules)\n"
+    )
+    child = run_child(["-S", "-c", script], tmp_path, capture_output=True, text=True)
+    assert child.stderr == ""
+    assert child.stdout.splitlines()[-1] == "(0, 0) False"
 
 
 @pytest.mark.parametrize(

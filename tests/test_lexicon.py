@@ -11,6 +11,7 @@ from motionsem.errors import (
     DuplicateLemmaError,
     IllFormedEntryError,
     NotACoLVerbError,
+    UnknownLanguageError,
     UnknownLemmaError,
     UnknownNameError,
     UnlexicalizedClassError,
@@ -54,6 +55,12 @@ def test_lang_header_conflict(bundled_data):
     (bundled_data / "fr.lex").write_text("LANG\ten\n", encoding="utf-8")
     with pytest.raises(IllFormedEntryError, match="^fr.lex is tagged 'en', not 'fr'$"):
         default_lexicon("fr")
+
+
+@pytest.mark.parametrize("tag", ["de", "../fr"])
+def test_default_lexicon_rejects_a_tag_it_does_not_ship(tag):
+    with pytest.raises(UnknownLanguageError, match=f"^no bundled lexicon for '{tag}'$"):
+        default_lexicon(tag)
 
 
 def test_no_language_anywhere():
