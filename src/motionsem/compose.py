@@ -10,11 +10,13 @@ tagged as interaction information.
 
 Everything here is pure: lexicons, rule bases and traces are immutable
 values, and repeated composition of the same inputs yields identical
-results.  Rule bases with equal rules share one memo of derivations per
-entry shape (see compose()).  explain() has one renderer (_render): it
-renders a hand-built trace directly, and renders every other trace once
-per shape of derivation with markers for the names, which each call
-fills in (see _plain_layout).  Neither cache ever changes a result.
+results.  Rule bases with equal rules share one memo per entry shape
+(see compose()), each entry compiled with the trace's rows in each order
+the two locations can sort in, so a hit renames without sorting.
+explain() has one renderer (_render): it renders a hand-built trace
+directly, and renders every other trace once per shape of derivation
+with markers for the names, which each call fills in (see
+_plain_layout).  Neither cache ever changes a result.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ from .trace import (
     ZoneAssignment,
     discontinuities,
     render_records,
-    sorted_assignments,
     validate_trace,
 )
 from .zones import LrefRole, Phase, Zone
+
+# A named tuple from a tuple of its fields, skipping the class's Python-level
+# __new__: for hot paths, on classes whose __new__ checks nothing.
+_new = tuple.__new__
 
 
 class _MotionComplexFields(NamedTuple):
@@ -59,10 +64,10 @@ class MotionComplex(_MotionComplexFields):
     __slots__ = ()
 
     def __new__(cls, verb_lemma, prep_lemma, ground, mobile, language):
-        self = super().__new__(cls, verb_lemma, prep_lemma, ground, mobile, language)
-        for name, value in zip(cls._fields, self):
-            if not value:
-                raise ValueError(f"motion complex field {name} must be nonempty")
+        self = _new(cls, (verb_lemma, prep_lemma, ground, mobile, language))
+        if not all(self):
+            name = next(name for name, value in zip(cls._fields, self) if not value)
+            raise ValueError(f"motion complex field {name} must be nonempty")
         return self
 
     @classmethod
@@ -234,13 +239,18 @@ def compose(
     A derivation depends on the ground, mobile and lref names only
     through renaming, so the rule base memoizes one per entry shape (the
     zones and roles of the two entries, never their lemmas) and later
-    calls rename it.  Rule bases with equal rules of equal field types
-    share that memo, also when loaded separately (see RuleBase).  The
-    memo is bounded by the finite shape space and ignored by the rule
-    base's ==, hash and repr; concurrent fills at worst compute the same
-    value twice.  A ground named like the reference location merges the
-    two locations of a bind conclusion, so such a call derives afresh and
-    leaves the memo alone.  Errors are never memoized.
+    calls rename it.  The entry holds the derivation's features, fired
+    rule and defeats, and its rows as (at_ground, phase, zone,
+    provenance) in canonical order for a ground sorting after the lref
+    and for one sorting before it (one order if they are identified), so
+    a hit sorts nothing (see _rename).  Rule bases with equal rules of
+    equal field types share that memo, also when loaded separately (see
+    RuleBase).  The memo is bounded by the finite shape space and ignored
+    by the rule base's ==, hash and repr; concurrent fills at worst
+    compute the same value twice.  A ground named like the reference
+    location merges the two locations of a bind conclusion, so such a
+    call derives afresh and leaves the memo alone.  Errors are never
+    memoized.
     """
     if complex.language != lexicon.language:
         raise UnknownLanguageError(
@@ -261,45 +271,40 @@ def compose(
     )
     lref = lref_location(complex)
     memo = rules._derivations
-    template = memo.get(shape)
-    if template is not None and (
-        complex.ground != lref or template.fired.conclusion.kind == "identify"
+    entry = memo.get(shape)  # features, fired rule, defeats, row orders
+    if entry is not None and (
+        complex.ground != lref or entry[1].conclusion.kind == "identify"
     ):
-        return _rename(template, complex, lref)
+        return _rename(entry, complex, lref)
     derivation = _derive(complex, verb, prep, rules)
     if complex.ground != lref:
-        memo[shape] = derivation
+        _, features, fired, defeated, trace = derivation
+        rows = [(a.location == trace.ground, *a[1:]) for a in trace.assignments]
+        firsts = (False,) if trace.lref == trace.ground else (False, True)
+        memo[shape] = features, fired, defeated, tuple(
+            tuple(sorted(rows, key=lambda row: (row[0] != first, row[1])))
+            for first in firsts
+        )
     return derivation
 
 
-def _rename(template: Derivation, complex: MotionComplex, lref: str) -> Derivation:
-    """The template's derivation for another complex of the same shape."""
-    old = template.trace
+def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
+    """The memo entry's derivation for another complex of the same shape.
+
+    Picks the entry's row order for this ground and lref (see compose())
+    and names each row's location: no sort, and the plain named tuples
+    are built from their fields without their Python-level __new__.
+    """
+    features, fired, defeated, orders = entry
     ground = complex.ground
-    if template.fired.conclusion.kind == "identify":
+    if len(orders) == 1:  # identified: the ground is the lref
         lref = ground
-    assignments = tuple(
-        sorted_assignments(
-            tuple(
-                ZoneAssignment(
-                    ground if a.location == old.ground else lref,
-                    a.phase,
-                    a.zone,
-                    a.provenance,
-                )
-                for a in old.assignments
-            )
-        )
-    )
-    return Derivation(
-        complex=complex,
-        features=template.features,
-        fired=template.fired,
-        defeated=template.defeated,
-        trace=SpatiotemporalTrace(
-            mobile=complex.mobile, lref=lref, ground=ground, assignments=assignments
-        ),
-    )
+    assignments = tuple([
+        _new(ZoneAssignment, (ground if at_ground else lref, phase, zone, source))
+        for at_ground, phase, zone, source in orders[ground < lref]
+    ])
+    trace = _new(SpatiotemporalTrace, (complex.mobile, lref, ground, assignments))
+    return _new(Derivation, (complex, features, fired, defeated, trace))
 
 
 def _derive(
@@ -362,7 +367,8 @@ def explain(derivation: Derivation) -> str:
     rule, defeats and shape of trace, and kept in a bounded cache (see
     _plain_layout); a call fills in the names.  A trace that is not
     plain, as only hand-built ones are (an absent binding, a third
-    location, a name with a line break), is rendered directly with its
+    location, a name with a line break, a phase or zone that is not
+    exactly a Phase or Zone member), is rendered directly with its
     names, as is a rule or defeat field holding a NUL.  The cache never
     changes the text.
     """
@@ -375,19 +381,20 @@ def explain(derivation: Derivation) -> str:
         and {lref, ground} == {a[0] for a in assignments}
         and f"{mobile}{lref}{ground}".isprintable()
     ):
-        ground_first = ground < lref
-        rows = []  # flat, so that the typed key holds the type of every field
+        rows = []  # four fields a row; only exact members, as 2.0 == Phase.POST
         for location, phase, zone, source in assignments:
+            if type(phase) is not Phase or type(zone) is not Zone:
+                break
             rows += (location == ground, phase, zone, source)
-        layout = _plain_layout(ground_first, len(assignments), *rows, *rule)
-        if layout is not None:
-            parts, pick = layout
-            first, second = (ground, lref) if ground_first else (lref, ground)
-            width = max(8, len(lref), len(ground))
-            cells = (first.ljust(width), second.ljust(width), "location".ljust(width))
-            text = list(parts)
-            text[1::2] = pick((*complex_, mobile, first, second, *cells))
-            return "".join(text)
+        else:
+            ground_first = ground < lref
+            layout = _plain_layout(ground_first, tuple(rows), *rule)
+            if layout is not None:
+                parts, pick = layout
+                first, second = (ground, lref) if ground_first else (lref, ground)
+                width = max(8, len(lref), len(ground))
+                cells = first.ljust(width), second.ljust(width), "location".ljust(width)
+                return "".join(pick((*complex_, mobile, first, second, *cells) + parts))
     return _render(complex_, trace, str, "location", *rule)
 
 
@@ -401,27 +408,26 @@ _SLOTS = tuple(f"\0{slot:x}" for slot in range(11))
 
 @functools.lru_cache(maxsize=1024, typed=True)
 def _plain_layout(
-    ground_first: bool, size: int, *fields
+    ground_first: bool, rows: tuple, *rule
 ) -> tuple[tuple, Callable] | None:
     """explain()'s text for every plain trace of one shape and rule outcome.
 
-    fields holds size rows and then the rule outcome.  Each row is an
-    assignment whose location is replaced by whether it is the ground; if
-    every row is, the ground is identified with the lref.  The text is
-    rendered once with slot markers for the names and split at them into
-    literal parts, with a None slot between each two, and a getter that
-    picks each slot's value from the fill-ins.  Markers sort like the
-    names they stand for, so the rows keep their order.  None when a rule
-    field holds a NUL, which would read as a marker.
+    rows holds four fields per assignment: whether its location is the
+    ground (if every one is, the two are identified), phase, zone and
+    provenance.  The text is rendered once with slot markers for the
+    names and split at them into literal parts; a getter picks its pieces
+    in order from the slots' values followed by the literal parts.
+    Markers sort like the names they stand for, so the rows keep their
+    order.  None when a rule field holds a NUL, which would read as one.
 
-    The cache is keyed by content, never by identity, and typed, so that
-    fields which compare equal but print differently, such as priority 43
-    and 43.0 or phase 2.0 and Phase.POST, get layouts of their own; for
-    that the rows and defeats come flattened to their fields.  It holds
-    the last 1024 layouts; the seed lexicons under the default rules need
-    162.
+    The cache is keyed by content, never by identity, and typed, with the
+    rule outcome flattened to its fields, so that fields which compare
+    equal but print differently (priority 43 and 43.0) get layouts of
+    their own.  The rows need no types: explain() passes only exact Phase
+    and Zone members, and a provenance equals nothing but itself.  It
+    holds the last 1024 layouts; the seed lexicons under the default
+    rules need 162.
     """
-    rows, rule = fields[: 4 * size], fields[4 * size :]
     if any("\0" in f"{field}" for field in rule):
         return None
     slot = _SLOTS
@@ -436,10 +442,10 @@ def _plain_layout(
     trace = SpatiotemporalTrace(slot[5], lref, ground, assignments)
     cell = {slot[6]: slot[8], slot[7]: slot[9]}.get
     head, *pieces = _render(slot[:5], trace, cell, slot[10], *rule).split("\0")
-    parts, picks = [head], []
+    parts, picks = [head], [len(slot)]
     for piece in pieces:
-        picks.append(int(piece[0], 16))
-        parts += (None, piece[1:])
+        picks += (int(piece[0], 16), len(slot) + len(parts))
+        parts.append(piece[1:])
     return tuple(parts), itemgetter(*picks)
 
 

@@ -184,7 +184,7 @@ class RuleBase:
     """A versioned set of composition rules.
 
     Carries one lazily filled memo that ==, hash and repr ignore:
-    compose()'s derivation per entry shape (at most 960).  No derivation
+    compose()'s compiled derivation per shape (at most 960).  No derivation
     reads the version, so every base with equal rules of equal field
     types (43 is not 43.0) shares one memo: construction takes it from a
     registry of the last 8 rule tuples, and a base the registry has since

@@ -6,8 +6,8 @@ remembers where each assignment came from: the verb entry, the
 preposition entry, or the interaction of the two.
 
 Traces are immutable values; all functions here are pure.  tuples()
-gives a trace's rows in their one canonical order (sorted_assignments);
-render_records() prints the same rows, and explain's zone table too.
+and render_records() give a trace's rows in their one canonical order,
+by (location, phase), and explain's zone table prints those rows too.
 """
 
 from __future__ import annotations
@@ -82,13 +82,7 @@ class SpatiotemporalTrace(NamedTuple):
 
     def tuples(self) -> tuple[tuple[str, str, str, str], ...]:
         """Assignment tuples in canonical (location, phase) order."""
-        return tuple(a.tuple() for a in sorted_assignments(self.assignments))
-
-
-def sorted_assignments(
-    assignments: tuple[ZoneAssignment, ...],
-) -> list[ZoneAssignment]:
-    return sorted(assignments, key=_LOCATION_PHASE)
+        return tuple([a.tuple() for a in sorted(self.assignments, key=_LOCATION_PHASE)])
 
 
 class Violation(NamedTuple):
@@ -184,6 +178,6 @@ def render_records(trace: SpatiotemporalTrace) -> str:
         lines.append(f"lref {trace.lref}")
     if trace.ground is not None:
         lines.append(f"ground {trace.ground}")
-    for a in sorted_assignments(trace.assignments):
+    for a in sorted(trace.assignments, key=_LOCATION_PHASE):
         lines.append(" ".join(a.tuple()))
     return "\n".join(lines)

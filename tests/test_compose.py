@@ -251,15 +251,34 @@ def test_infelicitous_when_no_rule_applies():
         compose(fr_complex("sortir", "dans"), FR, base)
 
 
-def test_empty_complex_fields_rejected():
-    with pytest.raises(ValueError, match="field verb_lemma must be nonempty"):
-        MotionComplex("", "dans", "jardin", "mobile", "fr")
-    with pytest.raises(ValueError, match="field language must be nonempty"):
-        MotionComplex(
-            verb_lemma="sortir", prep_lemma="dans", ground="g", mobile="m", language=""
-        )
-    with pytest.raises(ValueError, match="field ground must be nonempty"):
-        fr_complex("sortir", "dans")._replace(ground="")
+COMPLEX_FIELDS = dict(
+    verb_lemma="sortir", prep_lemma="dans", ground="g", mobile="m", language="fr"
+)
+
+
+def complexes_built_four_ways(**changes):
+    """Thunks building one complex positionally, by keyword, by _make, by _replace."""
+    fields = {**COMPLEX_FIELDS, **changes}
+    yield lambda: MotionComplex(*fields.values())
+    yield lambda: MotionComplex(**fields)
+    yield lambda: MotionComplex._make(fields.values())
+    yield lambda: MotionComplex(**COMPLEX_FIELDS)._replace(**changes)
+
+
+@pytest.mark.parametrize("field", MotionComplex._fields)
+def test_empty_complex_fields_rejected(field):
+    later = MotionComplex._fields[MotionComplex._fields.index(field) + 1 :]
+    message = f"motion complex field {field} must be nonempty"
+    for empty in ("", None):
+        # the first empty field is named, also when a later one is empty too
+        cases = [{field: empty}] + [{field: empty, other: ""} for other in later]
+        for changes in cases:
+            for build in complexes_built_four_ways(**changes):
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert str(info.value) == message
+    for build in complexes_built_four_ways():
+        assert build() == tuple(COMPLEX_FIELDS.values())
 
 
 def test_language_mismatch_rejected():
@@ -598,6 +617,37 @@ def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
             if isinstance(expected, Derivation):
                 assert validate_trace(expected.trace) == []
     assert 0 < len(filler._derivations) == filled <= 960
+
+
+def test_a_memo_hit_keeps_the_canonical_row_order_on_either_side_of_the_lref():
+    # a renamed trace takes its rows from the order stored for its side:
+    # grounds a and zz sort before and after every lref#<verb>, and the
+    # memo is filled with g, on a's side
+    _memos.cache_clear()
+    warm = RuleBase(RULES.version, RULES.rules)
+    _memos.cache_clear()
+    cold = RuleBase(RULES.version, RULES.rules)
+    assert cold._derivations is not warm._derivations
+    pairs = [
+        (verb.lemma, prep.lemma, language, lexicon)
+        for lexicon, language in ((FR, "fr"), (EN, "en"))
+        for verb, prep in all_col_prep_pairs(lexicon)
+    ]
+    for verb, prep, language, lexicon in pairs:
+        complex_ = MotionComplex(verb, prep, "g", "m", language)
+        derivation_or_error(complex_, lexicon, warm)
+    binds = 0
+    for verb, prep, language, lexicon in pairs:
+        for ground in ("a", "zz"):
+            complex_ = MotionComplex(verb, prep, ground, "m", language)
+            derivation = derivation_or_error(complex_, lexicon, warm)
+            cold._derivations.clear()  # so that cold compiles
+            assert derivation == derivation_or_error(complex_, lexicon, cold)
+            if isinstance(derivation, Derivation):
+                rows = derivation.trace.assignments
+                assert rows == tuple(sorted(rows, key=lambda a: (a.location, a.phase)))
+                binds += derivation.trace.lref != ground
+    assert binds > 0
 
 
 def test_rule_bases_that_print_differently_share_no_memo():
