@@ -116,6 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_query(args: argparse.Namespace) -> int:
     try:
+        complex_ = MotionComplex(args.verb, args.prep, args.ground, args.mobile, args.lang)
+    except ValueError as exc:  # an empty field is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LOAD_ERROR
+    try:
         lexicons = _load_lexicons(args.lexicon, (args.lang,))
         rules = _load_rules(args.rules)
     except (MotionSemError, OSError) as exc:
@@ -123,13 +128,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         return EXIT_LOAD_ERROR
 
     try:
-        complex_ = MotionComplex(
-            verb_lemma=args.verb,
-            prep_lemma=args.prep,
-            ground=args.ground,
-            mobile=args.mobile,
-            language=args.lang,
-        )
         derivation = compose(complex_, lookup_lexicon(lexicons, args.lang), rules)
     except MotionSemError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,12 @@ tagged as interaction information.
 
 Everything here is pure: lexicons, rule bases and traces are immutable
 values, and repeated composition of the same inputs yields identical
-results.  Rule bases with equal rules share one memo per entry shape
-(see compose()), each entry compiled with the trace's rows in each order
-the two locations can sort in, so a hit renames without sorting.
+results.  A derivation is built once per entry shape as a memo entry
+holding the trace's rows in each order the two locations can sort in,
+and every call, a miss as a hit, renames that entry without sorting;
+rule bases with equal rules share the memo (see compose()).  Whether
+the ground can be the reference location is decided by one check,
+_merge, for the features and the trace alike.
 explain() has one renderer (_render): it renders a hand-built trace
 directly, and renders every other trace once per shape of derivation
 with markers for the names, which each call fills in (see
@@ -28,11 +31,14 @@ from typing import Callable, NamedTuple
 
 from .errors import (
     AmbiguousRuleBaseError,
+    IllFormedEntryError,
     InfelicitousError,
     NotACoLVerbError,
     UnknownLanguageError,
 )
-from .lexicon import Lexicon, PrepEntry, VerbEntry, lookup_prep, lookup_verb
+from .lexicon import (
+    Lexicon, PrepEntry, VerbEntry, _require_zones, lookup_prep, lookup_verb
+)
 from .rules import ComplexFeatures, CompositionRule, RuleBase
 from .trace import (
     PROVENANCE_DISPLAY,
@@ -41,7 +47,6 @@ from .trace import (
     ZoneAssignment,
     discontinuities,
     render_records,
-    validate_trace,
 )
 from .zones import LrefRole, Phase, Zone
 
@@ -96,6 +101,7 @@ class Derivation(NamedTuple):
 # Enum members read once: a class attribute read costs about 130 ns a time.
 _PRE, _DURING, _POST = Phase.PRE, Phase.DURING, Phase.POST
 _MEDIAL, _INSIDE = LrefRole.MEDIAL, Zone.INSIDE
+_VERB_SOURCE, _PREP_SOURCE = Provenance.VERB, Provenance.PREP
 
 
 def lref_location(complex: MotionComplex) -> str:
@@ -107,13 +113,14 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
     """Zones a CoL verb assigns to its reference location, per phase.
 
     Medial verbs carry a lexical default: the mobile is inside the path
-    location while under way.  A non-CoL verb raises NotACoLVerbError.
+    location while under way.  A non-CoL verb raises NotACoLVerbError,
+    and a CoL entry without its role or a zone IllFormedEntryError.
     """
     if not verb.is_col:
         raise NotACoLVerbError(
             f"{verb.lemma!r} is a {verb.category} verb; only CoL verbs compose"
         )
-    assert verb.start_zone is not None and verb.end_zone is not None
+    _require_zones(verb)
     constraints = {_PRE: verb.start_zone, _POST: verb.end_zone}
     if verb.lref_role is _MEDIAL:
         constraints[_DURING] = _INSIDE
@@ -126,10 +133,12 @@ def prep_constraint(prep: PrepEntry) -> tuple[Phase, Zone]:
     Directional prepositions commit at the phase of their own role.  A
     positional preposition is phaseless by itself; in a motion complex
     its static relation is read as describing the end state, so the
-    commitment lands on the post phase.
+    commitment lands on the post phase.  A directional entry without a
+    role raises IllFormedEntryError.
     """
     if prep.is_directional:
-        assert prep.role is not None
+        if prep.role is None:
+            raise IllFormedEntryError(f"directional prep {prep.lemma!r} lacks a role")
         return (prep.role.phase, prep.effective_zone)
     return (_POST, prep.effective_zone)
 
@@ -156,19 +165,12 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     """Feature vector for rule guards, including the zone-compatibility flag.
 
     The flag answers: could ground and reference location be one and the
-    same place?  It merges the verb's per-phase zones with the
-    preposition's commitment on a single location and checks that the
-    result is clash-free and continuous.  A non-CoL verb raises
-    NotACoLVerbError (from verb_constraints).
+    same place?  It merges the preposition's commitment into the verb's
+    per-phase zones on a single location (_merge, the check an identify
+    conclusion must pass).  A non-CoL verb raises NotACoLVerbError (from
+    verb_constraints).
     """
-    merged = verb_constraints(verb)  # a fresh dict, safe to extend
-    phase, zone = prep_constraint(prep)
-    if phase in merged and merged[phase] is not zone:
-        compatible = False
-    else:
-        merged[phase] = zone
-        compatible = not discontinuities(merged)
-
+    compatible = _merge(verb_constraints(verb), *prep_constraint(prep))
     attained = prep.attained if prep.is_directional else None
     return ComplexFeatures(
         lref_role=verb.lref_role,
@@ -179,50 +181,9 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     )
 
 
-def _build_trace(
-    rule: CompositionRule,
-    complex: MotionComplex,
-    verb: VerbEntry,
-    prep: PrepEntry,
-) -> SpatiotemporalTrace | None:
-    """Materialize a rule conclusion, or None when its constraints clash.
-
-    The verb's constraints come first; the ground's one assignment may
-    coincide with one of them, and then keeps the verb's provenance.
-    """
-    conclusion = rule.conclusion
-    if conclusion.kind == "identify":
-        lref = ground = complex.ground
-        phase, zone = prep_constraint(prep)
-        prov = Provenance.PREP
-    elif conclusion.kind == "bind":
-        lref, ground = lref_location(complex), complex.ground
-        assert conclusion.phase is not None
-        phase = conclusion.phase
-        zone = conclusion.zone if conclusion.zone is not None else prep.effective_zone
-        prov = (
-            conclusion.provenance
-            if conclusion.provenance is not None
-            else Provenance.PREP
-        )
-    else:
-        return None  # forbid conclusions never materialize
-
-    collected = {
-        (lref, vphase): (vzone, Provenance.VERB)
-        for vphase, vzone in verb_constraints(verb).items()
-    }
-    if collected.setdefault((ground, phase), (zone, prov))[0] is not zone:
-        return None
-    assignments = tuple(
-        ZoneAssignment(*key, *value) for key, value in sorted(collected.items())
-    )
-    trace = SpatiotemporalTrace(
-        mobile=complex.mobile, lref=lref, ground=ground, assignments=assignments
-    )
-    if validate_trace(trace):
-        return None
-    return trace
+def _merge(zones: dict[Phase, Zone], phase: Phase, zone: Zone) -> bool:
+    """Add one fact to a location's zones; False if it clashes or they jump a zone."""
+    return zones.setdefault(phase, zone) is zone and not discontinuities(zones)
 
 
 def compose(
@@ -237,20 +198,20 @@ def compose(
     semantically anomalous.
 
     A derivation depends on the ground, mobile and lref names only
-    through renaming, so the rule base memoizes one per entry shape (the
-    zones and roles of the two entries, never their lemmas) and later
-    calls rename it.  The entry holds the derivation's features, fired
-    rule and defeats, and its rows as (at_ground, phase, zone,
-    provenance) in canonical order for a ground sorting after the lref
-    and for one sorting before it (one order if they are identified), so
-    a hit sorts nothing (see _rename).  Rule bases with equal rules of
-    equal field types share that memo, also when loaded separately (see
-    RuleBase).  The memo is bounded by the finite shape space and ignored
-    by the rule base's ==, hash and repr; concurrent fills at worst
-    compute the same value twice.  A ground named like the reference
-    location merges the two locations of a bind conclusion, so such a
-    call derives afresh and leaves the memo alone.  Errors are never
-    memoized.
+    through renaming, so it is built as a memo entry for the entry shape
+    (the zones and roles of the two entries, never their lemmas): the
+    features, fired rule and defeats, and the rows as (at_ground, phase,
+    zone, provenance) in canonical order for a ground sorting after the
+    lref and for one sorting before it (one order if they are
+    identified).  Every call, a miss as a hit, renames that entry (see
+    _rename).  The rule base memoizes the entry per shape.  Rule bases
+    with equal rules of equal field types share that memo, also when
+    loaded separately (see RuleBase).  The memo is bounded by the finite
+    shape space and ignored by the rule base's ==, hash and repr;
+    concurrent fills at worst compute the same value twice.  A ground
+    named like the reference location merges the two locations of a bind
+    conclusion, so such a call derives afresh and leaves the memo alone.
+    Errors are never memoized.
     """
     if complex.language != lexicon.language:
         raise UnknownLanguageError(
@@ -259,7 +220,7 @@ def compose(
     verb = lookup_verb(lexicon, complex.verb_lemma)
     prep = lookup_prep(lexicon, complex.prep_lemma)
 
-    shape = (  # with the category, a non-CoL verb never hits a template: _derive raises
+    shape = (  # with the category, a non-CoL verb never hits an entry: _derive raises
         verb.category,
         verb.lref_role,
         verb.start_zone,
@@ -270,30 +231,22 @@ def compose(
         prep.attained,
     )
     lref = lref_location(complex)
+    one_location = complex.ground == lref
     memo = rules._derivations
     entry = memo.get(shape)  # features, fired rule, defeats, row orders
-    if entry is not None and (
-        complex.ground != lref or entry[1].conclusion.kind == "identify"
-    ):
-        return _rename(entry, complex, lref)
-    derivation = _derive(complex, verb, prep, rules)
-    if complex.ground != lref:
-        _, features, fired, defeated, trace = derivation
-        rows = [(a.location == trace.ground, *a[1:]) for a in trace.assignments]
-        firsts = (False,) if trace.lref == trace.ground else (False, True)
-        memo[shape] = features, fired, defeated, tuple(
-            tuple(sorted(rows, key=lambda row: (row[0] != first, row[1])))
-            for first in firsts
-        )
-    return derivation
+    if entry is None or one_location and entry[1].conclusion.kind != "identify":
+        entry = _derive(complex, verb, prep, rules, one_location)
+        if not one_location:
+            memo[shape] = entry
+    return _rename(entry, complex, lref)
 
 
 def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
-    """The memo entry's derivation for another complex of the same shape.
+    """The derivation of a memo entry (see compose()) for one complex.
 
-    Picks the entry's row order for this ground and lref (see compose())
-    and names each row's location: no sort, and the plain named tuples
-    are built from their fields without their Python-level __new__.
+    Picks the entry's row order for this ground and lref and names each
+    row's location: no sort, and the plain named tuples are built from
+    their fields without their Python-level __new__.
     """
     features, fired, defeated, orders = entry
     ground = complex.ground
@@ -308,8 +261,10 @@ def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
 
 
 def _derive(
-    complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase
-) -> Derivation:
+    complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase,
+    one_location: bool,
+) -> tuple:
+    """The memo entry for a complex's shape (see compose() and _orders)."""
     features = compute_features(verb, prep)
     candidates, tie = rules.ranking(features)
 
@@ -330,8 +285,8 @@ def _derive(
                 Defeat(rule.id, veto.id, "identification forbidden")
             )
             continue
-        trace = _build_trace(rule, complex, verb, prep)
-        if trace is None:
+        orders = _orders(rule, verb, prep, one_location)
+        if orders is None:
             defeated.append(Defeat(rule.id, None, "conclusion inconsistent"))
             continue
         break
@@ -350,13 +305,52 @@ def _derive(
         else:
             defeated.append(Defeat(rule.id, fired.id, "lower priority"))
 
-    return Derivation(
-        complex=complex,
-        features=features,
-        fired=fired,
-        defeated=tuple(defeated),
-        trace=trace,
-    )
+    return features, fired, tuple(defeated), orders
+
+
+def _orders(
+    rule: CompositionRule, verb: VerbEntry, prep: PrepEntry, one_location: bool
+) -> tuple[tuple, ...] | None:
+    """A conclusion's rows in each order they can take, or None if ill formed.
+
+    A row is (at_ground, phase, zone, provenance), in canonical (location,
+    phase) order.  On one location (an identify conclusion, or a bind
+    with one_location) the ground's fact joins the verb's constraints,
+    keeping the verb's provenance where they coincide, in one order; they
+    are ill formed if they clash or jump a zone (_merge).  On two, the
+    lref's rows come before the ground's row and after it, for a ground
+    sorting after and before the lref; they are ill formed if the lref's
+    jump a zone, as a hand-built entry's may.
+    """
+    conclusion = rule.conclusion
+    if conclusion.kind == "identify":
+        one_location = True
+        phase, zone = prep_constraint(prep)
+        source = _PREP_SOURCE
+    elif conclusion.kind == "bind":
+        _, phase, zone, source = conclusion
+        if phase is None:
+            raise IllFormedEntryError(f"bind in rule {rule.id!r} lacks a phase")
+        zone = prep.effective_zone if zone is None else zone
+        source = _PREP_SOURCE if source is None else source
+    else:
+        return None  # forbid conclusions never materialize
+
+    zones = verb_constraints(verb)  # the lref's, a fresh dict
+    if not one_location:
+        if discontinuities(zones):
+            return None
+        rows = tuple([(False, p, z, _VERB_SOURCE) for p, z in sorted(zones.items())])
+        ground = ((True, phase, zone, source),)
+        return rows + ground, ground + rows
+    if phase in zones:
+        source = _VERB_SOURCE  # a coincident fact keeps the verb's provenance
+    if not _merge(zones, phase, zone):
+        return None
+    return (tuple([
+        (True, p, z, source if p == phase else _VERB_SOURCE)
+        for p, z in sorted(zones.items())
+    ]),)
 
 
 def explain(derivation: Derivation) -> str:

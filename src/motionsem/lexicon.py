@@ -154,12 +154,17 @@ def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
     return pair in default_class_inventory()
 
 
+def _require_zones(entry: VerbEntry) -> None:
+    """Raise IllFormedEntryError if a CoL entry lacks its role or a zone."""
+    if entry.start_zone is None or entry.end_zone is None or entry.lref_role is None:
+        raise IllFormedEntryError(f"CoL entry {entry.lemma!r} lacks zone constraints")
+
+
 def classify_verb(entry: VerbEntry) -> str:
     """Class identifier for a CoL verb, derived from its zone pair alone."""
     if not entry.is_col:
         raise NotACoLVerbError(f"{entry.lemma!r} is {entry.category}, not CoL")
-    if entry.start_zone is None or entry.end_zone is None or entry.lref_role is None:
-        raise IllFormedEntryError(f"CoL entry {entry.lemma!r} lacks zone constraints")
+    _require_zones(entry)
     pair = (entry.start_zone, entry.end_zone)
     if _lexicalized(entry.lref_role, pair):
         return f"{pair[0].label}→{pair[1].label}"

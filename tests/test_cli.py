@@ -100,6 +100,22 @@ def test_query_error_exit_codes(
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("verb_lemma", ("", "dans", "jardin")),
+        ("prep_lemma", ("sortir", "", "jardin")),
+        ("ground", ("sortir", "dans", "")),
+        ("mobile", ("sortir", "dans", "jardin", "--mobile", "")),
+    ],
+    ids=["verb", "prep", "ground", "mobile"],
+)
+def test_query_empty_field_is_a_usage_error(capsys, field, argv):
+    code, out, err = run(capsys, "query", *argv)
+    message = f"error: motion complex field {field} must be nonempty\n"
+    assert (code, out, err) == (cli.EXIT_LOAD_ERROR, "", message)
+
+
 def test_exit_codes_are_distinct():
     codes = {
         cli.EXIT_OK,

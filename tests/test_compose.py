@@ -19,6 +19,7 @@ from motionsem.compose import (
 )
 from motionsem.errors import (
     AmbiguousRuleBaseError,
+    IllFormedEntryError,
     InfelicitousError,
     NotACoLVerbError,
     UnknownLemmaError,
@@ -249,6 +250,46 @@ def test_infelicitous_when_no_rule_applies():
     base = load_rulebase(io.StringIO("R\tA\tdefeasible\t1\tprepkind=dir\tbind(post)\n"))
     with pytest.raises(InfelicitousError):
         compose(fr_complex("sortir", "dans"), FR, base)
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        VerbEntry("v", "CoL"),
+        VerbEntry("v", "CoL", None, Zone.INSIDE, Zone.DISTAL),
+        VerbEntry("v", "CoL", LrefRole.INITIAL, None, Zone.DISTAL),
+        VerbEntry("v", "CoL", LrefRole.INITIAL, Zone.INSIDE, None),
+    ],
+    ids=["bare", "no-role", "no-start", "no-end"],
+)
+def test_a_col_entry_without_its_role_or_zones_is_ill_formed(verb):
+    lexicon = Lexicon("fr", {"v": verb}, {"dans": FR.preps["dans"]})
+    for _ in range(2):  # never memoized
+        with pytest.raises(IllFormedEntryError) as info:
+            compose(fr_complex("v", "dans"), lexicon, RULES)
+        assert str(info.value) == "CoL entry 'v' lacks zone constraints"
+    with pytest.raises(IllFormedEntryError) as info:
+        compute_features(verb, FR.preps["dans"])
+    assert str(info.value) == "CoL entry 'v' lacks zone constraints"
+
+
+def test_a_directional_prep_without_a_role_is_ill_formed():
+    prep = PrepEntry("p", "dir", Zone.INSIDE)
+    lexicon = Lexicon("fr", {"sortir": FR.verbs["sortir"]}, {"p": prep})
+    with pytest.raises(IllFormedEntryError) as info:
+        compose(fr_complex("sortir", "p"), lexicon, RULES)
+    assert str(info.value) == "directional prep 'p' lacks a role"
+
+
+def test_a_bind_conclusion_without_a_phase_is_ill_formed():
+    guard = Guard((("prepkind", "pos"),))
+    base = RULES.with_rule(
+        CompositionRule("X", "defeasible", 1000, guard, Conclusion("bind"))
+    )
+    for ground in ("g", "lref#sortir"):  # two locations and one
+        with pytest.raises(IllFormedEntryError) as info:
+            compose(fr_complex("sortir", "dans", ground=ground), FR, base)
+        assert str(info.value) == "bind in rule 'X' lacks a phase"
 
 
 COMPLEX_FIELDS = dict(
@@ -616,6 +657,8 @@ def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
             assert derivation_or_error(complex_, lex, shared) == expected
             if isinstance(expected, Derivation):
                 assert validate_trace(expected.trace) == []
+                rows = expected.trace.assignments  # a cold compile renames too
+                assert rows == tuple(sorted(rows, key=lambda a: (a.location, a.phase)))
     assert 0 < len(filler._derivations) == filled <= 960
 
 
@@ -648,6 +691,22 @@ def test_a_memo_hit_keeps_the_canonical_row_order_on_either_side_of_the_lref():
                 assert rows == tuple(sorted(rows, key=lambda a: (a.location, a.phase)))
                 binds += derivation.trace.lref != ground
     assert binds > 0
+
+
+def test_identification_succeeds_exactly_when_the_features_say_it_can():
+    # one clash-and-continuity check: under an identify-only base, every
+    # directional shape composes exactly when compute_features flags it
+    base = MEMO_BASES["identify-only"]
+    complex_ = MotionComplex("v", "p", "g", "m", "fr")
+    checked = 0
+    for lex in shape_lexicons("v"):
+        verb, prep = lex.verbs["v"], lex.preps["p"]
+        if not prep.is_directional:
+            continue
+        composed = isinstance(derivation_or_error(complex_, lex, base), Derivation)
+        assert composed == compute_features(verb, prep).zone_compatible, (verb, prep)
+        checked += 1
+    assert checked == len(VERB_SHAPES) * 16
 
 
 def test_rule_bases_that_print_differently_share_no_memo():
