@@ -117,7 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_query(args: argparse.Namespace) -> int:
     try:
         complex_ = MotionComplex(args.verb, args.prep, args.ground, args.mobile, args.lang)
-    except ValueError as exc:  # an empty field is a usage error
+        for name, value in zip(MotionComplex._fields, complex_[:4]):
+            if value.isspace() or not value.isprintable():  # one record a line
+                raise ValueError(
+                    f"motion complex field {name} must be printable and not blank"
+                )
+    except ValueError as exc:  # an empty, blank or unprintable field is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR
     try:

@@ -37,7 +37,7 @@ from .errors import (
     UnknownLanguageError,
 )
 from .lexicon import (
-    Lexicon, PrepEntry, VerbEntry, _require_zones, lookup_prep, lookup_verb
+    Lexicon, PrepEntry, VerbEntry, _new, _require_zones, lookup_prep, lookup_verb
 )
 from .rules import ComplexFeatures, CompositionRule, RuleBase
 from .trace import (
@@ -49,10 +49,6 @@ from .trace import (
     render_records,
 )
 from .zones import LrefRole, Phase, Zone
-
-# A named tuple from a tuple of its fields, skipping the class's Python-level
-# __new__: for hot paths, on classes whose __new__ checks nothing.
-_new = tuple.__new__
 
 
 class _MotionComplexFields(NamedTuple):

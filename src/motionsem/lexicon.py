@@ -13,7 +13,8 @@ role names are the lowercase labels but are accepted in any case, and
 verb zone fields are only present on change-of-location (CoL) entries.
 The LANG header comes before every entry.  A zone or role name that
 names no member raises UnknownNameError through the enums' from_label,
-as in every other data file.
+as in every other data file.  load_lexicon validates each distinct entry
+shape once per call, and never keeps an error.
 """
 
 from __future__ import annotations
@@ -140,6 +141,9 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
 # about 130 ns, and a lexicon reads hundreds of labels.
 _MEDIAL, _PATH_PAIR = LrefRole.MEDIAL, (Zone.CONTACT, Zone.CONTACT)
 _zone, _role = Zone.from_label, LrefRole.from_label
+# A named tuple from a tuple of its fields, skipping the class's Python-level
+# __new__: for hot paths, on classes whose __new__ checks nothing.
+_new = tuple.__new__
 
 
 def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
@@ -203,20 +207,11 @@ def lookup_lexicon(lexicons: Mapping[str, Lexicon], language: str) -> Lexicon:
     return lexicons[language]
 
 
-def _parse_verb_line(fields: list[str]) -> VerbEntry:
-    """One V line from its stripped fields."""
-    if len(fields) < 3:
-        raise IllFormedEntryError("verb line needs at least a lemma and category")
-    lemma, category = fields[1], fields[2]
-    if not lemma:
-        raise IllFormedEntryError("empty lemma")
+def _parse_verb_line(lemma: str, tail: str) -> tuple:
+    """The category, role and zones of a V line, from its tail (see load_lexicon)."""
+    category, *rest = [field.strip() for field in tail.split("\t")]
     if category not in VERB_CATEGORIES:
         raise IllFormedEntryError(f"unknown verb category {category!r}")
-    rest = fields[3:]
-
-    gloss = None
-    if rest and rest[-1].startswith("gloss="):
-        gloss = rest.pop()[len("gloss=") :]
 
     if category == "CoL":
         if len(rest) != 3:
@@ -225,28 +220,22 @@ def _parse_verb_line(fields: list[str]) -> VerbEntry:
             )
         role = _role(rest[0])
         pair = (_zone(rest[1]), _zone(rest[2]))
-        entry = VerbEntry(lemma, category, role, *pair, gloss)
-        if not _lexicalized(role, pair):
-            classify_verb(entry)  # raises with the class message
-        return entry
+        if not _lexicalized(role, pair):  # classify_verb raises with the class message
+            classify_verb(VerbEntry(lemma, category, role, *pair))
+        return (category, role) + pair
 
     if rest:
         raise IllFormedEntryError(
             f"{category} verb {lemma!r} must not carry zone fields"
         )
-    return VerbEntry(lemma, category, gloss=gloss)
+    return (category, None, None, None)
 
 
-def _parse_prep_line(fields: list[str]) -> PrepEntry:
-    """One P line from its stripped fields."""
-    if len(fields) < 3:
-        raise IllFormedEntryError("prep line needs at least a lemma and kind")
-    lemma, kind = fields[1], fields[2]
-    if not lemma:
-        raise IllFormedEntryError("empty lemma")
+def _parse_prep_line(tail: str) -> tuple:
+    """The kind, zone, role and attainment of a P line, from its tail."""
+    kind, *rest = [field.strip() for field in tail.split("\t")]
     if kind not in ("pos", "dir"):
         raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
-    rest = fields[3:]
 
     attained: bool | None = None
     if rest and rest[-1].startswith("attained="):
@@ -260,7 +249,7 @@ def _parse_prep_line(fields: list[str]) -> PrepEntry:
             raise IllFormedEntryError("positional prep needs exactly a zone")
         if attained is not None:
             raise IllFormedEntryError("positional prep cannot carry attained")
-        return PrepEntry(lemma, kind, _zone(rest[0]))
+        return (kind, _zone(rest[0]), None, None)
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>")
@@ -271,7 +260,14 @@ def _parse_prep_line(fields: list[str]) -> PrepEntry:
             attained = True  # to/into-style arrival is the default
     elif attained is not None:
         raise IllFormedEntryError("attained only applies to directional-final preps")
-    return PrepEntry(lemma, kind, zone, role, attained)
+    return (kind, zone, role, attained)
+
+
+# Each entry tag, with the error of a line that stops before its tail.
+_SHORT_LINE = {
+    "V": "verb line needs at least a lemma and category",
+    "P": "prep line needs at least a lemma and kind",
+}
 
 
 def load_lexicon(source: Iterable[str]) -> Lexicon:
@@ -281,19 +277,25 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     read_data_file's stream.  The language comes from the file's LANG
     header, which must precede every entry.  Errors carry line numbers,
     except for a missing header, which no one line holds.
+
+    An entry's shape is its tag and tail: the raw text after the lemma,
+    less a verb's gloss.  Each distinct shape is validated once per call
+    and its entries are built from the fields it parsed to; the lemma
+    checks run on every line, and an error is never kept.
     """
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
     language: str | None = None
+    shapes: dict[tuple[str, str], tuple] = {}  # (tag, tail) -> fields after the lemma
 
     for lineno, line in data_lines(source):
-        fields = [field.strip() for field in line.split("\t")]
-        tag = fields[0]
+        parts = line.split("\t", 2)
+        tag = parts[0].strip()
         try:
             if tag == "LANG":
-                if len(fields) != 2 or not fields[1]:
+                value = parts[1].strip() if len(parts) == 2 else ""
+                if not value:
                     raise IllFormedEntryError("LANG line needs exactly one tag")
-                value = fields[1]
                 if value not in LANGUAGES:
                     raise IllFormedEntryError(f"unsupported language tag {value!r}")
                 if language is not None:
@@ -304,20 +306,34 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
             if language is None:
                 raise IllFormedEntryError("entry before any LANG header")
 
-            if tag == "V":
-                entry = _parse_verb_line(fields)
-                if entry.lemma in verbs:
-                    raise DuplicateLemmaError(f"verb {entry.lemma!r} defined twice")
-                verbs[entry.lemma] = entry
-            elif tag == "P":
-                pentry = _parse_prep_line(fields)
-                if pentry.lemma in preps:
-                    raise DuplicateLemmaError(
-                        f"preposition {pentry.lemma!r} defined twice"
-                    )
-                preps[pentry.lemma] = pentry
-            else:
+            if tag not in _SHORT_LINE:
                 raise IllFormedEntryError(f"unknown line tag {tag!r}")
+            if len(parts) < 3:
+                raise IllFormedEntryError(_SHORT_LINE[tag])
+            lemma, tail = parts[1].strip(), parts[2]
+            if not lemma:
+                raise IllFormedEntryError("empty lemma")
+
+            if tag == "V":
+                gloss = None
+                if "gloss=" in tail:
+                    head, tab, last = tail.rpartition("\t")
+                    last = last.strip()
+                    if tab and last.startswith("gloss="):
+                        tail, gloss = head, last[len("gloss=") :]
+                fields = shapes.get(key := ("V", tail))
+                if fields is None:
+                    fields = shapes[key] = _parse_verb_line(lemma, tail)
+                if lemma in verbs:
+                    raise DuplicateLemmaError(f"verb {lemma!r} defined twice")
+                verbs[lemma] = _new(VerbEntry, (lemma,) + fields + (gloss,))
+            else:
+                fields = shapes.get(key := ("P", tail))
+                if fields is None:
+                    fields = shapes[key] = _parse_prep_line(tail)
+                if lemma in preps:
+                    raise DuplicateLemmaError(f"preposition {lemma!r} defined twice")
+                preps[lemma] = _new(PrepEntry, (lemma,) + fields)
         except FormatError as exc:
             # an inventory error raised here already names its own file's line
             raise exc.at_line(lineno)
@@ -333,7 +349,7 @@ def dump_lexicon(lexicon: Lexicon) -> str:
     for entry in lexicon.verbs.values():
         fields = ["V", entry.lemma, entry.category]
         if entry.is_col:
-            assert entry.lref_role is not None and entry.start_zone is not None
+            _require_zones(entry)
             fields += [
                 entry.lref_role.label,
                 entry.start_zone.label,

@@ -116,6 +116,28 @@ def test_query_empty_field_is_a_usage_error(capsys, field, argv):
     assert (code, out, err) == (cli.EXIT_LOAD_ERROR, "", message)
 
 
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("verb_lemma", (" ", "dans", "jardin")),
+        ("prep_lemma", ("sortir", "\t", "jardin")),
+        ("ground", ("sortir", "dans", " ")),
+        ("ground", ("sortir", "dans", "\u00a0\u2003")),
+        ("ground", ("sortir", "dans", "jar\ndin")),
+        ("ground", ("sortir", "dans", "jar\x85din")),
+        ("ground", ("sortir", "dans", "jar\u2028din")),
+        ("mobile", ("sortir", "dans", "jardin", "--mobile", "  ")),
+        ("mobile", ("sortir", "dans", "jardin", "--mobile", "la\tballe")),
+    ],
+    ids=["verb", "prep", "ground", "ground-nbsp", "ground-newline", "ground-nel",
+         "ground-line-separator", "mobile", "mobile-tab"],
+)
+def test_query_blank_or_unprintable_field_is_a_usage_error(capsys, field, argv):
+    code, out, err = run(capsys, "query", *argv)
+    message = f"error: motion complex field {field} must be printable and not blank\n"
+    assert (code, out, err) == (cli.EXIT_LOAD_ERROR, "", message)
+
+
 def test_exit_codes_are_distinct():
     codes = {
         cli.EXIT_OK,

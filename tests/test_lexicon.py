@@ -101,6 +101,24 @@ def test_non_col_verbs_reject_zone_fields():
     assert entry.gloss == "to run"
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        "gloss=to run", " gloss=to run", "gloss=to run ", "gloss=to run\r",
+        "\u00a0gloss=to run\u00a0",
+    ],
+    ids=["plain", "leading-space", "trailing-space", "carriage-return", "no-break-spaces"],
+)
+def test_a_gloss_is_read_from_the_stripped_last_field(spelling):
+    lex = load(
+        f"LANG\tfr\nV\tcourir\tICoPs\t{spelling}\nV\tfuir\tICoPs\n"
+        f"V\tsortir\tCoL\tinitial\tinside\tproximal\t{spelling}\n"
+    )
+    assert lex.verbs["courir"] == VerbEntry("courir", "ICoPs", gloss="to run")
+    assert lex.verbs["fuir"] == VerbEntry("fuir", "ICoPs")  # the same shape, no gloss
+    assert lex.verbs["sortir"].gloss == "to run"
+
+
 def test_unlexicalized_class_rejected():
     # contact -> distal is not in the shipped inventory
     with pytest.raises(UnlexicalizedClassError) as err:
@@ -245,6 +263,20 @@ def test_seed_round_trip():
         lex = default_lexicon(lang)
         again = load(dump_lexicon(lex))
         assert again == lex
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        VerbEntry("x", "CoL", None, Zone.INSIDE, Zone.PROXIMAL),
+        VerbEntry("x", "CoL", LrefRole.INITIAL, Zone.INSIDE, None),
+    ],
+    ids=["no-role", "no-end"],
+)
+def test_dump_rejects_a_col_entry_without_its_role_or_zones(entry):
+    lexicon = Lexicon(language="fr", verbs={"x": entry}, preps={})
+    with pytest.raises(IllFormedEntryError, match="^CoL entry 'x' lacks zone constraints$"):
+        dump_lexicon(lexicon)
 
 
 _ROLE_ZONES = sorted(default_class_inventory())

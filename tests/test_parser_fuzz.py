@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motionsem.corpus import parse_corpus
-from motionsem.errors import FormatError
-from motionsem.lexicon import default_lexicon, dump_lexicon, load_lexicon
+from motionsem.errors import DuplicateLemmaError, FormatError, data_lines
+from motionsem.lexicon import Lexicon, default_lexicon, dump_lexicon, load_lexicon
 from motionsem.rules import load_rulebase
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
@@ -145,6 +145,117 @@ def test_fuzzed_lexicons(seed):
         lines_of(seed, LEXICON_BLOCKS),
         unlined=["lexicon has no LANG header"],
     )
+
+
+def load_each_line_alone(lines: list[str]) -> Lexicon:
+    """The reference of load_lexicon: each line loaded alone, the results merged.
+
+    An entry line is loaded under the LANG line before it, in place, so that
+    errors name the same line; a one-line load never meets a shape twice.
+    The merge keeps the entries in order and raises on a lemma seen before.
+    """
+    verbs, preps, header = {}, {}, []
+    for lineno, line in data_lines(lines):
+        alone = [""] * (lineno - 1) + [line]
+        if header:
+            alone[header[0] - 1] = header[1]
+        lexicon = load_lexicon(alone)
+        if not header:
+            header = [lineno, line]
+        for entries, loaded, noun in ((verbs, lexicon.verbs, "verb"),
+                                      (preps, lexicon.preps, "preposition")):
+            for lemma, entry in loaded.items():
+                if lemma in entries:
+                    raise DuplicateLemmaError(f"{noun} {lemma!r} defined twice", lineno)
+                entries[lemma] = entry
+    if not header:
+        return load_lexicon([])  # raises: no LANG header
+    return Lexicon(language=lexicon.language, verbs=verbs, preps=preps)
+
+
+def outcome(load, lines):
+    """The repr of what load makes of the lines, or its error's type, text and line."""
+    try:
+        return repr(load(lines))
+    except FormatError as exc:
+        return type(exc), str(exc), exc.line
+
+
+# Valid tails (the fields after the lemma) of both tags, for lexicons that
+# repeat a few shapes.
+TAILS = [
+    ("V", ["CoL", "initial", "inside", "proximal"]),
+    ("V", ["CoL", "final", "proximal", "inside"]),
+    ("V", ["CoL", "medial", "contact", "contact"]),
+    ("V", ["CoPs"]),
+    ("V", ["CoPtu"]),
+    ("P", ["pos", "inside"]),
+    ("P", ["dir", "initial", "inside"]),
+    ("P", ["dir", "final", "contact", "attained=false"]),
+    ("P", ["dir", "final", "inside"]),
+    ("P", ["dir", "final", "inside", "attained=true"]),
+]
+
+
+def shared_shapes(seed: int) -> list[str]:
+    """A lexicon whose entries share a few tails, spelt in varied ways.
+
+    Half the lines respell their tail: labels change case and a field
+    gains stray spaces or a trailing carriage return.  A verb carries a
+    gloss or not.  In some lexicons a line now and then takes the other
+    tag, or repeats a lemma, or leaves it blank.
+    """
+    rng = random.Random(seed)
+    pool = rng.sample(TAILS, 4)
+    slip = rng.choice([0, 0, 0.04])
+    lines = [f"LANG\t{rng.choice(['fr', 'en'])}"]
+    for i in range(rng.randint(1, 30)):
+        tag, fields = rng.choice(pool)
+        if tag == "V" and rng.random() < 0.5:
+            fields = fields + [f"gloss=to w{i}"]
+        if rng.random() < 0.5:
+            fields = [rng.choice(variants(f)) if f in LABELS else f for f in fields]
+            k = rng.randrange(len(fields))
+            fields[k] = rng.choice(["", " ", "\u00a0"]) + fields[k] + rng.choice(["", " ", "\r"])
+        lemma = f"w{i}"
+        if rng.random() < slip:
+            tag = {"V": "P", "P": "V"}[tag]
+        if rng.random() < slip:
+            lemma = rng.choice([f"w{rng.randrange(i + 1)}", " "])
+        lines.append("\t".join([tag, lemma, *fields]))
+    return lines
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["LANG\tfr", "V\ta\tCoPs", "P\tb\tCoPs"],
+        ["LANG\tfr", "P\ta\tpos\tinside", "V\tb\tpos\tinside"],
+        ["LANG\tfr", "V\ta\tCoPs\tgloss=x", "V\tb\tCoPs", "V\tc\tCoPs\tgloss=y"],
+        ["LANG\tfr", "V\ta\tCoPs", "V\ta\tCoPs"],
+        ["LANG\tfr", "P\ta\tpos\tinside", "P\ta \tpos\tinside"],
+        ["LANG\tfr", "P\ta\tpos\tinside", "P\t \tpos\tinside"],
+        ["LANG\tfr", "V\ta\tCoPs", "V\t\tCoPs\tgloss=x"],
+        ["P\ta\tpos\tinside", "LANG\tfr", "P\tb\tpos\tinside"],
+        ["LANG\tfr", "P\ta\tpos\tinside", "LANG\ten", "P\tb\tpos\tinside"],
+        ["LANG\tfr", "V\ta\tCoL\tinitial\tinside\tproximal", "V\tb\tCoL\tINITIAL\tinside"],
+    ],
+    ids=["verb-then-prep", "prep-then-verb", "gloss", "duplicate", "spaced-duplicate",
+         "blank-lemma", "empty-lemma", "before-LANG", "second-LANG", "short"],
+)
+def test_a_shared_shape_loads_as_its_lines_load_alone(lines):
+    assert outcome(load_lexicon, lines) == outcome(load_each_line_alone, lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS)
+def test_a_lexicon_loads_as_its_lines_load_alone(seed):
+    lines = shared_shapes(seed)
+    assert outcome(load_lexicon, lines) == outcome(load_each_line_alone, lines)
+    lines = lines_of(seed, LEXICON_BLOCKS)
+    for start in range(len(lines) + 1):
+        expected = outcome(load_each_line_alone, lines[start:])
+        assert outcome(load_lexicon, lines[start:]) == expected
 
 
 @settings(max_examples=100, deadline=None)
