@@ -51,7 +51,19 @@ from .compose import (
     prep_projection,
     verb_projection,
 )
-from .corpus import CorpusCase, CorpusReport, parse_corpus, run_corpus
+
+# corpus is imported on first use of one of its names (PEP 562), so that
+# `import motionsem` and the query and lint commands do not load it.
+_CORPUS_NAMES = ("CorpusCase", "CorpusReport", "parse_corpus", "run_corpus")
+
+
+def __getattr__(name):
+    if name in _CORPUS_NAMES:
+        from . import corpus
+
+        return getattr(corpus, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Zone",

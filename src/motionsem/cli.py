@@ -1,5 +1,12 @@
 """Command-line interface: single queries, corpus runs, data linting.
 
+The grammar is one table.  A command line in the plain form (a subcommand,
+exactly its positionals, and full option flags each followed by a value in
+the option's choices, no positional or value starting with "-") is read
+directly; any other, including help, usage errors, abbreviated flags,
+"--flag=value" and "--", goes to the argparse parser built from the same
+table, which gives the same namespace and alone writes help and error text.
+
 Exit codes are fixed and published:
 
     0  success
@@ -15,9 +22,10 @@ Exit codes are fixed and published:
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .compose import MotionComplex, compose, explain
 from .errors import (
@@ -28,8 +36,10 @@ from .errors import (
 )
 from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon, lookup_lexicon
 from .rules import RuleBase, default_rulebase, lint_rulebase, load_rulebase
-from .corpus import parse_corpus, run_corpus
 from .trace import render_records
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_CORPUS_FAILURES = 1
@@ -48,6 +58,12 @@ _EXIT_CODES = {
     "Infelicitous": EXIT_INFELICITOUS,
     "AmbiguousRuleBase": EXIT_AMBIGUOUS,
 }
+
+# The Unicode space separators (category Zs) other than U+0020, mapped to it:
+# a name may hold them, but str.isprintable counts only U+0020 as printable.
+_SPACE_SEPARATORS = dict.fromkeys(
+    (0x00A0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " "
+)
 
 
 def _load_lexicons(paths: list[str] | None, languages=LANGUAGES) -> dict[str, Lexicon]:
@@ -68,57 +84,12 @@ def _load_rules(path: str | None) -> RuleBase:
     return load_rulebase(read_data_file(path))
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lexicon",
-        action="append",
-        metavar="PATH",
-        help="lexicon file; repeatable, one per language (default: bundled seeds)",
-    )
-    parser.add_argument(
-        "--rules", metavar="PATH", help="rule base file (default: bundled rules)"
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="motionsem",
-        description="Spatiotemporal semantics of motion verb + preposition complexes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    query = sub.add_parser("query", help="compose one motion complex")
-    query.set_defaults(handler=cmd_query)
-    query.add_argument("verb")
-    query.add_argument("prep")
-    query.add_argument("ground")
-    query.add_argument("--lang", choices=LANGUAGES, default="fr")
-    query.add_argument("--mobile", default="mobile")
-    query.add_argument(
-        "--format",
-        choices=("text", "records"),
-        default="text",
-        help="full explanation or just the machine-diffable trace records",
-    )
-    _add_data_flags(query)
-
-    corpus = sub.add_parser("corpus", help="run a corpus of golden cases")
-    corpus.set_defaults(handler=cmd_corpus)
-    corpus.add_argument("corpus_path")
-    _add_data_flags(corpus)
-
-    lint = sub.add_parser("lint", help="validate lexicons and rule base coverage")
-    lint.set_defaults(handler=cmd_lint)
-    _add_data_flags(lint)
-
-    return parser
-
-
-def cmd_query(args: argparse.Namespace) -> int:
+def cmd_query(args: SimpleNamespace | argparse.Namespace) -> int:
     try:
         complex_ = MotionComplex(args.verb, args.prep, args.ground, args.mobile, args.lang)
         for name, value in zip(MotionComplex._fields, complex_[:4]):
-            if value.isspace() or not value.isprintable():  # one record a line
+            printable = value.translate(_SPACE_SEPARATORS).isprintable()
+            if value.isspace() or not printable:  # one record a line
                 raise ValueError(
                     f"motion complex field {name} must be printable and not blank"
                 )
@@ -145,7 +116,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: SimpleNamespace | argparse.Namespace) -> int:
+    from .corpus import parse_corpus, run_corpus
+
     try:
         lexicons = _load_lexicons(args.lexicon)
         rules = _load_rules(args.rules)
@@ -159,7 +132,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_CORPUS_FAILURES
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
+def cmd_lint(args: SimpleNamespace | argparse.Namespace) -> int:
     status = EXIT_OK
     try:
         lexicons = _load_lexicons(args.lexicon)
@@ -187,8 +160,91 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return status
 
 
+# The grammar, declared once: per subcommand its help, handler, positionals
+# and options (flag: add_argument keywords).  build_parser and _read_plain
+# both read it.
+_DATA_OPTIONS = {
+    "--lexicon": dict(
+        action="append",
+        metavar="PATH",
+        help="lexicon file; repeatable, one per language (default: bundled seeds)",
+    ),
+    "--rules": dict(metavar="PATH", help="rule base file (default: bundled rules)"),
+}
+_COMMANDS = {
+    "query": ("compose one motion complex", cmd_query, ("verb", "prep", "ground"), {
+        "--lang": dict(choices=LANGUAGES, default="fr"),
+        "--mobile": dict(default="mobile"),
+        "--format": dict(
+            choices=("text", "records"),
+            default="text",
+            help="full explanation or just the machine-diffable trace records",
+        ),
+        **_DATA_OPTIONS,
+    }),
+    "corpus": (
+        "run a corpus of golden cases", cmd_corpus, ("corpus_path",), _DATA_OPTIONS
+    ),
+    "lint": ("validate lexicons and rule base coverage", cmd_lint, (), _DATA_OPTIONS),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="motionsem",
+        description="Spatiotemporal semantics of motion verb + preposition complexes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, handler, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(handler=handler)
+        for positional in positionals:
+            command.add_argument(positional)
+        for flag, keywords in options.items():
+            command.add_argument(flag, **keywords)
+    return parser
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give for a plain command line, else None.
+
+    Plain: a subcommand, then its positionals and full option flags, each
+    flag followed by a value in its choices; no value starts with "-".
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positionals, options = _COMMANDS[argv[0]]
+    values = {flag[2:]: keywords.get("default") for flag, keywords in options.items()}
+    given = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        keywords = options.get(word)
+        value = next(words, None)
+        if keywords is None or value is None or value.startswith("-"):
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        dest = word[2:]
+        if keywords.get("action") == "append":
+            value = (values[dest] or []) + [value]
+        values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    return SimpleNamespace(
+        command=argv[0], handler=handler, **dict(zip(positionals, given)), **values
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     return args.handler(args)
 
 

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import unicodedata
 from importlib import resources
 
 import pytest
+from hypothesis import given, strategies as st
 
-from motionsem import cli
+from motionsem import cli, default_lexicon, default_rulebase
+from motionsem.compose import MotionComplex, compose, explain
+from motionsem.trace import render_records
 
 GOLDEN = str(resources.files("motionsem.data").joinpath("golden.corpus"))
 EN_LEXICON = str(resources.files("motionsem.data").joinpath("en.lex"))
@@ -31,10 +37,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_child(args, cwd, **kwargs):
+def run_child(args, cwd, env_extra=(), **kwargs):
     """A python child with args, importing motionsem from this checkout."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **dict(env_extra))
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, **kwargs)
 
 
@@ -136,6 +142,28 @@ def test_query_blank_or_unprintable_field_is_a_usage_error(capsys, field, argv):
     code, out, err = run(capsys, "query", *argv)
     message = f"error: motion complex field {field} must be printable and not blank\n"
     assert (code, out, err) == (cli.EXIT_LOAD_ERROR, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_query_takes_a_no_break_space_in_a_name(capsys, fmt):
+    ground = "jardin\u00a0public"
+    code, out, err = run(capsys, "query", "sortir", "dans", ground, "--format", fmt)
+    derivation = compose(
+        MotionComplex("sortir", "dans", ground, "mobile", "fr"),
+        default_lexicon("fr"),
+        default_rulebase(),
+    )
+    expected = render_records(derivation.trace) if fmt == "records" else explain(derivation)
+    assert (code, out, err) == (cli.EXIT_OK, expected + "\n", "")
+
+
+def test_space_separators_are_the_unicode_zs_category():
+    zs = {
+        point for point in range(sys.maxunicode + 1)
+        if unicodedata.category(chr(point)) == "Zs"
+    }
+    assert set(cli._SPACE_SEPARATORS) == zs - {ord(" ")}
+    assert set(cli._SPACE_SEPARATORS.values()) == {" "}
 
 
 def test_exit_codes_are_distinct():
@@ -340,16 +368,22 @@ def test_a_closed_stdout_exits_quietly_with_its_own_code(tmp_path, argv):
 
 
 def test_commands_do_not_import_importlib_resources(tmp_path):
-    # -S: a clean interpreter, as site-packages may import the module at start-up
+    # -S: a clean interpreter, as site-packages may import these modules at start-up
     script = (
         "import sys\n"
         "from motionsem import cli\n"
+        "def loaded():\n"
+        "    names = 'importlib.resources argparse locale gettext motionsem.corpus'\n"
+        "    return [name for name in names.split() if name in sys.modules]\n"
         "codes = cli.main(['query', 'sortir', 'dans', 'jardin']), cli.main(['lint'])\n"
-        "print(codes, 'importlib.resources' in sys.modules)\n"
+        "print(codes, loaded())\n"
+        f"print(cli.main(['corpus', {GOLDEN!r}]), loaded())\n"
     )
     child = run_child(["-S", "-c", script], tmp_path, capture_output=True, text=True)
     assert child.stderr == ""
-    assert child.stdout.splitlines()[-1] == "(0, 0) False"
+    lines = child.stdout.splitlines()
+    assert lines[-1] == "0 ['motionsem.corpus']"
+    assert "(0, 0) []" in lines
 
 
 @pytest.mark.parametrize(
@@ -369,3 +403,228 @@ def test_byte_order_mark_is_ignored(tmp_path, capsys, name, argv):
     expected = run(capsys, *argv, str(plain))
     assert expected[0] == cli.EXIT_OK
     assert run(capsys, *argv, str(marked)) == expected
+
+
+# Help and usage text are argparse's: pinned byte for byte at 80 columns.
+QUERY_USAGE = """\
+usage: motionsem query [-h] [--lang {fr,en}] [--mobile MOBILE]
+                       [--format {text,records}] [--lexicon PATH]
+                       [--rules PATH]
+                       verb prep ground
+"""
+TOP_USAGE = "usage: motionsem [-h] {query,corpus,lint} ...\n"
+DATA_OPTIONS_HELP = """\
+options:
+  -h, --help      show this help message and exit
+  --lexicon PATH  lexicon file; repeatable, one per language (default: bundled
+                  seeds)
+  --rules PATH    rule base file (default: bundled rules)
+"""
+GO_OUT_RECORDS = (
+    "mobile mobile\nlref lref#go-out\nground garden\ngarden post inside prep\n"
+    "lref#go-out pre inside verb\nlref#go-out post proximal verb\n"
+)
+DASH_X_RECORDS = (
+    "mobile mobile\nlref lref#sortir\nground -x\n-x post inside interaction\n"
+    "lref#sortir pre inside verb\nlref#sortir post proximal verb\n"
+)
+
+# (argv, exit code, stdout, stderr)
+ARGPARSE_SURFACE = {
+    "help": (["--help"], 0, TOP_USAGE + """
+Spatiotemporal semantics of motion verb + preposition complexes
+
+positional arguments:
+  {query,corpus,lint}
+    query              compose one motion complex
+    corpus             run a corpus of golden cases
+    lint               validate lexicons and rule base coverage
+
+options:
+  -h, --help           show this help message and exit
+""", ""),
+    "query-help": (["query", "--help"], 0, QUERY_USAGE + """
+positional arguments:
+  verb
+  prep
+  ground
+
+options:
+  -h, --help            show this help message and exit
+  --lang {fr,en}
+  --mobile MOBILE
+  --format {text,records}
+                        full explanation or just the machine-diffable trace
+                        records
+  --lexicon PATH        lexicon file; repeatable, one per language (default:
+                        bundled seeds)
+  --rules PATH          rule base file (default: bundled rules)
+""", ""),
+    "corpus-help": (["corpus", "--help"], 0, """\
+usage: motionsem corpus [-h] [--lexicon PATH] [--rules PATH] corpus_path
+
+positional arguments:
+  corpus_path
+
+""" + DATA_OPTIONS_HELP, ""),
+    "lint-help": (
+        ["lint", "--help"], 0,
+        "usage: motionsem lint [-h] [--lexicon PATH] [--rules PATH]\n\n"
+        + DATA_OPTIONS_HELP,
+        "",
+    ),
+    "no-subcommand": (
+        [], 2, "",
+        TOP_USAGE + "motionsem: error: the following arguments are required: command\n",
+    ),
+    "missing-positional": (
+        ["query", "sortir", "dans"], 2, "",
+        QUERY_USAGE
+        + "motionsem query: error: the following arguments are required: ground\n",
+    ),
+    "invalid-choice": (
+        ["query", "sortir", "dans", "jardin", "--lang", "de"], 2, "",
+        QUERY_USAGE + "motionsem query: error: argument --lang: invalid choice: "
+        "'de' (choose from 'fr', 'en')\n",
+    ),
+    "unknown-option": (
+        ["query", "sortir", "dans", "jardin", "--bogus"], 2, "",
+        TOP_USAGE + "motionsem: error: unrecognized arguments: --bogus\n",
+    ),
+    "extra-positional": (
+        ["query", "sortir", "dans", "jardin", "public"], 2, "",
+        TOP_USAGE + "motionsem: error: unrecognized arguments: public\n",
+    ),
+    "abbreviated-option": (
+        ["query", "go-out", "into", "garden", "--la", "en", "--format", "records"],
+        0, GO_OUT_RECORDS, "",
+    ),
+    "equals-form": (
+        ["query", "go-out", "into", "garden", "--lang", "en", "--format=records"],
+        0, GO_OUT_RECORDS, "",
+    ),
+    "double-dash": (
+        ["query", "sortir", "dans", "--format", "records", "--", "-x"],
+        0, DASH_X_RECORDS, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ARGPARSE_SURFACE)
+def test_argparse_surface_is_pinned(tmp_path, case):
+    argv, code, out, err = ARGPARSE_SURFACE[case]
+    # -S: site plays no part in parsing, and the child starts faster without it
+    child = run_child(
+        ["-S", "-m", "motionsem.cli", *argv], tmp_path, capture_output=True,
+        env_extra={"COLUMNS": "80"},
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (
+        code, out.encode(), err.encode()
+    )
+
+
+@pytest.mark.parametrize("case", ARGPARSE_SURFACE)
+def test_main_matches_the_pinned_surface(monkeypatch, capsys, case):
+    argv, code, out, err = ARGPARSE_SURFACE[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        actual = cli.main(argv)
+    except SystemExit as exc:
+        actual = exc.code
+    assert (actual, *capsys.readouterr()) == (code, out, err)
+
+
+def parsed_by_argparse(argv):
+    """vars() of argparse's namespace for argv, or None if argparse rejects it."""
+    with (
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "sortir", "dans", "jardin"],
+        ["query", "--mobile", "", "sortir", "--lang", "en", "a b", "--format", "records",
+         "jar\u00a0din"],
+        ["corpus", "golden.corpus", "--rules", "a.rules", "--rules", "b.rules"],
+        ["lint", "--lexicon", "fr.lex", "--rules", "x.rules", "--lexicon", "en.lex"],
+        ["lint"],
+    ],
+    ids=["query", "query-mixed", "corpus-last-rules-wins", "lint-lexicons-append",
+         "lint"],
+)
+def test_reader_takes_the_plain_form_as_argparse_does(argv):
+    read = cli._read_plain(argv)
+    assert read is not None and vars(read) == parsed_by_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--help"],
+        ["lint", "--help"],
+        ["query", "sortir", "dans"],
+        ["query", "sortir", "dans", "jardin", "public"],
+        ["lint", "extra"],
+        ["query", "sortir", "dans", "jardin", "--la", "en"],
+        ["lint", "--lex", "fr.lex"],
+        ["query", "sortir", "dans", "jardin", "--lang", "de"],
+        ["query", "sortir", "dans", "jardin", "--format", "Records"],
+        ["query", "sortir", "dans", "jardin", "--format=records"],
+        ["query", "sortir", "dans", "--", "-x"],
+        ["query", "sortir", "dans", "jardin", "--mobile", "-x"],
+        ["query", "sortir", "dans", "jardin", "--lang"],
+        ["query", "sortir", "dans", "-x"],
+    ],
+)
+def test_reader_leaves_all_but_the_plain_form_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+# Mostly plain words, a command's own full flags and good values, so that the
+# reader answers often; the rest are forms it must leave to argparse.
+WORDS = ["sortir", "dans", "jardin", "", " ", "a b", "jar\u00a0din", "query"] * 5 + [
+    "-x", "-1", "-", "--"
+]
+GOOD_VALUES = {
+    "--lang": ["fr", "en"],
+    "--mobile": ["la balle", "", "en"],
+    "--format": ["text", "records"],
+    "--lexicon": ["fr.lex", "en.lex"],
+    "--rules": ["x.rules"],
+}
+OTHER_FLAGS = [
+    "--la", "--lex", "--l", "--form", "--lang=en", "--format=records", "--bogus", "-h",
+    "--", "--LANG", "--lang", "--format",
+]
+ARITY = {"query": 3, "corpus": 1, "lint": 0}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*ARITY] * 3 + ["quer", "-h"]))
+    count = draw(st.sampled_from([ARITY.get(command, 0)] * 4 + [0, 1, 2, 3, 4]))
+    chunks = [[draw(st.sampled_from(WORDS))] for _ in range(count)]
+    own = list(GOOD_VALUES) if command == "query" else ["--lexicon", "--rules"]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own * 10 + OTHER_FLAGS))
+        good = GOOD_VALUES.get(flag, ["en"])
+        value = draw(st.sampled_from(good * 12 + ["de", "Records", "-x", "--lang", None]))
+        chunks.append([flag] if value is None else [flag, value])
+    order = draw(st.permutations(range(len(chunks))))
+    return [command, *(word for index in order for word in chunks[index])]
+
+
+@given(command_lines())
+def test_reader_agrees_with_argparse_whenever_it_answers(argv):
+    read = cli._read_plain(argv)
+    if read is not None:
+        assert vars(read) == parsed_by_argparse(argv)

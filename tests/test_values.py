@@ -187,6 +187,12 @@ def test_benchmark_api_is_present():
     assert len(BENCHMARK_API) == 14
     for name in BENCHMARK_API:
         assert name in motionsem.__all__ and callable(getattr(motionsem, name))
+    # names the package resolves on first use must stay as public as the rest
+    star: dict = {}
+    exec("from motionsem import *", star)
+    for name in motionsem.__all__:
+        assert star[name] is getattr(motionsem, name)
+    assert set(star) - {"__builtins__"} == set(motionsem.__all__)
     # the traced benchmark counts guard checks by wrapping Guard.matches; a
     # matches inherited or renamed would silently stop the count
     assert "matches" in motionsem.rules.Guard.__dict__
