@@ -27,7 +27,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .compose import MotionComplex, compose, explain
+from .compose import MotionComplex, check_names, compose, explain
 from .errors import (
     FormatError,
     MotionSemError,
@@ -59,13 +59,6 @@ _EXIT_CODES = {
     "AmbiguousRuleBase": EXIT_AMBIGUOUS,
 }
 
-# The Unicode space separators (category Zs) other than U+0020, mapped to it:
-# a name may hold them, but str.isprintable counts only U+0020 as printable.
-_SPACE_SEPARATORS = dict.fromkeys(
-    (0x00A0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " "
-)
-
-
 def _load_lexicons(paths: list[str] | None, languages=LANGUAGES) -> dict[str, Lexicon]:
     if not paths:
         return {lang: default_lexicon(lang) for lang in languages}
@@ -87,12 +80,7 @@ def _load_rules(path: str | None) -> RuleBase:
 def cmd_query(args: SimpleNamespace | argparse.Namespace) -> int:
     try:
         complex_ = MotionComplex(args.verb, args.prep, args.ground, args.mobile, args.lang)
-        for name, value in zip(MotionComplex._fields, complex_[:4]):
-            printable = value.translate(_SPACE_SEPARATORS).isprintable()
-            if value.isspace() or not printable:  # one record a line
-                raise ValueError(
-                    f"motion complex field {name} must be printable and not blank"
-                )
+        check_names(complex_)
     except ValueError as exc:  # an empty, blank or unprintable field is a usage error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD_ERROR

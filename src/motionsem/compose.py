@@ -29,17 +29,11 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .errors import (
-    AmbiguousRuleBaseError,
-    IllFormedEntryError,
-    InfelicitousError,
-    NotACoLVerbError,
-    UnknownLanguageError,
-)
+from .errors import IllFormedEntryError, NotACoLVerbError, UnknownLanguageError
 from .lexicon import (
     Lexicon, PrepEntry, VerbEntry, _new, _require_zones, lookup_prep, lookup_verb
 )
-from .rules import ComplexFeatures, CompositionRule, RuleBase
+from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
 from .trace import (
     PROVENANCE_DISPLAY,
     Provenance,
@@ -76,12 +70,24 @@ class MotionComplex(_MotionComplexFields):
         return cls(*iterable)  # so _replace validates too
 
 
-class Defeat(NamedTuple):
-    """A rule that was applicable but did not fire."""
+# The Unicode space separators (category Zs) other than U+0020, mapped to it:
+# a name may hold them, but str.isprintable counts only U+0020 as printable.
+_SPACE_SEPARATORS = dict.fromkeys(
+    (0x00A0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " "
+)
 
-    rule_id: str
-    defeated_by: str | None
-    reason: str
+
+def check_names(complex_: MotionComplex) -> None:
+    """The name rule of `query` and corpus INPUT: each name prints on one line.
+
+    Raises ValueError if the verb, preposition, ground or mobile is blank
+    or unprintable; compose() itself takes any nonempty name.
+    """
+    for name, value in zip(MotionComplex._fields, complex_[:4]):
+        if value.isspace() or not value.translate(_SPACE_SEPARATORS).isprintable():
+            raise ValueError(
+                f"motion complex field {name} must be printable and not blank"
+            )
 
 
 class Derivation(NamedTuple):
@@ -187,11 +193,9 @@ def compose(
 ) -> Derivation:
     """Derive the spatiotemporal trace of a motion complex.
 
-    Applicable rules are tried from strongest to weakest.  A forbid rule
-    vetoes every identify conclusion ranked below it; a conclusion whose
-    constraints clash is skipped.  The first rule that yields a
-    well-formed trace fires; if none does, the combination is
-    semantically anomalous.
+    rules.resolve, which lint runs too, tries the applicable rules from
+    strongest to weakest: the first that yields a well-formed trace
+    fires, and if none does, the combination is semantically anomalous.
 
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
@@ -260,48 +264,12 @@ def _derive(
     complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase,
     one_location: bool,
 ) -> tuple:
-    """The memo entry for a complex's shape (see compose() and _orders)."""
+    """The memo entry for a complex's shape (see compose(), resolve and _orders)."""
     features = compute_features(verb, prep)
-    candidates, tie = rules.ranking(features)
-
-    defeated: list[Defeat] = []
-    veto: CompositionRule | None = None
-    for index, rule in enumerate(candidates):
-        if tie is not None and index == tie[0]:
-            raise AmbiguousRuleBaseError(
-                f"rules {', '.join(tie[1])} tie on strength and priority for "
-                f"{complex.verb_lemma} + {complex.prep_lemma}"
-            )
-        if rule.conclusion.kind == "forbid":
-            if veto is None:
-                veto = rule
-            continue
-        if rule.conclusion.kind == "identify" and veto is not None:
-            defeated.append(
-                Defeat(rule.id, veto.id, "identification forbidden")
-            )
-            continue
-        orders = _orders(rule, verb, prep, one_location)
-        if orders is None:
-            defeated.append(Defeat(rule.id, None, "conclusion inconsistent"))
-            continue
-        break
-    else:
-        raise InfelicitousError(
-            f"no rule yields a well-formed trace for "
-            f"{complex.verb_lemma} + {complex.prep_lemma} + {complex.ground}"
-        )
-
-    fired = rule
-    for rule in candidates[index + 1 :]:
-        if rule.conclusion.kind == "forbid":
-            continue
-        if fired.guard.subsumes(rule.guard):
-            defeated.append(Defeat(rule.id, fired.id, "guard subsumed"))
-        else:
-            defeated.append(Defeat(rule.id, fired.id, "lower priority"))
-
-    return features, fired, tuple(defeated), orders
+    fired, orders, defeated = resolve(
+        features, rules, lambda rule: _orders(rule, verb, prep, one_location), complex
+    )
+    return features, fired, defeated, orders
 
 
 def _orders(
@@ -330,7 +298,7 @@ def _orders(
         zone = prep.effective_zone if zone is None else zone
         source = _PREP_SOURCE if source is None else source
     else:
-        return None  # forbid conclusions never materialize
+        return None  # resolve() passes no forbid; no other kind builds rows
 
     zones = verb_constraints(verb)  # the lref's, a fresh dict
     if not one_location:

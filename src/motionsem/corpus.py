@@ -9,19 +9,20 @@ Corpus files are line oriented:
     END
 
 INPUT fields are tab separated when the line contains a tab (lemmas may
-hold spaces) and whitespace separated otherwise.  EXPECT lines mirror
-the trace record lines: the last three fields are the phase, zone and
-provenance labels, in any case (an unknown one raises UnknownNameError,
-as in every data file), and all before them is the location, which may
-hold spaces.  A case expects either assignment tuples or one error name,
-never both.
+hold spaces) and separated by ASCII whitespace otherwise; each name
+follows the rule of `motionsem query` (compose.check_names).  EXPECT
+lines mirror the trace record lines: the last three fields are the
+phase, zone and provenance labels, in any case (an unknown one raises
+UnknownNameError, as in every data file), and all before them is the
+location, which may hold spaces.  A case expects either assignment
+tuples or one error name, never both.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .compose import MotionComplex, compose
+from .compose import MotionComplex, check_names, compose
 from .errors import (
     FormatError,
     IllFormedEntryError,
@@ -94,10 +95,16 @@ class CorpusReport(NamedTuple):
         return "\n".join(lines)
 
 
+# ASCII only: str.split() and str.strip() also take U+00A0, which a name may hold.
+_WHITESPACE = " \t\n\r\x0b\x0c"
+_TO_TAB = str.maketrans(dict.fromkeys(_WHITESPACE, "\t"))
+
+
 def _split_input(rest: str) -> list[str]:
-    if "\t" in rest:
-        return [f.strip() for f in rest.split("\t") if f.strip()]
-    return rest.split()
+    if "\t" not in rest:
+        rest = rest.translate(_TO_TAB)
+    fields = [field.strip(_WHITESPACE) for field in rest.split("\t")]
+    return [field for field in fields if field]
 
 
 def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
@@ -150,6 +157,7 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                         mobile="mobile",
                         language=parts[3],
                     )
+                    check_names(complex_)
                 except ValueError as exc:
                     raise IllFormedEntryError(str(exc)) from None
             elif tag == "EXPECT":

@@ -105,7 +105,11 @@ class InfelicitousError(MotionSemError):
 
 
 class AmbiguousRuleBaseError(MotionSemError):
-    """Two applicable rules tie on strength and priority."""
+    """Two applicable rules tie on strength and priority (rule_ids, sorted)."""
+
+    def __init__(self, message: str, rule_ids: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.rule_ids = rule_ids
 
 
 # Names used on EXPECT-ERROR corpus lines and in CLI diagnostics.

@@ -31,9 +31,13 @@ an error, never silently ordered.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, NamedTuple, Sequence
+import itertools
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .errors import FormatError, IllFormedEntryError, data_lines, read_bundled
+from .errors import (
+    AmbiguousRuleBaseError, FormatError, IllFormedEntryError, InfelicitousError,
+    data_lines, read_bundled,
+)
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
 
@@ -152,21 +156,12 @@ class CompositionRule(NamedTuple):
         )
 
 
-Tie = tuple[int, tuple[str, ...]]  # position in a ranked list, sorted rule ids
+class Defeat(NamedTuple):
+    """A rule that was applicable but did not fire."""
 
-
-def first_tie(ranked: Sequence[CompositionRule]) -> Tie | None:
-    """The first group of rules in a ranked list sharing strength and priority.
-
-    Returns the group's position and its sorted rule ids, or None when
-    every rank is held by a single rule.
-    """
-    for index in range(len(ranked) - 1):
-        key = ranked[index].sort_key()
-        if ranked[index + 1].sort_key() == key:
-            ids = sorted(r.id for r in ranked[index:] if r.sort_key() == key)
-            return index, tuple(ids)
-    return None
+    rule_id: str
+    defeated_by: str | None
+    reason: str
 
 
 @functools.lru_cache(maxsize=8)
@@ -189,8 +184,7 @@ class RuleBase:
     types (43 is not 43.0) shares one memo: construction takes it from a
     registry of the last 8 rule tuples, and a base the registry has since
     dropped keeps its own.  Sharing never changes a result, and
-    concurrent fills at worst compute the same value twice.  Rankings
-    are not memoized: ranking() is one pass over the rules.  Its fields
+    concurrent fills at worst compute the same value twice.  Its fields
     cannot be reassigned.
     """
 
@@ -218,13 +212,6 @@ class RuleBase:
 
     def __repr__(self) -> str:
         return f"RuleBase(version={self.version!r}, rules={self.rules!r})"
-
-    def ranking(
-        self, features: ComplexFeatures
-    ) -> tuple[tuple[CompositionRule, ...], Tie | None]:
-        """The applicable rules for features, ranked, and their first tie."""
-        ranked = tuple(applicable_rules(features, self))
-        return ranked, first_tie(ranked)
 
     def with_rule(self, rule: CompositionRule) -> "RuleBase":
         """A copy of this base with one extra rule (ids must stay unique)."""
@@ -370,21 +357,6 @@ PREP_SHAPES: tuple[tuple[str, LrefRole | None], ...] = (
 )
 
 
-def _completions(
-    lref_role: LrefRole, prep_kind: str, prep_role: LrefRole | None
-) -> list[ComplexFeatures]:
-    attained_values: tuple[bool | None, ...]
-    if prep_kind == "dir" and prep_role is LrefRole.FINAL:
-        attained_values = (True, False)
-    else:
-        attained_values = (None,)
-    return [
-        ComplexFeatures(lref_role, prep_kind, prep_role, compat, att)
-        for compat in (True, False)
-        for att in attained_values
-    ]
-
-
 class LintCell(NamedTuple):
     lref_role: LrefRole
     prep_kind: str
@@ -432,31 +404,88 @@ def applicable_rules(
     return hits
 
 
-def lint_rulebase(base: RuleBase) -> LintReport:
-    """Check the 12-cell grid for uncovered cells and possible ties.
+def resolve(
+    features: ComplexFeatures, base: RuleBase, build: Callable, names: Sequence[str]
+) -> tuple[CompositionRule, Any, tuple[Defeat, ...]]:
+    """The rule that fires for features, what it builds, and the defeats.
 
-    A cell gaps when some feature completion (zone compatibility,
-    attainment) leaves it with no conclusion-producing rule; a veto-only
-    cell is still a gap.  A possible tie is a completion where the two
-    top-ranked applicable rules share strength and priority.
+    The one resolution of a rule base, run by compose() and lint alike:
+    one pass over applicable_rules().  A tie the pass reaches before a
+    rule fires raises AmbiguousRuleBaseError; a forbid vetoes every
+    identify below it; build(rule) gives what an identify or bind makes,
+    or None if it is inconsistent, and the first that makes something
+    fires (else InfelicitousError).  Each later rule but a forbid is
+    defeated, "guard subsumed" if the fired guard is more specific.  The
+    errors name the verb, preposition and ground in names.
     """
-    gaps: list[LintCell] = []
+    candidates = applicable_rules(features, base)
+    defeated: list[Defeat] = []
+    veto: CompositionRule | None = None
+    for index, rule in enumerate(candidates):
+        key = rule.sort_key()
+        ids = tuple(sorted(r.id for r in candidates[index:] if r.sort_key() == key))
+        if len(ids) > 1:
+            raise AmbiguousRuleBaseError(
+                f"rules {', '.join(ids)} tie on strength and priority for "
+                f"{' + '.join(names[:2])}",
+                ids,
+            )
+        if rule.conclusion.kind == "forbid":
+            veto = veto or rule  # the highest forbid vetoes
+            continue
+        if rule.conclusion.kind == "identify" and veto is not None:
+            defeated.append(Defeat(rule.id, veto.id, "identification forbidden"))
+            continue
+        built = build(rule)
+        if built is not None:
+            break
+        defeated.append(Defeat(rule.id, None, "conclusion inconsistent"))
+    else:
+        raise InfelicitousError(
+            f"no rule yields a well-formed trace for {' + '.join(names[:3])}"
+        )
+
+    for later in candidates[index + 1 :]:
+        if later.conclusion.kind != "forbid":
+            subsumed = rule.guard.subsumes(later.guard)
+            reason = "guard subsumed" if subsumed else "lower priority"
+            defeated.append(Defeat(later.id, rule.id, reason))
+    return rule, built, tuple(defeated)
+
+
+def _well_formed(features: ComplexFeatures, rule: CompositionRule) -> bool | None:
+    """lint's build for resolve(): whether a conclusion holds for loaded entries.
+
+    An identify holds iff the zones are compatible (compose's own check).
+    A bind always does, as a loaded verb's zones never jump: a non-medial
+    verb has no during phase and the medial path is contact->inside->contact.
+    """
+    kind = rule.conclusion.kind
+    return kind == "bind" or kind == "identify" and features.zone_compatible or None
+
+
+def lint_rulebase(base: RuleBase) -> LintReport:
+    """Check the 12-cell grid for feature vectors that compose() rejects.
+
+    Runs resolve() with _well_formed on each completion (zone
+    compatibility, attainment) of each cell.  A cell gaps when one raises
+    InfelicitousError (a veto-only cell is a gap) and lists the rules of
+    each AmbiguousRuleBaseError as a tie.  So a base that lint passes
+    never makes compose() raise either for entries a lexicon loads,
+    unless the ground is named like the reference location.
+    """
+    gaps: dict[LintCell, None] = {}
     ties: list[tuple[LintCell, str]] = []
-
-    for lref_role in LrefRole:
-        for prep_kind, prep_role in PREP_SHAPES:
-            cell = LintCell(lref_role, prep_kind, prep_role)
-            cell_gap = False
-            cell_ties: list[str] = []
-            for features in _completions(lref_role, prep_kind, prep_role):
-                hits, tie = base.ranking(features)
-                if not any(r.conclusion.kind != "forbid" for r in hits):
-                    cell_gap = True
-                if tie is not None and tie[0] == 0:
-                    cell_ties.append("/".join(tie[1]))
-            if cell_gap:
-                gaps.append(cell)
-            for tie in sorted(set(cell_ties)):
-                ties.append((cell, tie))
-
+    for cell in [LintCell(role, *shape) for role in LrefRole for shape in PREP_SHAPES]:
+        cell_ties: set[str] = set()
+        attained = (True, False) if cell.prep_role is LrefRole.FINAL else (None,)
+        for compatible, attainment in itertools.product((True, False), attained):
+            features = ComplexFeatures(*cell, compatible, attainment)
+            try:
+                resolve(features, base, functools.partial(_well_formed, features), ())
+            except InfelicitousError:
+                gaps[cell] = None
+            except AmbiguousRuleBaseError as exc:
+                cell_ties.add("/".join(exc.rule_ids))
+        ties += [(cell, tie) for tie in sorted(cell_ties)]
     return LintReport(gap_cells=tuple(gaps), tie_cells=tuple(ties))

@@ -4,6 +4,8 @@ Hand-built verb entries skip the class inventory, so they reach every
 role x start zone x end zone: 48 verb shapes.  With the 20 preposition
 shapes that makes 960, the bound of a rule base's derivation memo.  The
 shape lexicons are built once and shared by every test that sweeps them.
+A lexicon file loads only 21 of the verb shapes (inventory_verb_shapes),
+so 420 shapes in all.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 import io
 
-from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry
+from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_class_inventory
 from motionsem.rules import default_rulebase, load_rulebase
 from motionsem.zones import LrefRole, Zone
 
@@ -47,3 +49,15 @@ def shape_lexicons(lemma: str) -> tuple[Lexicon, ...]:
         for verb in VERB_SHAPES
         for prep in PREP_SHAPES
     )
+
+
+def inventory_verb_shapes() -> list[tuple[LrefRole, Zone, Zone]]:
+    """The 21 verb shapes a lexicon file loads.
+
+    Initial and final verbs take each begin/end pair of the class
+    inventory, and medial verbs the fixed path encoding contact->contact.
+    """
+    pairs = sorted(default_class_inventory())
+    return [
+        (role, *pair) for role in (LrefRole.INITIAL, LrefRole.FINAL) for pair in pairs
+    ] + [(LrefRole.MEDIAL, Zone.CONTACT, Zone.CONTACT)]

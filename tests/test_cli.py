@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motionsem import cli, default_lexicon, default_rulebase
-from motionsem.compose import MotionComplex, compose, explain
+from motionsem.compose import _SPACE_SEPARATORS, MotionComplex, compose, explain
 from motionsem.trace import render_records
 
 GOLDEN = str(resources.files("motionsem.data").joinpath("golden.corpus"))
@@ -162,8 +162,8 @@ def test_space_separators_are_the_unicode_zs_category():
         point for point in range(sys.maxunicode + 1)
         if unicodedata.category(chr(point)) == "Zs"
     }
-    assert set(cli._SPACE_SEPARATORS) == zs - {ord(" ")}
-    assert set(cli._SPACE_SEPARATORS.values()) == {" "}
+    assert set(_SPACE_SEPARATORS) == zs - {ord(" ")}
+    assert set(_SPACE_SEPARATORS.values()) == {" "}
 
 
 def test_exit_codes_are_distinct():
@@ -247,6 +247,24 @@ def test_lint_reports_gaps(tmp_path, capsys):
     code, out, _ = run(capsys, "lint", "--rules", str(rules))
     assert code == cli.EXIT_LOAD_ERROR
     assert "gaps (3 cells)" in out
+
+
+def test_lint_fails_a_base_that_fails_at_run_time(tmp_path, capsys):
+    rules = tmp_path / "witness.rules"
+    rules.write_text(
+        "R\tF\tstrict\t90\tprepkind=pos\tforbid(identify)\n"
+        "R\tA\tdefeasible\t10\tprepkind=pos\tbind(post)\n"
+        "R\tB\tdefeasible\t10\tprepkind=pos\tbind(pre)\n"
+        "R\tI\tdefeasible\t5\tprepkind=dir\tidentify\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "lint", "--rules", str(rules))
+    assert code == cli.EXIT_LOAD_ERROR
+    assert "gaps (9 cells):" in out and "possible ties (3):" in out
+    assert "  initial x pos: A/B\n" in out
+    query = ("query", "--rules", str(rules))
+    assert run(capsys, *query, "sortir", "dans", "jardin")[0] == cli.EXIT_AMBIGUOUS
+    assert run(capsys, *query, "entrer", "vers", "jardin")[0] == cli.EXIT_INFELICITOUS
 
 
 def test_lint_duplicate_lexicon_lemma(tmp_path, capsys):

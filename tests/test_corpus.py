@@ -8,6 +8,7 @@ from importlib import resources
 
 import pytest
 
+from motionsem.compose import MotionComplex, compose
 from motionsem.corpus import parse_corpus, run_corpus
 from motionsem.errors import IllFormedEntryError
 from motionsem.lexicon import default_lexicon
@@ -55,6 +56,53 @@ def test_input_tabs_allow_spaced_lemmas():
         "CASE a\nINPUT\tse baisser\tdans\tville\tfr\nEXPECT-ERROR NotACoLVerb\nEND\n"
     )
     assert case.complex.verb_lemma == "se baisser"
+
+
+@pytest.mark.parametrize("separator", [" ", "\t"], ids=["spaces", "tabs"])
+def test_input_keeps_a_no_break_space_in_a_name(separator):
+    ground = "jardin\u00a0public"
+    derivation = compose(
+        MotionComplex("sortir", "dans", ground, "mobile", "fr"), LEXICONS["fr"], RULES
+    )
+    expect = "".join(f"EXPECT {' '.join(t)}\n" for t in derivation.trace.tuples())
+    fields = separator.join(["INPUT", "sortir", "dans", ground, "fr"])
+    (case,) = parse(f"CASE a\n{fields}\n{expect}END\n")
+    assert case.complex == derivation.complex
+    assert run_corpus([case], LEXICONS, RULES).ok
+
+
+# Names that `motionsem query` refuses.  A list of lines, unlike a file,
+# can hold a line feed inside one, but only between tabs: among spaces it
+# separates fields.
+REFUSED_NAMES = {
+    "nel": "jar\x85din",
+    "line-separator": "jar\u2028din",
+    "blank": "\u00a0\u2003",
+    "newline": "jar\ndin",
+}
+
+
+@pytest.mark.parametrize(
+    "ground, separator",
+    [
+        pytest.param(ground, separator, id=f"{key}-{label}")
+        for key, ground in REFUSED_NAMES.items()
+        for label, separator in (("spaces", " "), ("tabs", "\t"))
+        if key != "newline" or label == "tabs"
+    ],
+)
+def test_input_refuses_a_name_that_query_refuses(ground, separator):
+    fields = separator.join(["INPUT", "sortir", "dans", ground, "fr"])
+    with pytest.raises(IllFormedEntryError) as err:
+        parse_corpus(["CASE a\n", fields + "\n", "EXPECT-ERROR X\n", "END\n"])
+    message = "line 2: motion complex field ground must be printable and not blank"
+    assert str(err.value) == message
+
+
+def test_input_drops_a_field_of_ascii_spaces():
+    with pytest.raises(IllFormedEntryError) as err:
+        parse("CASE a\nINPUT\tsortir\tdans\t \tfr\nEXPECT-ERROR X\nEND\n")
+    assert str(err.value) == "line 2: INPUT needs <verb> <prep> <ground> <lang>"
 
 
 def test_empty_corpus():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from motionsem.errors import IllFormedEntryError
+from motionsem.compose import MotionComplex, compose, compute_features
+from motionsem.errors import AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError
+from motionsem.lexicon import load_lexicon
 from motionsem.rules import (
     _GUARD_VALUES,
     GUARD_KEYS,
@@ -15,6 +19,9 @@ from motionsem.rules import (
     CompositionRule,
     Conclusion,
     Guard,
+    LintCell,
+    RuleBase,
+    _well_formed,
     applicable_rules,
     default_rulebase,
     dump_rulebase,
@@ -22,9 +29,12 @@ from motionsem.rules import (
     load_rulebase,
     parse_conclusion,
     parse_guard,
+    resolve,
 )
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
+
+from shapes import MEMO_BASES, PREP_SHAPES, inventory_verb_shapes
 
 
 def load(text: str):
@@ -296,6 +306,206 @@ def test_default_ranking_is_pinned():
     base = default_rulebase()
     assert set(DEFAULT_RANKING) == set(COMPLETIONS)
     for features in COMPLETIONS:
-        ranked, tie = base.ranking(features)
+        ranked = applicable_rules(features, base)
         assert " ".join(r.id for r in ranked) == DEFAULT_RANKING[features], features
-        assert tie is None
+        assert len({r.sort_key() for r in ranked}) == len(ranked)  # no tie
+
+
+# (lref_role, prep_kind, prep_role, zone_compatible, attained) -> the fired
+# rule, then each defeat: rule, reason, and the rule it was defeated by
+DEFAULT_DEFEATS = {
+    (I, "pos", None, True, None): "D1",
+    (I, "pos", None, False, None): "D2i",
+    (I, "dir", I, True, None): "D3i; D4i guard subsumed by D3i",
+    (I, "dir", I, False, None): "D4i; D3i identification forbidden by S1",
+    (I, "dir", M, True, None): "D4m",
+    (I, "dir", M, False, None): "D4m",
+    (I, "dir", F, True, True): "D4f",
+    (I, "dir", F, True, False): "D5; D4f guard subsumed by D5",
+    (I, "dir", F, False, True): "D4f",
+    (I, "dir", F, False, False): "D5; D4f guard subsumed by D5",
+    (M, "pos", None, True, None): "D1",
+    (M, "pos", None, False, None): "D2m",
+    (M, "dir", I, True, None): "D4i",
+    (M, "dir", I, False, None): "D4i",
+    (M, "dir", M, True, None): "D3m; D4m guard subsumed by D3m",
+    (M, "dir", M, False, None): "D4m; D3m identification forbidden by S1",
+    (M, "dir", F, True, True): "D4f",
+    (M, "dir", F, True, False): "D5; D4f guard subsumed by D5",
+    (M, "dir", F, False, True): "D4f",
+    (M, "dir", F, False, False): "D5; D4f guard subsumed by D5",
+    (F, "pos", None, True, None): "D1",
+    (F, "pos", None, False, None): "D2f",
+    (F, "dir", I, True, None): "D4i",
+    (F, "dir", I, False, None): "D4i",
+    (F, "dir", M, True, None): "D4m",
+    (F, "dir", M, False, None): "D4m",
+    (F, "dir", F, True, True): "D3f; D4f guard subsumed by D3f",
+    (F, "dir", F, True, False): "D3f; D5 lower priority by D3f; D4f guard subsumed by D3f",
+    (F, "dir", F, False, True): "D4f; D3f identification forbidden by S1",
+    (F, "dir", F, False, False): (
+        "D5; D3f identification forbidden by S1; D4f guard subsumed by D5"
+    ),
+}
+
+
+def outcome_line(fired, defeated) -> str:
+    return "; ".join(
+        [fired.id]
+        + [f"{d.rule_id} {d.reason}" + (f" by {d.defeated_by}" if d.defeated_by else "")
+           for d in defeated]
+    )
+
+
+def lint_resolve(features, base):
+    """resolve() as lint runs it, deciding conclusions on the features alone."""
+    return resolve(features, base, functools.partial(_well_formed, features), ())
+
+
+def test_default_defeats_are_pinned():
+    base = default_rulebase()
+    assert set(DEFAULT_DEFEATS) == set(COMPLETIONS)
+    for features in COMPLETIONS:
+        fired, built, defeated = lint_resolve(features, base)
+        assert built is True
+        assert outcome_line(fired, defeated) == DEFAULT_DEFEATS[features], features
+
+
+def inventory_lexicon():
+    """One lexicon file holding every verb shape and preposition shape it can load."""
+    lines = ["LANG\tfr"]
+    for index, (role, start, end) in enumerate(inventory_verb_shapes()):
+        lines.append(f"V\tv{index}\tCoL\t{role.label}\t{start.label}\t{end.label}")
+    for index, prep in enumerate(PREP_SHAPES):
+        role = "" if prep.role is None else f"\t{prep.role.label}"
+        attained = "" if prep.attained is None else f"\tattained={prep.attained}".lower()
+        lines.append(f"P\tp{index}\t{prep.kind}{role}\t{prep.zone.label}{attained}")
+    return load_lexicon(lines)
+
+
+INVENTORY = inventory_lexicon()
+# The one completion that no shape a lexicon loads reaches: the medial path
+# contact->inside->contact is zone compatible with a directional-final
+# preposition only if the preposition's zone is contact, and an unattained
+# one commits to proximal instead.
+UNREACHED = ComplexFeatures(M, "dir", F, True, False)
+
+
+def verdict(call):
+    """None if call returns; else what lint reports for its error."""
+    try:
+        call()
+    except InfelicitousError:
+        return "gap"
+    except AmbiguousRuleBaseError as exc:
+        return "/".join(exc.rule_ids)
+    return None
+
+
+def run_time_verdicts(base):
+    """compose()'s verdicts on the 420 inventory shapes, by feature vector."""
+    found: dict[ComplexFeatures, set] = {}
+    for verb in INVENTORY.verbs.values():
+        for prep in INVENTORY.preps.values():
+            complex_ = MotionComplex(verb.lemma, prep.lemma, "g", "m", "fr")
+            seen = found.setdefault(compute_features(verb, prep), set())
+            seen.add(verdict(lambda: compose(complex_, INVENTORY, base)))
+    return found
+
+
+def assert_lint_is_run_time(base):
+    """Lint reports a cell for a completion exactly when compose() raises there."""
+    found = run_time_verdicts(base)
+    assert set(COMPLETIONS) - set(found) == {UNREACHED}
+    verdicts = {features: verdict(lambda: lint_resolve(features, base))
+                for features in COMPLETIONS}
+    for features, seen in found.items():
+        assert seen == {verdicts[features]}, features
+
+    gaps: dict[LintCell, None] = {}
+    ties: dict[LintCell, set] = {}
+    for features in COMPLETIONS:
+        cell, found_verdict = LintCell(*features[:3]), verdicts[features]
+        if found_verdict == "gap":
+            gaps[cell] = None
+        elif found_verdict is not None:
+            ties.setdefault(cell, set()).add(found_verdict)
+    report = lint_rulebase(base)
+    assert report.gap_cells == tuple(gaps)
+    assert report.tie_cells == tuple(
+        (cell, ids) for cell, tied in ties.items() for ids in sorted(tied)
+    )
+    return report, found
+
+
+def test_inventory_lexicon_loads_420_shapes():
+    assert len(INVENTORY.verbs) == 21 and len(INVENTORY.preps) == 20
+    assert sorted(
+        tuple(prep[1:]) for prep in INVENTORY.preps.values()
+    ) == sorted(tuple(prep[1:]) for prep in PREP_SHAPES)
+
+
+WITNESS = load(
+    rule_line("F", "strict", 90, "prepkind=pos", "forbid(identify)")
+    + rule_line("A", "defeasible", 10, "prepkind=pos", "bind(post)")
+    + rule_line("B", "defeasible", 10, "prepkind=pos", "bind(pre)")
+    + rule_line("I", "defeasible", 5, "prepkind=dir", "identify")
+)
+
+
+def test_lint_fails_a_tie_below_a_veto_and_an_inconsistent_identify():
+    report = lint_rulebase(WITNESS)
+    assert not report.ok
+    assert report.gap_cells == tuple(
+        LintCell(role, "dir", prep_role) for role in LrefRole for prep_role in LrefRole
+    )
+    assert report.tie_cells == tuple((LintCell(role, "pos", None), "A/B") for role in LrefRole)
+
+
+@pytest.mark.parametrize("name", [*sorted(MEMO_BASES), "witness"])
+def test_lint_is_run_time_on_every_inventory_shape(name):
+    assert_lint_is_run_time(MEMO_BASES.get(name, WITNESS))
+
+
+def test_defeats_at_run_time_match_the_pinned_ones():
+    base = default_rulebase()
+    for verb in INVENTORY.verbs.values():
+        for prep in INVENTORY.preps.values():
+            d = compose(MotionComplex(verb.lemma, prep.lemma, "g", "m", "fr"), INVENTORY, base)
+            assert outcome_line(d.fired, d.defeated) == DEFAULT_DEFEATS[d.features]
+
+
+DEFAULT_RULES = default_rulebase().rules
+ATOMS = [(key, value) for key in GUARD_KEYS for value in _GUARD_VALUES[key]]
+extra_rules = st.builds(
+    lambda strength, priority, atoms, conclusion: (strength, priority, atoms, conclusion),
+    st.sampled_from(("strict", "defeasible")),
+    st.sampled_from((1, 22, 50, 65, 100)),  # some tie with the default rules
+    st.lists(st.sampled_from(ATOMS), min_size=1, max_size=3, unique_by=lambda a: a[0]),
+    st.one_of(
+        st.just(Conclusion("identify")),
+        st.just(Conclusion("forbid")),
+        st.builds(
+            Conclusion,
+            st.just("bind"),
+            st.sampled_from(Phase),
+            st.none() | st.sampled_from(Zone),
+            st.none() | st.sampled_from(Provenance),
+        ),
+    ),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dropped=st.sets(st.sampled_from([r.id for r in DEFAULT_RULES]), max_size=3),
+    extra=st.lists(extra_rules, max_size=3),
+)
+def test_a_base_lint_passes_never_fails_at_run_time(dropped, extra):
+    rules = [r for r in DEFAULT_RULES if r.id not in dropped] + [
+        CompositionRule(f"X{index}", strength, priority, Guard(tuple(atoms)), conclusion)
+        for index, (strength, priority, atoms, conclusion) in enumerate(extra)
+    ]
+    report, found = assert_lint_is_run_time(RuleBase("generated", tuple(rules)))
+    if report.ok:
+        assert all(seen == {None} for seen in found.values())
