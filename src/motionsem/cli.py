@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .compose import MotionComplex, check_names, compose, explain
 from .errors import (
@@ -37,9 +36,6 @@ from .errors import (
 from .lexicon import LANGUAGES, Lexicon, default_lexicon, load_lexicon, lookup_lexicon
 from .rules import RuleBase, default_rulebase, lint_rulebase, load_rulebase
 from .trace import render_records
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_CORPUS_FAILURES = 1

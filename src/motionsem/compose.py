@@ -25,9 +25,10 @@ _plain_layout).  Neither cache ever changes a result.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from collections.abc import Callable
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from .errors import IllFormedEntryError, NotACoLVerbError, UnknownLanguageError
 from .lexicon import (
@@ -45,15 +46,9 @@ from .trace import (
 from .zones import LrefRole, Phase, Zone
 
 
-class _MotionComplexFields(NamedTuple):
-    verb_lemma: str
-    prep_lemma: str
-    ground: str
-    mobile: str
-    language: str
-
-
-class MotionComplex(_MotionComplexFields):
+class MotionComplex(namedtuple(
+    "MotionComplex", "verb_lemma prep_lemma ground mobile language"
+)):
     """A pre-parsed motion description: verb, preposition, ground, mobile."""
 
     __slots__ = ()
@@ -90,14 +85,13 @@ def check_names(complex_: MotionComplex) -> None:
             )
 
 
-class Derivation(NamedTuple):
-    """The outcome of one composition: exactly one fired rule plus audit trail."""
+class Derivation(namedtuple("Derivation", "complex features fired defeated trace")):
+    """The outcome of one composition: exactly one fired rule plus audit trail.
 
-    complex: MotionComplex
-    features: ComplexFeatures
-    fired: CompositionRule
-    defeated: tuple[Defeat, ...]
-    trace: SpatiotemporalTrace
+    defeated holds a Defeat per applicable rule that did not fire.
+    """
+
+    __slots__ = ()
 
 
 # Enum members read once: a class attribute read costs about 130 ns a time.

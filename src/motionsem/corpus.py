@@ -8,19 +8,21 @@ Corpus files are line oriented:
     EXPECT-ERROR <name>
     END
 
-INPUT fields are tab separated when the line contains a tab (lemmas may
-hold spaces) and separated by ASCII whitespace otherwise; each name
-follows the rule of `motionsem query` (compose.check_names).  EXPECT
-lines mirror the trace record lines: the last three fields are the
-phase, zone and provenance labels, in any case (an unknown one raises
-UnknownNameError, as in every data file), and all before them is the
-location, which may hold spaces.  A case expects either assignment
-tuples or one error name, never both.
+Lines are cut and stripped at ASCII whitespace only, so a name may hold a
+no-break space anywhere.  INPUT fields are tab separated when the line
+contains a tab (lemmas may hold spaces) and separated by ASCII whitespace
+otherwise; each name follows the rule of `motionsem query`
+(compose.check_names).  EXPECT lines mirror the trace record lines: the
+last three fields are the phase, zone and provenance labels, in any case
+(an unknown one raises UnknownNameError, as in every data file), and all
+before them is the location, which may hold spaces.  A case expects
+either assignment tuples or one error name, never both.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .compose import MotionComplex, check_names, compose
 from .errors import (
@@ -35,28 +37,28 @@ from .rules import RuleBase
 from .trace import Provenance
 from .zones import Phase, Zone
 
-Tuple4 = tuple[str, str, str, str]
+
+class CorpusCase(namedtuple(
+    "CorpusCase", "id complex expected_tuples expected_error", defaults=((), None)
+)):
+    """One case: a MotionComplex and either its tuples or an error name."""
+
+    __slots__ = ()
 
 
-class CorpusCase(NamedTuple):
-    id: str
-    complex: MotionComplex
-    expected_tuples: tuple[Tuple4, ...] = ()
-    expected_error: str | None = None
+class CaseResult(namedtuple(
+    "CaseResult", "case_id status fired_rule missing unexpected detail",
+    defaults=(None, (), (), ""),
+)):
+    """The outcome of one case; status is "pass", "fail" or "error"."""
+
+    __slots__ = ()
 
 
-class CaseResult(NamedTuple):
-    case_id: str
-    status: str  # "pass" | "fail" | "error"
-    fired_rule: str | None = None
-    missing: tuple[Tuple4, ...] = ()
-    unexpected: tuple[Tuple4, ...] = ()
-    detail: str = ""
+class CorpusReport(namedtuple("CorpusReport", "results rule_histogram")):
+    """Every case's result, in corpus order, and how often each rule fired."""
 
-
-class CorpusReport(NamedTuple):
-    results: tuple[CaseResult, ...]
-    rule_histogram: dict[str, int]
+    __slots__ = ()
 
     @property
     def passed(self) -> int:
@@ -95,7 +97,8 @@ class CorpusReport(NamedTuple):
         return "\n".join(lines)
 
 
-# ASCII only: str.split() and str.strip() also take U+00A0, which a name may hold.
+# ASCII only: str.split() and str.strip() also take U+00A0, which a name may hold,
+# so every line is cut and stripped at these alone.
 _WHITESPACE = " \t\n\r\x0b\x0c"
 _TO_TAB = str.maketrans(dict.fromkeys(_WHITESPACE, "\t"))
 
@@ -105,6 +108,18 @@ def _split_input(rest: str) -> list[str]:
         rest = rest.translate(_TO_TAB)
     fields = [field.strip(_WHITESPACE) for field in rest.split("\t")]
     return [field for field in fields if field]
+
+
+def _rsplit(text: str, count: int) -> list[str]:
+    """text.rsplit(None, count) of a stripped text, cut only at ASCII whitespace."""
+    fields: list[str] = []
+    for _ in range(count):
+        cut = text.translate(_TO_TAB).rfind("\t")
+        if cut < 0:
+            break
+        fields.append(text[cut + 1 :])
+        text = text[:cut].rstrip(_WHITESPACE)
+    return [text, *reversed(fields)]
 
 
 def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
@@ -119,13 +134,13 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
     case_id: str | None = None
     case_line = 0
     complex_: MotionComplex | None = None
-    tuples: list[Tuple4] = []
+    tuples: list[tuple[str, str, str, str]] = []
     error_name: str | None = None
 
     for lineno, line in data_lines(source):
-        head = line.split(None, 1)
-        tag = head[0]
-        rest = head[1].strip() if len(head) > 1 else ""
+        line = line.strip(_WHITESPACE)
+        cut = (line.translate(_TO_TAB) + "\t").find("\t")
+        tag, rest = line[:cut], line[cut:].strip(_WHITESPACE)
         try:
             if tag == "CASE":
                 if case_id is not None:
@@ -161,7 +176,7 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                 except ValueError as exc:
                     raise IllFormedEntryError(str(exc)) from None
             elif tag == "EXPECT":
-                parts = rest.rsplit(None, 3)
+                parts = _rsplit(rest, 3)
                 if len(parts) != 4:
                     raise IllFormedEntryError(
                         "EXPECT needs <location> <phase> <zone> <provenance>"

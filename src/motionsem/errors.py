@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -20,8 +20,9 @@ shape once per call, and never keeps an error.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DuplicateLemmaError,
@@ -41,7 +42,10 @@ LANGUAGES = ("fr", "en")
 VERB_CATEGORIES = ("CoL", "CoPs", "ICoPs", "CoPtu")
 
 
-class VerbEntry(NamedTuple):
+class VerbEntry(namedtuple(
+    "VerbEntry", "lemma category lref_role start_zone end_zone gloss",
+    defaults=(None, None, None, None),
+)):
     """One motion verb.
 
     Only CoL entries constrain zones: start_zone/end_zone give the
@@ -50,32 +54,25 @@ class VerbEntry(NamedTuple):
     location anchors.
     """
 
-    lemma: str
-    category: str
-    lref_role: LrefRole | None = None
-    start_zone: Zone | None = None
-    end_zone: Zone | None = None
-    gloss: str | None = None
+    __slots__ = ()
 
     @property
     def is_col(self) -> bool:
         return self.category == "CoL"
 
 
-class PrepEntry(NamedTuple):
+class PrepEntry(namedtuple(
+    "PrepEntry", "lemma kind zone role attained", defaults=(None, None)
+)):
     """One spatial preposition.
 
-    Positional prepositions just name a static zone relation; directional
-    ones additionally carry the motion-phase role they focus.  attained
-    only applies to directional-final entries and defaults to true there
-    (to/into assert arrival, towards does not).
+    Positional prepositions ("pos") just name a static zone relation;
+    directional ones ("dir") additionally carry the motion-phase role they
+    focus.  attained only applies to directional-final entries and
+    defaults to true there (to/into assert arrival, towards does not).
     """
 
-    lemma: str
-    kind: str  # "pos" or "dir"
-    zone: Zone
-    role: LrefRole | None = None
-    attained: bool | None = None
+    __slots__ = ()
 
     @property
     def is_directional(self) -> bool:
@@ -93,13 +90,7 @@ class PrepEntry(NamedTuple):
         return self.zone
 
 
-class _LexiconFields(NamedTuple):
-    language: str
-    verbs: Mapping[str, VerbEntry]
-    preps: Mapping[str, PrepEntry]
-
-
-class Lexicon(_LexiconFields):
+class Lexicon(namedtuple("Lexicon", "language verbs preps")):
     """Immutable per-language lexicon with unique lemmas per part of speech.
 
     verbs and preps are read-only copies of the mappings passed in.
@@ -115,6 +106,9 @@ class Lexicon(_LexiconFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)  # so _replace copies too
+
+    def __getnewargs__(self):  # for pickle and copy: a mappingproxy cannot be pickled
+        return self.language, dict(self.verbs), dict(self.preps)
 
 
 @functools.cache

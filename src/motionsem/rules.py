@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
     AmbiguousRuleBaseError, FormatError, IllFormedEntryError, InfelicitousError,
@@ -51,20 +52,18 @@ _GUARD_VALUES = {
 GUARD_KEYS = tuple(_GUARD_VALUES)
 
 
-class ComplexFeatures(NamedTuple):
+class ComplexFeatures(namedtuple(
+    "ComplexFeatures", "lref_role prep_kind prep_role zone_compatible attained"
+)):
     """The feature vector a guard is evaluated against.
 
-    preprole is None for positional prepositions; attained is None unless
+    prep_role is None for positional prepositions; attained is None unless
     the preposition is directional-final.  zone_compatible says whether
     identifying ground and reference location would yield a consistent,
     continuous set of zone constraints.
     """
 
-    lref_role: LrefRole
-    prep_kind: str
-    prep_role: LrefRole | None
-    zone_compatible: bool
-    attained: bool | None
+    __slots__ = ()
 
     @property
     def atoms(self) -> frozenset[tuple[str, str]]:
@@ -84,10 +83,10 @@ def _feature_atoms(features: Sequence) -> frozenset[tuple[str, str]]:
     return frozenset(atoms)
 
 
-class Guard(NamedTuple):
+class Guard(namedtuple("Guard", "atoms")):
     """Conjunction of feature atoms; an atom on an absent feature never matches."""
 
-    atoms: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     def matches(self, features: ComplexFeatures) -> bool:
         return features.atoms.issuperset(self.atoms)
@@ -101,7 +100,9 @@ class Guard(NamedTuple):
         return ",".join(f"{k}={v}" for k, v in self.atoms)
 
 
-class Conclusion(NamedTuple):
+class Conclusion(namedtuple(
+    "Conclusion", "kind phase zone provenance", defaults=(None, None, None)
+)):
     """What a fired rule does with the ground location.
 
     kind "identify": the ground is the verb's reference location.
@@ -110,10 +111,7 @@ class Conclusion(NamedTuple):
     kind "forbid": vetoes identify conclusions of lower-ranked rules.
     """
 
-    kind: str  # "identify" | "bind" | "forbid"
-    phase: Phase | None = None
-    zone: Zone | None = None
-    provenance: Provenance | None = None
+    __slots__ = ()
 
     def render(self) -> str:
         if self.kind == "identify":
@@ -128,12 +126,12 @@ class Conclusion(NamedTuple):
         return " ".join(parts)
 
 
-class CompositionRule(NamedTuple):
-    id: str
-    strength: str  # "strict" | "defeasible"
-    priority: int
-    guard: Guard
-    conclusion: Conclusion
+class CompositionRule(namedtuple(
+    "CompositionRule", "id strength priority guard conclusion"
+)):
+    """A guard and a conclusion, ranked by strength ("strict" or "defeasible")."""
+
+    __slots__ = ()
 
     @property
     def is_strict(self) -> bool:
@@ -156,12 +154,10 @@ class CompositionRule(NamedTuple):
         )
 
 
-class Defeat(NamedTuple):
-    """A rule that was applicable but did not fire."""
+class Defeat(namedtuple("Defeat", "rule_id defeated_by reason")):
+    """A rule that was applicable but did not fire (defeated_by may be None)."""
 
-    rule_id: str
-    defeated_by: str | None
-    reason: str
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=8)
@@ -212,6 +208,9 @@ class RuleBase:
 
     def __repr__(self) -> str:
         return f"RuleBase(version={self.version!r}, rules={self.rules!r})"
+
+    def __reduce__(self):  # for pickle and copy, which cannot assign the fields
+        return self.__class__, (self.version, self.rules)
 
     def with_rule(self, rule: CompositionRule) -> "RuleBase":
         """A copy of this base with one extra rule (ids must stay unique)."""
@@ -357,10 +356,10 @@ PREP_SHAPES: tuple[tuple[str, LrefRole | None], ...] = (
 )
 
 
-class LintCell(NamedTuple):
-    lref_role: LrefRole
-    prep_kind: str
-    prep_role: LrefRole | None
+class LintCell(namedtuple("LintCell", "lref_role prep_kind prep_role")):
+    """One cell of lint's grid: a verb role and a preposition shape."""
+
+    __slots__ = ()
 
     def label(self) -> str:
         prep = self.prep_kind if self.prep_role is None else (
@@ -369,9 +368,10 @@ class LintCell(NamedTuple):
         return f"{self.lref_role.label} x {prep}"
 
 
-class LintReport(NamedTuple):
-    gap_cells: tuple[LintCell, ...]
-    tie_cells: tuple[tuple[LintCell, str], ...]  # cell, offending rule ids
+class LintReport(namedtuple("LintReport", "gap_cells tie_cells")):
+    """lint's verdict: the cells with a gap, and (cell, tied rule ids) pairs."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -406,7 +406,7 @@ def applicable_rules(
 
 def resolve(
     features: ComplexFeatures, base: RuleBase, build: Callable, names: Sequence[str]
-) -> tuple[CompositionRule, Any, tuple[Defeat, ...]]:
+) -> tuple[CompositionRule, object, tuple[Defeat, ...]]:
     """The rule that fires for features, what it builds, and the defeats.
 
     The one resolution of a rule base, run by compose() and lint alike:

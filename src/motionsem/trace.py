@@ -13,9 +13,9 @@ by (location, phase), and explain's zone table prints those rows too.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from operator import itemgetter
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .zones import PHASE_LABELS, ZONE_LABELS, Phase, Zone, _member, zone_distance
 
@@ -53,45 +53,41 @@ _PHASE_ORDER = tuple(Phase)
 _LOCATION_PHASE = itemgetter(0, 1)  # phases are IntEnums, so they sort as ints
 
 
-class ZoneAssignment(NamedTuple):
+class ZoneAssignment(namedtuple("ZoneAssignment", "location phase zone provenance")):
     """The mobile's zone with respect to one location in one phase."""
 
-    location: str
-    phase: Phase
-    zone: Zone
-    provenance: Provenance
+    __slots__ = ()
 
     def tuple(self) -> tuple[str, str, str, str]:
         location, phase, zone, prov = self
         return location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov]
 
 
-class SpatiotemporalTrace(NamedTuple):
+class SpatiotemporalTrace(namedtuple(
+    "SpatiotemporalTrace", "mobile lref ground assignments", defaults=(None, None, ())
+)):
     """Zone assignments plus role bindings for one motion description.
 
     lref is the location bound as the verb's reference location, ground
     the one introduced by the preposition; they may be the same location
-    when the two are identified.  Either binding may be absent on
-    hand-built traces.
+    when the two are identified.  Either binding may be absent (None) on
+    hand-built traces.  assignments is a tuple of ZoneAssignment.
     """
 
-    mobile: str
-    lref: str | None = None
-    ground: str | None = None
-    assignments: tuple[ZoneAssignment, ...] = ()
+    __slots__ = ()
 
     def tuples(self) -> tuple[tuple[str, str, str, str], ...]:
         """Assignment tuples in canonical (location, phase) order."""
         return tuple([a.tuple() for a in sorted(self.assignments, key=_LOCATION_PHASE)])
 
 
-class Violation(NamedTuple):
-    """One broken trace invariant, with enough detail to locate it."""
+class Violation(namedtuple("Violation", "location phases kind message")):
+    """One broken trace invariant, with enough detail to locate it.
 
-    location: str
-    phases: tuple[Phase, ...]
-    kind: str  # "discontinuity" or "conflict"
-    message: str
+    kind is "discontinuity" or "conflict".
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         names = "/".join(p.label for p in self.phases)

@@ -7,7 +7,9 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from motionsem import corpus
 from motionsem.compose import MotionComplex, compose
 from motionsem.corpus import parse_corpus, run_corpus
 from motionsem.errors import IllFormedEntryError
@@ -58,9 +60,8 @@ def test_input_tabs_allow_spaced_lemmas():
     assert case.complex.verb_lemma == "se baisser"
 
 
-@pytest.mark.parametrize("separator", [" ", "\t"], ids=["spaces", "tabs"])
-def test_input_keeps_a_no_break_space_in_a_name(separator):
-    ground = "jardin\u00a0public"
+def check_round_trip(ground, separator):
+    """A case for ground, its EXPECT lines written from compose(), passes."""
     derivation = compose(
         MotionComplex("sortir", "dans", ground, "mobile", "fr"), LEXICONS["fr"], RULES
     )
@@ -68,7 +69,38 @@ def test_input_keeps_a_no_break_space_in_a_name(separator):
     fields = separator.join(["INPUT", "sortir", "dans", ground, "fr"])
     (case,) = parse(f"CASE a\n{fields}\n{expect}END\n")
     assert case.complex == derivation.complex
+    assert set(case.expected_tuples) == set(derivation.trace.tuples())
     assert run_corpus([case], LEXICONS, RULES).ok
+
+
+@pytest.mark.parametrize("separator", [" ", "\t"], ids=["spaces", "tabs"])
+def test_input_keeps_a_no_break_space_in_a_name(separator):
+    check_round_trip("jardin\u00a0public", separator)
+
+
+@pytest.mark.parametrize("separator", [" ", "\t"], ids=["spaces", "tabs"])
+@pytest.mark.parametrize("ground", ["jardin\u00a0", "\u00a0jardin"], ids=["ends", "starts"])
+def test_expect_keeps_a_no_break_space_at_the_edge_of_a_ground(ground, separator):
+    check_round_trip(ground, separator)
+
+
+@given(st.text("ab \t\x0b\u00a0\u2003", max_size=12), st.integers(0, 4))
+def test_expect_fields_are_cut_only_at_ascii_whitespace(text, count):
+    # parse_corpus passes a text stripped at ASCII whitespace
+    text = text.strip(" \t\x0b")
+    assume(text)
+    masked = text.replace("\u00a0", "x").replace("\u2003", "y")
+    fields = masked.rsplit(None, count)
+    expected = [f.replace("x", "\u00a0").replace("y", "\u2003") for f in fields]
+    assert corpus._rsplit(text, count) == expected
+
+
+def test_line_tag_is_cut_only_at_ascii_whitespace():
+    (case,) = parse(" CASE \u00a0a\u00a0 \nINPUT sortir dans jardin fr\nEXPECT-ERROR X\nEND\n")
+    assert case.id == "\u00a0a\u00a0"
+    with pytest.raises(IllFormedEntryError) as err:
+        parse("CASE a\nEND\u00a0\n")
+    assert str(err.value) == "line 2: unknown line tag 'END\\xa0'"
 
 
 # Names that `motionsem query` refuses.  A list of lines, unlike a file,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -74,7 +77,10 @@ def _hashable(values) -> bool:
     return True
 
 
-@pytest.mark.parametrize("cls, values", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+RECORD_IDS = [c.__name__ for c, _ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_record_is_an_immutable_value(cls, values):
     a, b = cls(*values), cls(*values)
     assert a is not b and a == b and not a != b
@@ -98,6 +104,77 @@ def test_record_is_an_immutable_value(cls, values):
         assert a != values
     else:
         assert tuple(a) == values and a == values  # named tuples unpack
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
+def test_record_survives_pickle_and_copy(cls, values):
+    a = cls(*values)
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is cls and b == a and repr(b) == repr(a)
+    if cls is Lexicon:
+        assert isinstance(pickle.loads(pickle.dumps(a)).verbs, type(a.verbs))
+
+
+# The fields and defaults of each named-tuple record class, as declared.
+FIELDS = {
+    ZoneAssignment: ("location phase zone provenance", {}),
+    SpatiotemporalTrace: (
+        "mobile lref ground assignments", {"lref": None, "ground": None, "assignments": ()}
+    ),
+    Violation: ("location phases kind message", {}),
+    VerbEntry: (
+        "lemma category lref_role start_zone end_zone gloss",
+        {"lref_role": None, "start_zone": None, "end_zone": None, "gloss": None},
+    ),
+    PrepEntry: ("lemma kind zone role attained", {"role": None, "attained": None}),
+    Lexicon: ("language verbs preps", {}),
+    ComplexFeatures: ("lref_role prep_kind prep_role zone_compatible attained", {}),
+    Guard: ("atoms", {}),
+    Conclusion: (
+        "kind phase zone provenance", {"phase": None, "zone": None, "provenance": None}
+    ),
+    CompositionRule: ("id strength priority guard conclusion", {}),
+    LintCell: ("lref_role prep_kind prep_role", {}),
+    LintReport: ("gap_cells tie_cells", {}),
+    MotionComplex: ("verb_lemma prep_lemma ground mobile language", {}),
+    Defeat: ("rule_id defeated_by reason", {}),
+    Derivation: ("complex features fired defeated trace", {}),
+    CorpusCase: (
+        "id complex expected_tuples expected_error",
+        {"expected_tuples": (), "expected_error": None},
+    ),
+    CaseResult: (
+        "case_id status fired_rule missing unexpected detail",
+        {"fired_rule": None, "missing": (), "unexpected": (), "detail": ""},
+    ),
+    CorpusReport: ("results rule_histogram", {}),
+}
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
+def test_record_fields_and_defaults_are_pinned(cls, values):
+    assert set(FIELDS) == {c for c, _ in RECORDS} - {RuleBase}
+    if cls is RuleBase:  # a plain class, not a named tuple
+        assert cls.__slots__ == ("version", "rules", "_derivations")
+        return
+    names, defaults = FIELDS[cls]
+    assert cls._fields == tuple(names.split())
+    assert cls._field_defaults == defaults
+    given = dict(zip(cls._fields, values))
+    required = {name: given[name] for name in cls._fields if name not in defaults}
+    assert cls(**required) == tuple({**given, **defaults, **required}.values())
+    # repr names every field, in order, with the value's own repr
+    value = cls(*values)
+    fields = ", ".join(f"{name}={field!r}" for name, field in zip(cls._fields, value))
+    assert repr(value) == f"{cls.__name__}({fields})"
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
+def test_record_keeps_its_own_docstring(cls, values):
+    # not the generated "Name(field, ...)" text a bare named tuple carries
+    doc = cls.__doc__
+    assert doc and doc.strip() and not doc.startswith(f"{cls.__name__}(")
+    assert cls.__dict__["__doc__"] is doc
 
 
 def test_lexicon_holds_read_only_copies():
@@ -158,18 +235,35 @@ def test_repr_text_is_pinned(value, text):
     assert repr(value) == text
 
 
-def test_cli_import_does_not_load_dataclasses():
-    # -S keeps site-installed .pth hooks from preloading modules
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {str(SRC)!r})\n"
-        "import motionsem.cli\n"
-        "print('dataclasses' in sys.modules)\n"
-    )
+# Modules a `query` process never loads.  IMPORT_CHECK runs under python -S,
+# which keeps site-installed .pth hooks from preloading modules, with src/ on
+# PYTHONPATH; its last line is the query's exit code and the modules loaded.
+UNLOADED = ("typing", "re", "argparse", "dataclasses", "motionsem.corpus")
+IMPORT_CHECK = (
+    "import sys\n"
+    "import motionsem.cli\n"
+    "code = motionsem.cli.main(['query', 'sortir', 'dans', 'jardin'])\n"
+    f"print(code, *[name for name in {UNLOADED!r} if name in sys.modules])\n"
+)
+
+
+@pytest.fixture(scope="module")
+def after_query() -> list[str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", IMPORT_CHECK],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stderr == "" and "jardin post inside interaction" in done.stdout
+    return done.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("module", UNLOADED)
+def test_cli_query_does_not_load(after_query, module):
+    assert after_query[0] == "0" and module not in after_query[1:]
 
 
 # The names the benchmark (perfbench/run.py, load_program) reads from the package.
