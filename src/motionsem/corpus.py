@@ -29,6 +29,7 @@ from .errors import (
     FormatError,
     IllFormedEntryError,
     MotionSemError,
+    WHITESPACE,
     data_lines,
     wire_name,
 )
@@ -97,16 +98,13 @@ class CorpusReport(namedtuple("CorpusReport", "results rule_histogram")):
         return "\n".join(lines)
 
 
-# ASCII only: str.split() and str.strip() also take U+00A0, which a name may hold,
-# so every line is cut and stripped at these alone.
-_WHITESPACE = " \t\n\r\x0b\x0c"
-_TO_TAB = str.maketrans(dict.fromkeys(_WHITESPACE, "\t"))
+_TO_TAB = str.maketrans(dict.fromkeys(WHITESPACE, "\t"))
 
 
 def _split_input(rest: str) -> list[str]:
     if "\t" not in rest:
         rest = rest.translate(_TO_TAB)
-    fields = [field.strip(_WHITESPACE) for field in rest.split("\t")]
+    fields = [field.strip(WHITESPACE) for field in rest.split("\t")]
     return [field for field in fields if field]
 
 
@@ -118,7 +116,7 @@ def _rsplit(text: str, count: int) -> list[str]:
         if cut < 0:
             break
         fields.append(text[cut + 1 :])
-        text = text[:cut].rstrip(_WHITESPACE)
+        text = text[:cut].rstrip(WHITESPACE)
     return [text, *reversed(fields)]
 
 
@@ -138,9 +136,9 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
     error_name: str | None = None
 
     for lineno, line in data_lines(source):
-        line = line.strip(_WHITESPACE)
+        line = line.strip(WHITESPACE)
         cut = (line.translate(_TO_TAB) + "\t").find("\t")
-        tag, rest = line[:cut], line[cut:].strip(_WHITESPACE)
+        tag, rest = line[:cut], line[cut:].strip(WHITESPACE)
         try:
             if tag == "CASE":
                 if case_id is not None:

@@ -14,6 +14,10 @@ from collections.abc import Iterable, Iterator
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
+# ASCII only: str.strip() also takes U+00A0, which a name may hold, so every
+# loader decides blank and comment lines and cuts its tags at these alone.
+WHITESPACE = " \t\n\r\x0b\x0c"
+
 
 class MotionSemError(Exception):
     """Base class for all package errors."""
@@ -60,10 +64,13 @@ def read_bundled(name: str) -> io.StringIO:
 
 
 def data_lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Number (from 1) and newline-cut text of each line not blank or a `#` comment."""
+    """Number (from 1) and newline-cut text of each line not blank or a `#` comment.
+
+    Blank is WHITESPACE alone: a line that starts with a no-break space is data.
+    """
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\n")
-        stripped = line.strip()
+        stripped = line.lstrip(WHITESPACE)
         if stripped and stripped[0] != "#":
             yield lineno, line
 

@@ -14,7 +14,8 @@ verb zone fields are only present on change-of-location (CoL) entries.
 The LANG header comes before every entry.  A zone or role name that
 names no member raises UnknownNameError through the enums' from_label,
 as in every other data file.  load_lexicon validates each distinct entry
-shape once per call, and never keeps an error.
+shape once per process and class inventory, in a bounded memo that never
+keeps an error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import (
     UnknownLanguageError,
     UnknownLemmaError,
     UnlexicalizedClassError,
+    WHITESPACE,
     data_lines,
     read_bundled,
 )
@@ -262,6 +264,27 @@ _SHORT_LINE = {
     "V": "verb line needs at least a lemma and category",
     "P": "prep line needs at least a lemma and kind",
 }
+# The most shapes a memo holds: the spellings of a tail are unbounded, while
+# the valid shapes in lowercase spelling number 52.
+_SHAPE_BOUND = 1024
+
+
+@functools.lru_cache(maxsize=1)
+def _shape_memo(inventory: frozenset) -> dict:
+    """load_lexicon's (tag, tail) -> fields memo for one class inventory.
+
+    A verb shape's validity depends on the inventory, so a new inventory
+    gets a new, empty memo and the old memo is dropped.
+    """
+    return {}
+
+
+def _remember(memo: dict, key: tuple[str, str], fields: tuple) -> tuple:
+    """fields, kept in memo under key; a memo at its bound is emptied first."""
+    if len(memo) >= _SHAPE_BOUND:
+        memo.clear()
+    memo[key] = fields
+    return fields
 
 
 def load_lexicon(source: Iterable[str]) -> Lexicon:
@@ -273,18 +296,19 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     except for a missing header, which no one line holds.
 
     An entry's shape is its tag and tail: the raw text after the lemma,
-    less a verb's gloss.  Each distinct shape is validated once per call
-    and its entries are built from the fields it parsed to; the lemma
-    checks run on every line, and an error is never kept.
+    less a verb's gloss.  Each distinct shape is validated once per
+    process and class inventory, which the first entry line reads, and
+    its entries are built from the fields it parsed to (_shape_memo); the
+    lemma checks run on every line, and an error is never kept.
     """
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
     language: str | None = None
-    shapes: dict[tuple[str, str], tuple] = {}  # (tag, tail) -> fields after the lemma
+    shapes: dict[tuple[str, str], tuple] | None = None  # (tag, tail) -> fields
 
     for lineno, line in data_lines(source):
         parts = line.split("\t", 2)
-        tag = parts[0].strip()
+        tag = parts[0].strip(WHITESPACE)
         try:
             if tag == "LANG":
                 value = parts[1].strip() if len(parts) == 2 else ""
@@ -307,6 +331,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
             lemma, tail = parts[1].strip(), parts[2]
             if not lemma:
                 raise IllFormedEntryError("empty lemma")
+            if shapes is None:
+                shapes = _shape_memo(default_class_inventory())
 
             if tag == "V":
                 gloss = None
@@ -317,14 +343,14 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
                         tail, gloss = head, last[len("gloss=") :]
                 fields = shapes.get(key := ("V", tail))
                 if fields is None:
-                    fields = shapes[key] = _parse_verb_line(lemma, tail)
+                    fields = _remember(shapes, key, _parse_verb_line(lemma, tail))
                 if lemma in verbs:
                     raise DuplicateLemmaError(f"verb {lemma!r} defined twice")
                 verbs[lemma] = _new(VerbEntry, (lemma,) + fields + (gloss,))
             else:
                 fields = shapes.get(key := ("P", tail))
                 if fields is None:
-                    fields = shapes[key] = _parse_prep_line(tail)
+                    fields = _remember(shapes, key, _parse_prep_line(tail))
                 if lemma in preps:
                     raise DuplicateLemmaError(f"preposition {lemma!r} defined twice")
                 preps[lemma] = _new(PrepEntry, (lemma,) + fields)

@@ -36,8 +36,8 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
-    AmbiguousRuleBaseError, FormatError, IllFormedEntryError, InfelicitousError,
-    data_lines, read_bundled,
+    WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError,
+    InfelicitousError, data_lines, read_bundled,
 )
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
@@ -219,6 +219,9 @@ class RuleBase:
         return RuleBase(version=self.version, rules=self.rules + (rule,))
 
 
+# Guards and conclusions are parsed once per process and text, and kept
+# for the last 256 texts of each; an error is raised afresh every time.
+@functools.lru_cache(maxsize=256)
 def parse_guard(text: str) -> Guard:
     atoms: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -243,6 +246,7 @@ def parse_guard(text: str) -> Guard:
     return Guard(atoms=tuple(atoms))
 
 
+@functools.lru_cache(maxsize=256)
 def parse_conclusion(text: str) -> Conclusion:
     parts = text.split()
     if not parts:
@@ -284,7 +288,7 @@ def load_rulebase(source: Iterable[str]) -> RuleBase:
 
     for lineno, line in data_lines(source):
         fields = line.split("\t")
-        tag = fields[0].strip()
+        tag = fields[0].strip(WHITESPACE)
         try:
             if tag == "VERSION":
                 if saw_version:
@@ -318,15 +322,7 @@ def load_rulebase(source: Iterable[str]) -> RuleBase:
         except FormatError as exc:
             raise exc.at_line(lineno)
         ids.add(rule_id)
-        rules.append(
-            CompositionRule(
-                id=rule_id,
-                strength=strength,
-                priority=priority,
-                guard=guard,
-                conclusion=conclusion,
-            )
-        )
+        rules.append(CompositionRule(rule_id, strength, priority, guard, conclusion))
 
     return RuleBase(version=version, rules=tuple(rules))
 

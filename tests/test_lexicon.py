@@ -7,6 +7,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from motionsem import lexicon as lexicon_module
 from motionsem.errors import (
     DuplicateLemmaError,
     IllFormedEntryError,
@@ -176,16 +177,66 @@ def test_default_class_inventory_has_ten_pairs():
     assert all(start is not end for start, end in inventory)
 
 
-def test_an_inventory_error_names_its_own_line(bundled_data):
-    inventory = bundled_data / "col_classes.txt"
+def break_the_inventory(data) -> None:
+    """Make line 16 of the bundled copy's col_classes.txt name an unknown zone."""
+    inventory = data / "col_classes.txt"
     lines = inventory.read_text(encoding="utf-8").splitlines()[:15]
     inventory.write_text("\n".join(lines + ["inside\tbogus", ""]), encoding="utf-8")
+
+
+def test_an_inventory_error_names_its_own_line(bundled_data):
+    break_the_inventory(bundled_data)
     # the inventory is first read while line 2 of the lexicon is parsed
     lexicon = ["LANG\tfr\n", "V\tentrer\tCoL\tfinal\tproximal\tinside\n"]
     with pytest.raises(UnknownNameError) as info:
         load_lexicon(lexicon)
     assert str(info.value) == "line 16: unknown zone name: 'bogus'"
     assert info.value.line == 16
+
+
+@pytest.mark.parametrize(
+    "entry", ["P\tdans\tpos\tinside", "V\tcourir\tICoPs"], ids=["prep", "other-verb"]
+)
+def test_a_lexicon_without_a_col_verb_reads_the_inventory_too(bundled_data, entry):
+    break_the_inventory(bundled_data)
+    # the first entry fetches the shape memo, which belongs to the inventory
+    with pytest.raises(UnknownNameError) as info:
+        load_lexicon(["LANG\tfr\n", entry])
+    assert str(info.value) == "line 16: unknown zone name: 'bogus'"
+    assert info.value.line == 16
+
+
+def test_an_inventory_comment_after_a_no_break_space_is_data(bundled_data):
+    (bundled_data / "col_classes.txt").write_text("\u00a0# note\n", encoding="utf-8")
+    with pytest.raises(UnknownNameError) as info:
+        default_class_inventory()
+    assert str(info.value) == "line 1: unknown zone name: '#'"
+
+
+def test_a_changed_inventory_gets_a_new_shape_memo(bundled_data):
+    assert default_lexicon("fr").verbs["sortir"].start_zone is Zone.INSIDE
+    inventory = bundled_data / "col_classes.txt"
+    text = inventory.read_text(encoding="utf-8")
+    inventory.write_text(text.replace("inside\tproximal\n", ""), encoding="utf-8")
+    default_class_inventory.cache_clear()
+    with pytest.raises(UnlexicalizedClassError) as info:
+        default_lexicon("fr")  # the same line 8 that loaded a moment ago
+    assert str(info.value) == (
+        "line 8: zone pair inside→proximal of 'sortir' is not a lexicalized class"
+    )
+
+
+def test_a_flood_of_tail_spellings_keeps_the_shape_memo_bounded():
+    bound = lexicon_module._SHAPE_BOUND
+    lines = ["LANG\tfr"] + [
+        f"P\tp{i}\tpos\t{' ' * (i % 40)}inside{' ' * (i // 40)}" for i in range(2 * bound)
+    ]
+    lex = load("\n".join(lines))
+    assert list(lex.preps.values()) == [
+        PrepEntry(f"p{i}", "pos", Zone.INSIDE) for i in range(2 * bound)
+    ]
+    memo = lexicon_module._shape_memo(default_class_inventory())
+    assert 0 < len(memo) <= bound
 
 
 @pytest.mark.parametrize(

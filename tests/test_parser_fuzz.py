@@ -16,10 +16,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motionsem import lexicon as lexicon_module
 from motionsem.corpus import parse_corpus
 from motionsem.errors import DuplicateLemmaError, FormatError, data_lines
 from motionsem.lexicon import Lexicon, default_lexicon, dump_lexicon, load_lexicon
-from motionsem.rules import load_rulebase
+from motionsem.rules import load_rulebase, parse_conclusion, parse_guard
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 
@@ -147,18 +148,27 @@ def test_fuzzed_lexicons(seed):
     )
 
 
+def clear_parse_memos():
+    """Empty the process-wide parse memos, so the next load parses cold."""
+    lexicon_module._shape_memo.cache_clear()
+    parse_guard.cache_clear()
+    parse_conclusion.cache_clear()
+
+
 def load_each_line_alone(lines: list[str]) -> Lexicon:
     """The reference of load_lexicon: each line loaded alone, the results merged.
 
     An entry line is loaded under the LANG line before it, in place, so that
-    errors name the same line; a one-line load never meets a shape twice.
-    The merge keeps the entries in order and raises on a lemma seen before.
+    errors name the same line; each one-line load starts from empty parse
+    memos, so it never meets a shape twice.  The merge keeps the entries in
+    order and raises on a lemma seen before.
     """
     verbs, preps, header = {}, {}, []
     for lineno, line in data_lines(lines):
         alone = [""] * (lineno - 1) + [line]
         if header:
             alone[header[0] - 1] = header[1]
+        clear_parse_memos()
         lexicon = load_lexicon(alone)
         if not header:
             header = [lineno, line]
@@ -256,6 +266,59 @@ def test_a_lexicon_loads_as_its_lines_load_alone(seed):
     for start in range(len(lines) + 1):
         expected = outcome(load_each_line_alone, lines[start:])
         assert outcome(load_lexicon, lines[start:]) == expected
+
+
+# Lines that a load refuses for their shape, guard or conclusion, with {} for
+# the lemma or rule id; each loader's header line comes first.
+REFUSED = [
+    (load_lexicon, "LANG\tfr", "V\t{}\tCoPs\tinside"),
+    (load_lexicon, "LANG\tfr", "V\t{}\tCoL\tinitial\tcontact\tdistal"),
+    (load_lexicon, "LANG\tfr", "V\t{}\tCoL\tmedial\tproximal\tproximal"),
+    (load_lexicon, "LANG\tfr", "P\t{}\tpos\tnowhere"),
+    (load_lexicon, "LANG\tfr", "P\t{}\tdir\tinitial\tinside\tattained=true"),
+    (load_rulebase, "VERSION\t1", "R\t{}\tdefeasible\t1\tprepkind=maybe\tidentify"),
+    (load_rulebase, "VERSION\t1", "R\t{}\tdefeasible\t1\tprepkind=pos\tbind(later)"),
+]
+
+
+@pytest.mark.parametrize(
+    "load, header, refused",
+    REFUSED,
+    ids=["verb-zone-fields", "unlexicalized", "medial", "unknown-zone", "attained"]
+    + ["bad-guard", "bad-conclusion"],
+)
+def test_a_warm_memo_keeps_no_error(load, header, refused):
+    lines = [header, "# a comment", "", refused.format("x")]
+    clear_parse_memos()
+    cold = outcome(load, lines)
+    assert cold[2] == 4
+    for name in ("w", "y"):  # the same shape under other names, on another line
+        message = cold[1].replace("line 4", "line 2").replace("'x'", f"'{name}'")
+        assert outcome(load, [header, refused.format(name)])[1:] == (message, 2)
+    assert outcome(load, lines) == cold
+
+
+@pytest.mark.parametrize(
+    "load, text, tag",
+    [
+        (load_lexicon, "LANG\tfr\n{}# note\n", "# note"),
+        (load_lexicon, "LANG\tfr\n{}V\tx\tCoPs\n", "V"),
+        (load_rulebase, "VERSION\t1\n{}# note\n", "# note"),
+        (load_rulebase, "VERSION\t1\n{}R\tx\tdefeasible\t1\tprepkind=pos\tidentify\n", "R"),
+        (parse_corpus, "CASE a\n{}# note\nINPUT s d j fr\nEXPECT-ERROR X\nEND\n", "#"),
+        (parse_corpus, "CASE a\n{}INPUT s d j fr\nEXPECT-ERROR X\nEND\n", "INPUT"),
+    ],
+    ids=["lexicon-comment", "lexicon-entry", "rules-comment", "rules-entry"]
+    + ["corpus-comment", "corpus-entry"],
+)
+def test_a_line_that_starts_with_a_no_break_space_is_data_in_every_format(
+    load, text, tag
+):
+    load(io.StringIO(text.format(" ")))  # a comment, or a tag after ASCII space
+    with pytest.raises(FormatError) as info:
+        load(io.StringIO(text.format("\u00a0")))
+    assert str(info.value) == f"line 2: unknown line tag {chr(0xA0) + tag!r}"
+    assert info.value.line == 2
 
 
 @settings(max_examples=100, deadline=None)
