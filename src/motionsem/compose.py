@@ -13,7 +13,8 @@ values, and repeated composition of the same inputs yields identical
 results.  A derivation is built once per entry shape as a memo entry
 holding the trace's rows in each order the two locations can sort in,
 and every call, a miss as a hit, renames that entry without sorting;
-rule bases with equal rules share the memo (see compose()).  Whether
+a rule text loaded again gives the same rule base, memo and all (see
+compose()).  Whether
 the ground can be the reference location is decided by one check,
 _merge, for the features and the trace alike.
 explain() has one renderer (_render): it renders a hand-built trace
@@ -193,14 +194,14 @@ def compose(
 
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
-    (the zones and roles of the two entries, never their lemmas): the
-    features, fired rule and defeats, and the rows as (at_ground, phase,
-    zone, provenance) in canonical order for a ground sorting after the
-    lref and for one sorting before it (one order if they are
-    identified).  Every call, a miss as a hit, renames that entry (see
-    _rename).  The rule base memoizes the entry per shape.  Rule bases
-    with equal rules of equal field types share that memo, also when
-    loaded separately (see RuleBase).  The memo is bounded by the finite
+    (the zones and roles of the two entries, never their lemmas, derived
+    from the members they equal; see _derive): the features, fired rule
+    and defeats, and the rows as (at_ground, phase, zone, provenance) in
+    canonical order for a ground sorting after the lref and for one
+    sorting before it (one order if they are identified).  Every call, a
+    miss as a hit, renames that entry (see _rename).  The rule base
+    memoizes the entry per shape, and load_rulebase gives a text loaded
+    again the same base, memo and all.  The memo is bounded by the finite
     shape space and ignored by the rule base's ==, hash and repr;
     concurrent fills at worst compute the same value twice.  A ground
     named like the reference location merges the two locations of a bind
@@ -258,12 +259,42 @@ def _derive(
     complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase,
     one_location: bool,
 ) -> tuple:
-    """The memo entry for a complex's shape (see compose(), resolve and _orders)."""
+    """The memo entry for a complex's shape (see compose(), resolve and _orders).
+
+    The memo key compares fields by hash and ==, so the entry is derived
+    from the members the entries' roles and zones equal and from a bool
+    attained (1.0 is LrefRole.MEDIAL, 0 is False): it then holds for every
+    entry of the shape, whichever fills it.  A field that equals none
+    raises IllFormedEntryError.
+    """
+    if verb.is_col:  # else compute_features raises NotACoLVerbError
+        verb, prep = _as_members(verb, _VERB_FIELDS), _as_members(prep, _PREP_FIELDS)
     features = compute_features(verb, prep)
     fired, orders, defeated = resolve(
         features, rules, lambda rule: _orders(rule, verb, prep, one_location), complex
     )
     return features, fired, defeated, orders
+
+
+# Each member, and None, under itself: a lookup finds the one that a value
+# equals by the memo key's hash and ==.  Keyed by the index of the field.
+_ROLES = {None: None, **{member: member for member in LrefRole}}
+_ZONES = {None: None, **{member: member for member in Zone}}
+_VERB_FIELDS = {2: _ROLES, 3: _ZONES, 4: _ZONES}  # lref_role, start_zone, end_zone
+_PREP_FIELDS = {2: _ZONES, 3: _ROLES, 4: {None: None, False: False, True: True}}
+
+
+def _as_members(entry, tables: dict):
+    """entry with each field indexed in tables replaced by its table's value for it."""
+    fields = list(entry)
+    for index, table in tables.items():
+        if fields[index] not in table:
+            raise IllFormedEntryError(
+                f"{entry.lemma!r} has {entry._fields[index]} {fields[index]!r}, "
+                "equal to no member"
+            )
+        fields[index] = table[fields[index]]
+    return _new(type(entry), fields)
 
 
 def _orders(

@@ -328,8 +328,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
                 raise IllFormedEntryError(f"unknown line tag {tag!r}")
             if len(parts) < 3:
                 raise IllFormedEntryError(_SHORT_LINE[tag])
-            lemma, tail = parts[1].strip(), parts[2]
-            if not lemma:
+            lemma, tail = parts[1].strip(WHITESPACE), parts[2]
+            if not lemma or lemma.isspace():
                 raise IllFormedEntryError("empty lemma")
             if shapes is None:
                 shapes = _shape_memo(default_class_inventory())

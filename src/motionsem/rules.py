@@ -160,37 +160,22 @@ class Defeat(namedtuple("Defeat", "rule_id defeated_by reason")):
     __slots__ = ()
 
 
-@functools.lru_cache(maxsize=8)
-def _memos(rules: tuple[CompositionRule, ...], types: tuple) -> dict:
-    """The derivation memo shared by every base with these rules.
-
-    types holds the type of each field of each rule and of its
-    conclusion: rule tuples that compare equal but print differently,
-    such as priority 43 and 43.0, must not share derivations.
-    """
-    return {}
-
-
 class RuleBase:
     """A versioned set of composition rules.
 
-    Carries one lazily filled memo that ==, hash and repr ignore:
-    compose()'s compiled derivation per shape (at most 960).  No derivation
-    reads the version, so every base with equal rules of equal field
-    types (43 is not 43.0) shares one memo: construction takes it from a
-    registry of the last 8 rule tuples, and a base the registry has since
-    dropped keeps its own.  Sharing never changes a result, and
-    concurrent fills at worst compute the same value twice.  Its fields
-    cannot be reassigned.
+    Carries one lazily filled memo of its own that ==, hash and repr
+    ignore: compose()'s compiled derivation per shape (at most 960).  A
+    constructed base starts it empty; load_rulebase gives an equal text
+    the same base, memo and all.  Concurrent fills at worst compute the
+    same value twice.  Its fields cannot be reassigned.
     """
 
     __slots__ = ("version", "rules", "_derivations")
 
     def __init__(self, version: str, rules: tuple[CompositionRule, ...] = ()):
-        types = tuple([(*map(type, r), *map(type, r.conclusion)) for r in rules])
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_derivations", _memos(rules, types))
+        object.__setattr__(self, "_derivations", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -219,9 +204,6 @@ class RuleBase:
         return RuleBase(version=self.version, rules=self.rules + (rule,))
 
 
-# Guards and conclusions are parsed once per process and text, and kept
-# for the last 256 texts of each; an error is raised afresh every time.
-@functools.lru_cache(maxsize=256)
 def parse_guard(text: str) -> Guard:
     atoms: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -246,7 +228,6 @@ def parse_guard(text: str) -> Guard:
     return Guard(atoms=tuple(atoms))
 
 
-@functools.lru_cache(maxsize=256)
 def parse_conclusion(text: str) -> Conclusion:
     parts = text.split()
     if not parts:
@@ -280,7 +261,16 @@ def parse_conclusion(text: str) -> Conclusion:
 
 
 def load_rulebase(source: Iterable[str]) -> RuleBase:
-    """Parse the lines of a rule base; errors carry line numbers."""
+    """Parse the lines of a rule base; errors carry line numbers.
+
+    An equal text gives the same base, with the derivations it has
+    memoized: the last 8 texts are kept, and an error never is.
+    """
+    return _load_rulebase(tuple(source))
+
+
+@functools.lru_cache(maxsize=8)
+def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
     version = "unversioned"
     saw_version = False
     rules: list[CompositionRule] = []

@@ -13,7 +13,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, strategies as st
 
-from motionsem import cli, default_lexicon, default_rulebase
+from motionsem import cli, default_lexicon, default_rulebase, load_lexicon
 from motionsem.compose import _SPACE_SEPARATORS, MotionComplex, compose, explain
 from motionsem.trace import render_records
 
@@ -155,6 +155,21 @@ def test_query_takes_a_no_break_space_in_a_name(capsys, fmt):
     )
     expected = render_records(derivation.trace) if fmt == "records" else explain(derivation)
     assert (code, out, err) == (cli.EXIT_OK, expected + "\n", "")
+
+
+def test_query_finds_a_lemma_that_ends_in_a_no_break_space(tmp_path, capsys):
+    verb = "sortir\u00a0"
+    text = f"LANG\tfr\nV\t{verb}\tCoL\tinitial\tinside\tproximal\nP\tdans\tpos\tinside\n"
+    lex = tmp_path / "nbsp.lex"
+    lex.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "query", verb, "dans", "jardin", "--lexicon", str(lex))
+    derivation = compose(
+        MotionComplex(verb, "dans", "jardin", "mobile", "fr"),
+        load_lexicon(io.StringIO(text)),
+        default_rulebase(),
+    )
+    assert "lref#sortir\u00a0" in derivation.trace.lref
+    assert (code, out, err) == (cli.EXIT_OK, explain(derivation) + "\n", "")
 
 
 def test_space_separators_are_the_unicode_zs_category():

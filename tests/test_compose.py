@@ -30,12 +30,13 @@ from motionsem.rules import (
     Conclusion,
     Guard,
     RuleBase,
-    _memos,
+    _load_rulebase,
     applicable_rules,
     default_rulebase,
+    dump_rulebase,
     load_rulebase,
 )
-from motionsem.trace import Provenance, validate_trace
+from motionsem.trace import Provenance, render_records, validate_trace
 from motionsem.zones import LrefRole, Phase, Zone
 from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, shape_lexicons
 
@@ -587,7 +588,6 @@ def test_memoized_compose_matches_a_cold_rule_base(
     warm = MEMO_BASES[base]
     lexicon = Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", role, start, end)}, {"p": prep})
     complex_ = MotionComplex(lemma, "p", ground, "m", "fr")
-    _memos.cache_clear()  # so cold gets fresh memos instead of sharing warm's
     cold = RuleBase(warm.version, warm.rules)
     assert cold._derivations is not warm._derivations
     expected = outcome(complex_, lexicon, cold)
@@ -600,10 +600,10 @@ def test_memoized_compose_matches_a_cold_rule_base(
 
 
 def test_derivation_memo_holds_one_entry_per_shape():
-    # two separately loaded, equal bases share one memo; the second adds nothing
-    _memos.cache_clear()
-    first, second = default_rulebase(), default_rulebase()
-    assert first is not second and first._derivations is second._derivations
+    # a text loaded twice is one base, so the second pass adds nothing
+    text = dump_rulebase(RULES) + "# loaded by this test alone\n"
+    first, second = load_rulebase(io.StringIO(text)), load_rulebase(io.StringIO(text))
+    assert first is second and not first._derivations
     shapes = set()
     sizes = []
     for rules in (first, second):
@@ -632,24 +632,23 @@ def derivation_or_error(complex_, lexicon, rules):
 
 @pytest.mark.parametrize("name", sorted(MEMO_BASES))
 def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
-    # all 48 x 20 hand-built shapes: a base sharing a memo filled under other
-    # names must rename to exactly what a cold compile derives
+    # all 48 x 20 hand-built shapes: a text loaded again shares the memo the
+    # first load filled under other names, and must rename to exactly what a
+    # cold compile derives
     base = MEMO_BASES[name]
     grounds = ("lref#v", "g")  # g sorts before the lref, the filler's zz after it
-    cold = {}
-    for ground in grounds:  # one base per ground, so each cold call compiles
-        _memos.cache_clear()
-        cold[ground] = RuleBase(base.version, base.rules)
-    _memos.cache_clear()
-    filler = RuleBase(base.version, base.rules)
-    shared = RuleBase(base.version, base.rules)
-    assert shared._derivations is filler._derivations
-    assert not any(filler._derivations is c._derivations for c in cold.values())
+    # one base per ground, so each cold call compiles
+    cold = {ground: RuleBase(base.version, base.rules) for ground in grounds}
+    text = dump_rulebase(base).splitlines(keepends=True)
+    filler = load_rulebase(text)
     assert len(VERB_SHAPES) * len(PREP_SHAPES) == len(shape_lexicons("v")) == 960
 
     for lex in shape_lexicons("u"):
         derivation_or_error(MotionComplex("u", "p", "zz", "m", "fr"), lex, filler)
     filled = len(filler._derivations)
+    shared = load_rulebase(text)
+    assert shared is filler and shared == base
+    assert not any(filler._derivations is c._derivations for c in cold.values())
     for lex in shape_lexicons("v"):
         for ground in grounds:  # a merged lref#v derivation must not reach g
             complex_ = MotionComplex("v", "p", ground, "m", "fr")
@@ -666,9 +665,7 @@ def test_a_memo_hit_keeps_the_canonical_row_order_on_either_side_of_the_lref():
     # a renamed trace takes its rows from the order stored for its side:
     # grounds a and zz sort before and after every lref#<verb>, and the
     # memo is filled with g, on a's side
-    _memos.cache_clear()
     warm = RuleBase(RULES.version, RULES.rules)
-    _memos.cache_clear()
     cold = RuleBase(RULES.version, RULES.rules)
     assert cold._derivations is not warm._derivations
     pairs = [
@@ -711,7 +708,8 @@ def test_identification_succeeds_exactly_when_the_features_say_it_can():
 
 def test_rule_bases_that_print_differently_share_no_memo():
     # equal rule tuples whose fields differ in type (43 vs 43.0) must not
-    # hand each other their compiled derivations, which carry the rule
+    # hand each other their compiled derivations, which carry the rule: a
+    # constructed base starts with a memo of its own
     complex_ = fr_complex("sortir", "dans")
     ints = default_rulebase()
     as_int = compose(complex_, FR, ints)
@@ -722,7 +720,7 @@ def test_rule_bases_that_print_differently_share_no_memo():
     assert "fired rule: D2i (defeasible, priority 43)\n" in explain(as_int)
     assert "fired rule: D2i (defeasible, priority 43.0)\n" in explain(as_float)
     assert type(as_float.fired.priority) is float
-    assert RuleBase(ints.version, rules)._derivations is floats._derivations
+    assert not RuleBase(ints.version, rules)._derivations
 
 
 # Rules whose own bind conclusion tags a fact unsoundly: C binds the ground
@@ -762,15 +760,16 @@ def test_provenance_is_sound_and_composing_is_idempotent_on_every_shape(name):
     assert unsound == UNSOUND_RULES[name]
 
 
-def test_memo_registry_is_bounded_and_an_evicted_base_still_composes():
-    _memos.cache_clear()
-    bound = _memos.cache_info().maxsize
-    guard, conclusion = Guard((("prepkind", "pos"),)), Conclusion("bind", Phase.POST)
-    bases = [  # each outranks every default rule, so its id shows in what fires
-        RULES.with_rule(CompositionRule(f"X{i}", "defeasible", 1000 + i, guard, conclusion))
+def test_the_text_cache_is_bounded_and_an_evicted_text_reloads_equal():
+    bound = _load_rulebase.cache_info().maxsize
+    assert bound == 8
+    text = dump_rulebase(RULES)
+    texts = [  # each rule outranks every default rule, so its id shows in what fires
+        text + f"R\tX{i}\tdefeasible\t{1000 + i}\tprepkind=pos\tbind(post)\n"
         for i in range(bound + 2)
     ]
-    assert _memos.cache_info().currsize == bound
+    bases = [load_rulebase(io.StringIO(t)) for t in texts]
+    assert _load_rulebase.cache_info().currsize <= bound
     evicted = bases[0]
     cases = [
         (MotionComplex(verb.lemma, prep.lemma, "g", "m", language), lexicon)
@@ -780,6 +779,104 @@ def test_memo_registry_is_bounded_and_an_evicted_base_still_composes():
     warm = [derivation_or_error(c, lexicon, evicted) for c, lexicon in cases]
     assert [derivation_or_error(c, lexicon, evicted) for c, lexicon in cases] == warm
     assert any(d.fired.id == "X0" for d in warm if isinstance(d, Derivation))
-    cold = RuleBase(evicted.version, evicted.rules)  # evicted, so not shared
-    assert cold._derivations is not evicted._derivations
-    assert [derivation_or_error(c, lexicon, cold) for c, lexicon in cases] == warm
+    reloaded = load_rulebase(io.StringIO(texts[0]))  # evicted, so parsed cold
+    assert reloaded == evicted and reloaded is not evicted
+    assert not reloaded._derivations
+    assert [derivation_or_error(c, lexicon, reloaded) for c, lexicon in cases] == warm
+    assert load_rulebase(io.StringIO(texts[-1])) is bases[-1]
+
+
+def test_an_equal_text_loads_as_the_same_warm_base():
+    text = dump_rulebase(RULES) + "# one more line, so that no other test loads it\n"
+    first = load_rulebase(io.StringIO(text))
+    compose(fr_complex("sortir", "dans"), FR, first)
+    second = load_rulebase(text.splitlines(keepends=True))  # any iterable of the lines
+    assert second is first and len(second._derivations) == 1
+    assert default_rulebase() is default_rulebase()
+    other_version = load_rulebase(io.StringIO(text.replace("VERSION\t", "VERSION\tv")))
+    assert other_version != first and not other_version._derivations
+
+
+def failure(text):
+    try:
+        load_rulebase(io.StringIO(text))
+    except IllFormedEntryError as exc:
+        return type(exc), str(exc), exc.line
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad", ["prepkind=maybe\tidentify", "prepkind=pos\tbind(later)"],
+    ids=["guard", "conclusion"],
+)
+def test_a_failing_text_fails_alike_every_time(bad):
+    good = "VERSION\t1\nR\tA\tdefeasible\t1\tprepkind=pos\tidentify\n"
+    text = good + f"R\tB\tdefeasible\t2\t{bad}\n"
+    first = failure(text)
+    assert first is not None and first[1].startswith("line 3: ") and first[2] == 3
+    assert failure(text) == first
+    load_rulebase(io.StringIO(good))  # shares the failing line's guard or conclusion
+    assert failure(text) == first
+
+
+# Hand-built fields that equal a member without being one: the part of
+# speech changed, the seed verb and preposition, and the fields.
+EQUAL_FIELDS = {
+    "role-1.0": ("verbs", "passer", "dans", {"lref_role": 1.0}),
+    "attained-0": ("preps", "entrer", "vers", {"attained": 0}),
+    "zones-0.0-2.0": ("verbs", "sortir", "dans", {"start_zone": 0.0, "end_zone": 2.0}),
+}
+
+
+def with_entry(lexicon, pos, entry):
+    return lexicon._replace(**{pos: {**getattr(lexicon, pos), entry.lemma: entry}})
+
+
+def outputs(complex_, lexicon, rules):
+    try:
+        d = compose(complex_, lexicon, rules)
+    except (AmbiguousRuleBaseError, InfelicitousError) as exc:
+        return type(exc), str(exc)
+    return repr(d), explain(d), render_records(d.trace)
+
+
+@pytest.mark.parametrize("odd_first", [True, False], ids=["odd-first", "seed-first"])
+@pytest.mark.parametrize("name", sorted(EQUAL_FIELDS))
+def test_a_field_equal_to_a_member_composes_as_the_member(name, odd_first):
+    # the memo key compares by ==, so whichever entry of a shape fills the
+    # memo, each must get what the member entry alone derives
+    pos, verb, prep, fields = EQUAL_FIELDS[name]
+    entry = FR.verbs[verb] if pos == "verbs" else FR.preps[prep]
+    odd = with_entry(FR, pos, entry._replace(lemma="odd", **fields))
+    twin = with_entry(FR, pos, entry._replace(lemma="odd"))
+    lemmas = ("odd", prep) if pos == "verbs" else (verb, "odd")
+    calls = {
+        "odd": (fr_complex(*lemmas, ground="g"), odd),
+        "seed": (fr_complex(verb, prep, ground="g"), FR),
+    }
+    expected = {
+        "odd": outputs(calls["odd"][0], twin, RuleBase(RULES.version, RULES.rules)),
+        "seed": outputs(*calls["seed"], RuleBase(RULES.version, RULES.rules)),
+    }
+    base = RuleBase(RULES.version, RULES.rules)
+    for key in ("odd", "seed") if odd_first else ("seed", "odd"):
+        assert outputs(*calls[key], base) == expected[key], key
+
+
+@pytest.mark.parametrize(
+    "pos, entry",
+    [
+        ("verbs", VerbEntry("odd", "CoL", LrefRole.INITIAL, 5, 9)),
+        ("verbs", VerbEntry("odd", "CoL", "initial", Zone.INSIDE, Zone.PROXIMAL)),
+        ("preps", PrepEntry("odd", "dir", Zone.INSIDE, LrefRole.FINAL, 2)),
+    ],
+    ids=["zones-5-9", "role-label", "attained-2"],
+)
+def test_a_field_equal_to_no_member_is_ill_formed_every_time(pos, entry):
+    lexicon = with_entry(FR, pos, entry)
+    complex_ = fr_complex(*(("odd", "dans") if pos == "verbs" else ("sortir", "odd")))
+    base = RuleBase(RULES.version, RULES.rules)
+    for _ in range(2):
+        with pytest.raises(IllFormedEntryError, match="'odd' has "):
+            compose(complex_, lexicon, base)
+    assert not base._derivations

@@ -120,6 +120,16 @@ def test_a_gloss_is_read_from_the_stripped_last_field(spelling):
     assert lex.verbs["sortir"].gloss == "to run"
 
 
+def test_a_lemma_keeps_a_no_break_space_at_its_edge():
+    # a lemma is cut only at ASCII whitespace, as query and the corpus cut names
+    lex = load("LANG\tfr\nV\tsortir\u00a0\tCoL\tinitial\tinside\tproximal\n"
+               "P\t dans \tpos\tinside\n")
+    assert list(lex.verbs) == ["sortir\u00a0"] and list(lex.preps) == ["dans"]
+    assert lex.verbs["sortir\u00a0"].lemma == "sortir\u00a0"
+    with pytest.raises(IllFormedEntryError, match="line 2: empty lemma"):
+        load("LANG\tfr\nV\t\u00a0\u2003\tCoPs\n")
+
+
 def test_unlexicalized_class_rejected():
     # contact -> distal is not in the shipped inventory
     with pytest.raises(UnlexicalizedClassError) as err:

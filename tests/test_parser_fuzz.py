@@ -20,7 +20,7 @@ from motionsem import lexicon as lexicon_module
 from motionsem.corpus import parse_corpus
 from motionsem.errors import DuplicateLemmaError, FormatError, data_lines
 from motionsem.lexicon import Lexicon, default_lexicon, dump_lexicon, load_lexicon
-from motionsem.rules import load_rulebase, parse_conclusion, parse_guard
+from motionsem.rules import _load_rulebase, load_rulebase
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 
@@ -151,8 +151,7 @@ def test_fuzzed_lexicons(seed):
 def clear_parse_memos():
     """Empty the process-wide parse memos, so the next load parses cold."""
     lexicon_module._shape_memo.cache_clear()
-    parse_guard.cache_clear()
-    parse_conclusion.cache_clear()
+    _load_rulebase.cache_clear()
 
 
 def load_each_line_alone(lines: list[str]) -> Lexicon:
