@@ -26,12 +26,11 @@ _plain_layout).  Neither cache ever changes a result.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from collections.abc import Callable
 from itertools import chain
 from operator import itemgetter
 
-from .errors import IllFormedEntryError, NotACoLVerbError, UnknownLanguageError
+from .errors import IllFormedEntryError, NotACoLVerbError, Record, UnknownLanguageError
 from .lexicon import (
     Lexicon, PrepEntry, VerbEntry, _new, _require_zones, lookup_prep, lookup_verb
 )
@@ -47,9 +46,7 @@ from .trace import (
 from .zones import LrefRole, Phase, Zone
 
 
-class MotionComplex(namedtuple(
-    "MotionComplex", "verb_lemma prep_lemma ground mobile language"
-)):
+class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language"):
     """A pre-parsed motion description: verb, preposition, ground, mobile."""
 
     __slots__ = ()
@@ -86,7 +83,7 @@ def check_names(complex_: MotionComplex) -> None:
             )
 
 
-class Derivation(namedtuple("Derivation", "complex features fired defeated trace")):
+class Derivation(Record, fields="complex features fired defeated trace"):
     """The outcome of one composition: exactly one fired rule plus audit trail.
 
     defeated holds a Defeat per applicable rule that did not fire.
@@ -169,13 +166,7 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     """
     compatible = _merge(verb_constraints(verb), *prep_constraint(prep))
     attained = prep.attained if prep.is_directional else None
-    return ComplexFeatures(
-        lref_role=verb.lref_role,
-        prep_kind=prep.kind,
-        prep_role=prep.role,
-        zone_compatible=compatible,
-        attained=attained,
-    )
+    return ComplexFeatures(verb.lref_role, prep.kind, prep.role, compatible, attained)
 
 
 def _merge(zones: dict[Phase, Zone], phase: Phase, zone: Zone) -> bool:

@@ -21,7 +21,6 @@ either assignment tuples or one error name, never both.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 
 from .compose import MotionComplex, check_names, compose
@@ -29,6 +28,7 @@ from .errors import (
     FormatError,
     IllFormedEntryError,
     MotionSemError,
+    Record,
     WHITESPACE,
     data_lines,
     wire_name,
@@ -39,24 +39,25 @@ from .trace import Provenance
 from .zones import Phase, Zone
 
 
-class CorpusCase(namedtuple(
-    "CorpusCase", "id complex expected_tuples expected_error", defaults=((), None)
-)):
+class CorpusCase(
+    Record, fields="id complex expected_tuples expected_error", defaults=((), None)
+):
     """One case: a MotionComplex and either its tuples or an error name."""
 
     __slots__ = ()
 
 
-class CaseResult(namedtuple(
-    "CaseResult", "case_id status fired_rule missing unexpected detail",
+class CaseResult(
+    Record,
+    fields="case_id status fired_rule missing unexpected detail",
     defaults=(None, (), (), ""),
-)):
+):
     """The outcome of one case; status is "pass", "fail" or "error"."""
 
     __slots__ = ()
 
 
-class CorpusReport(namedtuple("CorpusReport", "results rule_histogram")):
+class CorpusReport(Record, fields="results rule_histogram"):
     """Every case's result, in corpus order, and how often each rule fired."""
 
     __slots__ = ()
@@ -205,14 +206,7 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                     )
                 if error_name is None and not tuples:
                     raise IllFormedEntryError(f"case {case_id!r} has no expectation")
-                cases.append(
-                    CorpusCase(
-                        id=case_id,
-                        complex=complex_,
-                        expected_tuples=tuple(tuples),
-                        expected_error=error_name,
-                    )
-                )
+                cases.append(CorpusCase(case_id, complex_, tuple(tuples), error_name))
                 case_id, complex_, tuples, error_name = None, None, [], None
             else:
                 raise IllFormedEntryError(f"unknown line tag {tag!r}")
@@ -281,4 +275,4 @@ def run_corpus(
     for r in results:
         if r.fired_rule is not None and r.status != "error":
             histogram[r.fired_rule] = histogram.get(r.fired_rule, 0) + 1
-    return CorpusReport(results=results, rule_histogram=histogram)
+    return CorpusReport(results, histogram)

@@ -3,13 +3,16 @@
 An unknown zone, phase, role or provenance name raises one error,
 UnknownNameError, with one wording, whichever file or call it comes from.
 Also holds the one reader of data files, given or bundled in DATA_DIR, and
-the one line loop of their parsers, so that all four formats load alike.
+the one line loop of their parsers, so that all four formats load alike,
+and Record, the base of every record class: this is the first module the
+package imports.
 """
 
 from __future__ import annotations
 
 import io
 import os
+from collections import _tuplegetter
 from collections.abc import Iterable, Iterator
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -17,6 +20,84 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 # ASCII only: str.strip() also takes U+00A0, which a name may hold, so every
 # loader decides blank and comment lines and cuts its tags at these alone.
 WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+class Record(tuple):
+    """A named tuple class that compiles nothing: the base of every record class.
+
+    A subclass names its fields in its class line, and the defaults of the
+    last ones, and declares __slots__ = () so that it stays a bare tuple:
+
+        class PrepEntry(Record, fields="lemma kind zone role attained",
+                        defaults=(None, None)):
+            __slots__ = ()
+
+    It then has what a class made by collections' named tuple factory has:
+    _fields, _field_defaults, __match_args__, a read-only accessor per field
+    (the factory's own tuplegetter), _make, _replace, _asdict, the repr and
+    pickling.  The factory compiles a __new__ from source text for each
+    class; this one __new__ serves every class, binding keywords and
+    defaults only when a call does not pass exactly one value per field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields=None, defaults=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        if fields is None:  # a subclass of a record class keeps its fields
+            return
+        names = cls._fields = cls.__match_args__ = tuple(fields.split())
+        cls._field_defaults = dict(zip(names[len(names) - len(defaults):], defaults))
+        for index, name in enumerate(names):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    def __new__(cls, *args, **kwargs):
+        names = cls._fields
+        if not kwargs and len(args) == len(names):
+            return tuple.__new__(cls, args)
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        free = names[len(args):]
+        for name in kwargs:
+            if name in free:
+                continue
+            if name in names:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        given = {**cls._field_defaults, **kwargs}
+        try:
+            return tuple.__new__(cls, args + tuple([given[name] for name in free]))
+        except KeyError as exc:
+            raise TypeError(
+                f"{cls.__name__}() missing required argument: {exc.args[0]!r}"
+            ) from None
+
+    @classmethod
+    def _make(cls, iterable):
+        """A record of the values in iterable, which must hold one per field."""
+        self = tuple.__new__(cls, iterable)
+        if len(self) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(self)}")
+        return self
+
+    def _replace(self, /, **changes):
+        """A copy of this record with the named fields changed."""
+        result = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    def _asdict(self):
+        """A new dict of the fields, in order."""
+        return dict(zip(self._fields, self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self):  # for pickle and copy
+        return tuple(self)
 
 
 class MotionSemError(Exception):

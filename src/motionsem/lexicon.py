@@ -21,7 +21,6 @@ keeps an error.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
@@ -30,6 +29,7 @@ from .errors import (
     FormatError,
     IllFormedEntryError,
     NotACoLVerbError,
+    Record,
     UnknownLanguageError,
     UnknownLemmaError,
     UnlexicalizedClassError,
@@ -44,10 +44,11 @@ LANGUAGES = ("fr", "en")
 VERB_CATEGORIES = ("CoL", "CoPs", "ICoPs", "CoPtu")
 
 
-class VerbEntry(namedtuple(
-    "VerbEntry", "lemma category lref_role start_zone end_zone gloss",
+class VerbEntry(
+    Record,
+    fields="lemma category lref_role start_zone end_zone gloss",
     defaults=(None, None, None, None),
-)):
+):
     """One motion verb.
 
     Only CoL entries constrain zones: start_zone/end_zone give the
@@ -63,9 +64,7 @@ class VerbEntry(namedtuple(
         return self.category == "CoL"
 
 
-class PrepEntry(namedtuple(
-    "PrepEntry", "lemma kind zone role attained", defaults=(None, None)
-)):
+class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, None)):
     """One spatial preposition.
 
     Positional prepositions ("pos") just name a static zone relation;
@@ -92,7 +91,7 @@ class PrepEntry(namedtuple(
         return self.zone
 
 
-class Lexicon(namedtuple("Lexicon", "language verbs preps")):
+class Lexicon(Record, fields="language verbs preps"):
     """Immutable per-language lexicon with unique lemmas per part of speech.
 
     verbs and preps are read-only copies of the mappings passed in.

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import (
     WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError,
-    InfelicitousError, data_lines, read_bundled,
+    InfelicitousError, Record, data_lines, read_bundled,
 )
 from .trace import Provenance
 from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
@@ -52,9 +51,9 @@ _GUARD_VALUES = {
 GUARD_KEYS = tuple(_GUARD_VALUES)
 
 
-class ComplexFeatures(namedtuple(
-    "ComplexFeatures", "lref_role prep_kind prep_role zone_compatible attained"
-)):
+class ComplexFeatures(
+    Record, fields="lref_role prep_kind prep_role zone_compatible attained"
+):
     """The feature vector a guard is evaluated against.
 
     prep_role is None for positional prepositions; attained is None unless
@@ -71,19 +70,23 @@ class ComplexFeatures(namedtuple(
         return _feature_atoms(self)
 
 
+# The cache compares vectors by ==, so a role is read as the member it
+# equals (1.0 is LrefRole.MEDIAL), as a cached member vector would be, and
+# one that equals no member raises ValueError: the atoms never depend on
+# which equal vector was asked first.
 @functools.cache  # compute_features() produces at most 30 vectors
 def _feature_atoms(features: Sequence) -> frozenset[tuple[str, str]]:
     lref_role, prep_kind, prep_role, zone_compatible, attained = features
-    atoms = {("lrefrole", ROLE_LABELS[lref_role]), ("prepkind", prep_kind)}
+    atoms = {("lrefrole", ROLE_LABELS[LrefRole(lref_role)]), ("prepkind", prep_kind)}
     atoms.add(("zonecompat", "yes" if zone_compatible else "no"))
     if prep_role is not None:
-        atoms.add(("preprole", ROLE_LABELS[prep_role]))
+        atoms.add(("preprole", ROLE_LABELS[LrefRole(prep_role)]))
     if attained is not None:
         atoms.add(("attained", "yes" if attained else "no"))
     return frozenset(atoms)
 
 
-class Guard(namedtuple("Guard", "atoms")):
+class Guard(Record, fields="atoms"):
     """Conjunction of feature atoms; an atom on an absent feature never matches."""
 
     __slots__ = ()
@@ -100,9 +103,9 @@ class Guard(namedtuple("Guard", "atoms")):
         return ",".join(f"{k}={v}" for k, v in self.atoms)
 
 
-class Conclusion(namedtuple(
-    "Conclusion", "kind phase zone provenance", defaults=(None, None, None)
-)):
+class Conclusion(
+    Record, fields="kind phase zone provenance", defaults=(None, None, None)
+):
     """What a fired rule does with the ground location.
 
     kind "identify": the ground is the verb's reference location.
@@ -126,9 +129,7 @@ class Conclusion(namedtuple(
         return " ".join(parts)
 
 
-class CompositionRule(namedtuple(
-    "CompositionRule", "id strength priority guard conclusion"
-)):
+class CompositionRule(Record, fields="id strength priority guard conclusion"):
     """A guard and a conclusion, ranked by strength ("strict" or "defeasible")."""
 
     __slots__ = ()
@@ -154,7 +155,7 @@ class CompositionRule(namedtuple(
         )
 
 
-class Defeat(namedtuple("Defeat", "rule_id defeated_by reason")):
+class Defeat(Record, fields="rule_id defeated_by reason"):
     """A rule that was applicable but did not fire (defeated_by may be None)."""
 
     __slots__ = ()
@@ -225,7 +226,7 @@ def parse_guard(text: str) -> Guard:
         atoms.append((key, value))
     if not atoms:
         raise IllFormedEntryError("empty guard")
-    return Guard(atoms=tuple(atoms))
+    return Guard(tuple(atoms))
 
 
 def parse_conclusion(text: str) -> Conclusion:
@@ -237,12 +238,12 @@ def parse_conclusion(text: str) -> Conclusion:
     if head == "identify":
         if options:
             raise IllFormedEntryError("identify takes no options")
-        return Conclusion(kind="identify")
+        return Conclusion("identify")
 
     if head == "forbid(identify)":
         if options:
             raise IllFormedEntryError("forbid(identify) takes no options")
-        return Conclusion(kind="forbid")
+        return Conclusion("forbid")
 
     if head.startswith("bind(") and head.endswith(")"):
         phase = Phase.from_label(head[len("bind(") : -1])
@@ -255,7 +256,7 @@ def parse_conclusion(text: str) -> Conclusion:
                 prov = Provenance.from_label(opt[len("prov=") :])
             else:
                 raise IllFormedEntryError(f"unknown bind option {opt!r}")
-        return Conclusion(kind="bind", phase=phase, zone=zone, provenance=prov)
+        return Conclusion("bind", phase, zone, prov)
 
     raise IllFormedEntryError(f"unknown conclusion {head!r}")
 
@@ -342,7 +343,7 @@ PREP_SHAPES: tuple[tuple[str, LrefRole | None], ...] = (
 )
 
 
-class LintCell(namedtuple("LintCell", "lref_role prep_kind prep_role")):
+class LintCell(Record, fields="lref_role prep_kind prep_role"):
     """One cell of lint's grid: a verb role and a preposition shape."""
 
     __slots__ = ()
@@ -354,7 +355,7 @@ class LintCell(namedtuple("LintCell", "lref_role prep_kind prep_role")):
         return f"{self.lref_role.label} x {prep}"
 
 
-class LintReport(namedtuple("LintReport", "gap_cells tie_cells")):
+class LintReport(Record, fields="gap_cells tie_cells"):
     """lint's verdict: the cells with a gap, and (cell, tied rule ids) pairs."""
 
     __slots__ = ()
@@ -474,4 +475,4 @@ def lint_rulebase(base: RuleBase) -> LintReport:
             except AmbiguousRuleBaseError as exc:
                 cell_ties.add("/".join(exc.rule_ids))
         ties += [(cell, tie) for tie in sorted(cell_ties)]
-    return LintReport(gap_cells=tuple(gaps), tie_cells=tuple(ties))
+    return LintReport(tuple(gaps), tuple(ties))

@@ -13,10 +13,10 @@ by (location, phase), and explain's zone table prints those rows too.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
 from operator import itemgetter
 from types import MappingProxyType
 
+from .errors import Record
 from .zones import PHASE_LABELS, ZONE_LABELS, Phase, Zone, _member, zone_distance
 
 
@@ -53,7 +53,7 @@ _PHASE_ORDER = tuple(Phase)
 _LOCATION_PHASE = itemgetter(0, 1)  # phases are IntEnums, so they sort as ints
 
 
-class ZoneAssignment(namedtuple("ZoneAssignment", "location phase zone provenance")):
+class ZoneAssignment(Record, fields="location phase zone provenance"):
     """The mobile's zone with respect to one location in one phase."""
 
     __slots__ = ()
@@ -63,9 +63,9 @@ class ZoneAssignment(namedtuple("ZoneAssignment", "location phase zone provenanc
         return location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov]
 
 
-class SpatiotemporalTrace(namedtuple(
-    "SpatiotemporalTrace", "mobile lref ground assignments", defaults=(None, None, ())
-)):
+class SpatiotemporalTrace(
+    Record, fields="mobile lref ground assignments", defaults=(None, None, ())
+):
     """Zone assignments plus role bindings for one motion description.
 
     lref is the location bound as the verb's reference location, ground
@@ -81,7 +81,7 @@ class SpatiotemporalTrace(namedtuple(
         return tuple([a.tuple() for a in sorted(self.assignments, key=_LOCATION_PHASE)])
 
 
-class Violation(namedtuple("Violation", "location phases kind message")):
+class Violation(Record, fields="location phases kind message"):
     """One broken trace invariant, with enough detail to locate it.
 
     kind is "discontinuity" or "conflict".

@@ -15,6 +15,7 @@ from motionsem.lexicon import load_lexicon
 from motionsem.rules import (
     _GUARD_VALUES,
     GUARD_KEYS,
+    _feature_atoms,
     ComplexFeatures,
     CompositionRule,
     Conclusion,
@@ -275,6 +276,38 @@ def test_guard_matching_equals_atom_by_atom_definition():
                 guard,
                 features,
             )
+
+
+@pytest.mark.parametrize("role", [1.0, True])
+def test_feature_atoms_read_a_role_as_the_member_it_equals_in_either_order(role):
+    # the atoms memo compares vectors by ==, so neither order may change them
+    members = [ComplexFeatures(LrefRole.MEDIAL, "dir", LrefRole.MEDIAL, True, None)]
+    members.append(members[0]._replace(prep_kind="pos", prep_role=None))
+    for member in members:
+        equal = member._replace(lref_role=role)
+        if member.prep_role is not None:
+            equal = equal._replace(prep_role=role)
+        _feature_atoms.cache_clear()
+        first = equal.atoms
+        assert member.atoms == first
+        _feature_atoms.cache_clear()
+        assert member.atoms == equal.atoms == first
+        assert ("lrefrole", "medial") in first
+        assert ("preprole", "medial") in first or member.prep_role is None
+
+
+@pytest.mark.parametrize("role", [1.5, -1, 3, "medial"])
+def test_feature_atoms_refuse_a_role_that_equals_no_member(role):
+    for features in (
+        ComplexFeatures(role, "pos", None, True, None),
+        ComplexFeatures(LrefRole.MEDIAL, "dir", role, True, None),
+    ):
+        _feature_atoms.cache_clear()
+        with pytest.raises(ValueError):
+            features.atoms
+        assert features._replace(lref_role=LrefRole.MEDIAL, prep_role=None).atoms
+        with pytest.raises(ValueError):
+            features.atoms
 
 
 I, M, F = LrefRole.INITIAL, LrefRole.MEDIAL, LrefRole.FINAL

@@ -169,6 +169,85 @@ def test_record_fields_and_defaults_are_pinned(cls, values):
     assert repr(value) == f"{cls.__name__}({fields})"
 
 
+# The named-tuple contract every record class keeps: RuleBase is not one.
+TUPLES = [(cls, values) for cls, values in RECORDS if cls is not RuleBase]
+TUPLE_IDS = [c.__name__ for c, _ in TUPLES]
+
+
+@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+def test_constructor_refuses_arguments_that_do_not_bind(cls, values):
+    given = dict(zip(cls._fields, values))
+    required = [name for name in cls._fields if name not in cls._field_defaults]
+    assert cls(values[0], **dict(list(given.items())[1:])) == values
+    # the required fields come first and bind alone, the rest take defaults
+    head = values[: len(required)]
+    assert cls(*head) == (*head, *cls._field_defaults.values())
+    missing = dict(given)
+    del missing[required[-1]]
+    with pytest.raises(TypeError):
+        cls(**missing)
+    with pytest.raises(TypeError):
+        cls(*values[: len(required) - 1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError):
+        cls(**given, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{cls._fields[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values[:1], **given)
+
+
+@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+def test_make_of_the_wrong_length_raises(cls, values):
+    assert cls._make(iter(values)) == cls(*values)
+    with pytest.raises(TypeError):
+        cls._make(values[:-1])
+    with pytest.raises(TypeError):
+        cls._make((*values, values[-1]))
+
+
+@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+def test_replace_takes_field_names_only(cls, values):
+    value = cls(*values)
+    last = cls._fields[-1]
+    assert value._replace() == value and type(value._replace()) is cls
+    assert value._replace(**{last: values[-1]}) == values
+    with pytest.raises(ValueError):
+        value._replace(bogus=1)
+    with pytest.raises(ValueError):
+        value._replace(**{last: values[-1]}, bogus=1)
+
+
+@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+def test_asdict_and_match_follow_the_fields(cls, values):
+    value = cls(*values)
+    assert value._asdict() == dict(zip(cls._fields, values))
+    assert type(value._asdict()) is dict and list(value._asdict()) == list(cls._fields)
+    assert cls.__match_args__ == cls._fields
+    match value:
+        case cls(head):
+            assert head is getattr(value, cls._fields[0]) and head == values[0]
+        case _:
+            pytest.fail("a class pattern did not match its own record")
+    match tuple(values):
+        case cls():
+            pytest.fail("a plain tuple matched a record class pattern")
+
+
+def test_a_subclass_of_a_record_class_keeps_its_fields():
+    class Glossed(VerbEntry):
+        __slots__ = ()
+
+    value = Glossed("sortir", "CoL", gloss="go out")
+    assert Glossed._fields == VerbEntry._fields and value.gloss == "go out"
+    assert value == ("sortir", "CoL", None, None, None, "go out")
+    assert type(value._replace(gloss=None)) is Glossed
+    assert repr(value).startswith("Glossed(lemma='sortir'")
+
+
 @pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_record_keeps_its_own_docstring(cls, values):
     # not the generated "Name(field, ...)" text a bare named tuple carries
@@ -247,11 +326,11 @@ IMPORT_CHECK = (
 )
 
 
-@pytest.fixture(scope="module")
-def after_query() -> list[str]:
+def _query_child(code: str) -> list[str]:
+    """The last stdout line of `python -S -c code`, split; the query must print."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_CHECK],
+        [sys.executable, "-S", "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -261,9 +340,37 @@ def after_query() -> list[str]:
     return done.stdout.splitlines()[-1].split()
 
 
+@pytest.fixture(scope="module")
+def after_query() -> list[str]:
+    return _query_child(IMPORT_CHECK)
+
+
 @pytest.mark.parametrize("module", UNLOADED)
 def test_cli_query_does_not_load(after_query, module):
     assert after_query[0] == "0" and module not in after_query[1:]
+
+
+# COMPILE_CHECK prints the query's exit code, the names of the sources it
+# compiled at run time (exec or eval of a string, as collections.namedtuple
+# does per class; compiling a .py file on import does not count) and, last,
+# the compile events of one namedtuple made afterwards, which proves the hook
+# sees them.  Under -S, functools compiles its own CacheInfo named tuple on
+# import, so the stdlib modules the package builds on are imported first.
+COMPILE_CHECK = (
+    "import collections, enum, functools, sys\n"
+    "events = []\n"
+    "sys.addaudithook(lambda event, args: event == 'compile' and events.append(args))\n"
+    "import motionsem.cli\n"
+    "code = motionsem.cli.main(['query', 'sortir', 'dans', 'jardin'])\n"
+    "seen = [str(args[1]) for args in events if not str(args[1]).endswith('.py')]\n"
+    "before = len(events)\n"
+    "collections.namedtuple('Probe', 'field')\n"
+    "print(code, *seen, len(events) - before)\n"
+)
+
+
+def test_cli_query_compiles_nothing_at_run_time():
+    assert _query_child(COMPILE_CHECK) == ["0", "1"]
 
 
 # The names the benchmark (perfbench/run.py, load_program) reads from the package.
