@@ -12,7 +12,7 @@ Fields are tab separated (lemmas may therefore contain spaces), zone and
 role names are the lowercase labels but are accepted in any case, and
 verb zone fields are only present on change-of-location (CoL) entries.
 The LANG header comes before every entry.  A zone or role name that
-names no member raises UnknownNameError through the enums' from_label,
+names no member raises UnknownNameError through Zone or LrefRole.from_label,
 as in every other data file.  load_lexicon validates each distinct entry
 shape once per process and class inventory, in a bounded memo that never
 keeps an error.
@@ -132,10 +132,7 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
     return frozenset(pairs)
 
 
-# Read once: an enum member or method read as a class attribute costs
-# about 130 ns, and a lexicon reads hundreds of labels.
-_MEDIAL, _PATH_PAIR = LrefRole.MEDIAL, (Zone.CONTACT, Zone.CONTACT)
-_zone, _role = Zone.from_label, LrefRole.from_label
+_PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
 # A named tuple from a tuple of its fields, skipping the class's Python-level
 # __new__: for hot paths, on classes whose __new__ checks nothing.
 _new = tuple.__new__
@@ -148,7 +145,7 @@ def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
     mobile hugs the path location's boundary before and after, and is
     inside it along the way); all other roles a pair from the inventory.
     """
-    if role is _MEDIAL:
+    if role is LrefRole.MEDIAL:
         return pair == _PATH_PAIR
     return pair in default_class_inventory()
 
@@ -213,8 +210,8 @@ def _parse_verb_line(lemma: str, tail: str) -> tuple:
             raise IllFormedEntryError(
                 "CoL verb needs <lref_role> <start_zone> <end_zone>"
             )
-        role = _role(rest[0])
-        pair = (_zone(rest[1]), _zone(rest[2]))
+        role = LrefRole.from_label(rest[0])
+        pair = (Zone.from_label(rest[1]), Zone.from_label(rest[2]))
         if not _lexicalized(role, pair):  # classify_verb raises with the class message
             classify_verb(VerbEntry(lemma, category, role, *pair))
         return (category, role) + pair
@@ -244,12 +241,12 @@ def _parse_prep_line(tail: str) -> tuple:
             raise IllFormedEntryError("positional prep needs exactly a zone")
         if attained is not None:
             raise IllFormedEntryError("positional prep cannot carry attained")
-        return (kind, _zone(rest[0]), None, None)
+        return (kind, Zone.from_label(rest[0]), None, None)
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>")
-    role = _role(rest[0])
-    zone = _zone(rest[1])
+    role = LrefRole.from_label(rest[0])
+    zone = Zone.from_label(rest[1])
     if role is LrefRole.FINAL:
         if attained is None:
             attained = True  # to/into-style arrival is the default

@@ -20,7 +20,7 @@ or forbids identification outright (the strict continuity guard):
 
 Role, phase, zone and provenance names are accepted in any case; the
 other words are exact.  An unknown phase, zone or provenance name raises
-UnknownNameError from the enum's from_label, as in every data file; an
+UnknownNameError from its class's from_label, as in every data file; an
 unknown guard value is a bad value of its key.
 
 Strict rules outrank every defeasible rule regardless of priority;
@@ -224,9 +224,7 @@ def parse_guard(text: str) -> Guard:
             raise IllFormedEntryError(f"guard repeats key {key!r}")
         seen.add(key)
         atoms.append((key, value))
-    if not atoms:
-        raise IllFormedEntryError("empty guard")
-    return Guard(tuple(atoms))
+    return Guard(tuple(atoms))  # never empty: "".split(",") is [""], a bad atom
 
 
 def parse_conclusion(text: str) -> Conclusion:

@@ -12,45 +12,28 @@ by (location, phase), and explain's zone table prints those rows too.
 
 from __future__ import annotations
 
-import enum
 from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import Record
-from .zones import PHASE_LABELS, ZONE_LABELS, Phase, Zone, _member, zone_distance
+from .zones import PHASE_LABELS, ZONE_LABELS, Constant, Phase, Zone, zone_distance
 
 
-class Provenance(enum.Enum):
+class Provenance(Constant, kind="provenance"):
     """Which constituent contributed an assignment."""
 
     VERB = "verb"
     PREP = "prep"
     INTERACTION = "interaction"
 
-    # Members are singletons compared by identity, so they can hash by
-    # identity too, in C; Enum's own __hash__ runs Python code, and every
-    # printed row and every explain layout key hashes a provenance.
-    __hash__ = object.__hash__
-
-    @property
-    def label(self) -> str:
-        """Short name used in trace records and corpus files."""
-        return PROVENANCE_LABELS[self]
-
-    @classmethod
-    def from_label(cls, label: str) -> "Provenance":
-        """The provenance named label, in any case."""
-        return _member(_PROVENANCE_BY_NAME, label, "provenance")
-
 
 # Read-only tables built once at import, like the label tables in zones.
 PROVENANCE_LABELS = MappingProxyType({p: p.value for p in Provenance})
-_PROVENANCE_BY_NAME = Provenance.__members__  # each read of __members__ builds a proxy
 PROVENANCE_DISPLAY = MappingProxyType(
     dict(zip(Provenance, ("Verb", "Preposition", "Interaction")))
 )
 _PHASE_ORDER = tuple(Phase)
-_LOCATION_PHASE = itemgetter(0, 1)  # phases are IntEnums, so they sort as ints
+_LOCATION_PHASE = itemgetter(0, 1)  # phases are ints, so they sort as such
 
 
 class ZoneAssignment(Record, fields="location phase zone provenance"):

@@ -11,7 +11,7 @@ from motionsem.compose import Derivation
 from motionsem.trace import PROVENANCE_DISPLAY, SpatiotemporalTrace, ZoneAssignment
 from motionsem.zones import PHASE_LABELS, ZONE_LABELS
 
-_LOCATION_PHASE = itemgetter(0, 1)  # phases are IntEnums, so they sort as ints
+_LOCATION_PHASE = itemgetter(0, 1)  # phases are ints, so they sort as such
 
 
 def sorted_assignments(

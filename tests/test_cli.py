@@ -318,6 +318,22 @@ def test_query_missing_language(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["query", "sortir", "dans", "jardin"], "error: two lexicons given for 'fr'\n"),
+        (["lint"], "lexicon error: two lexicons given for 'fr'\n"),
+    ],
+    ids=["query", "lint"],
+)
+def test_two_lexicons_of_one_language_are_a_load_error(capsys, argv, err):
+    # the error spans two files, so it names no line
+    fr = str(resources.files("motionsem.data").joinpath("fr.lex"))
+    assert run(capsys, *argv, "--lexicon", fr, "--lexicon", fr) == (
+        cli.EXIT_LOAD_ERROR, "", err
+    )
+
+
+@pytest.mark.parametrize(
     "name, data, argv, message",
     [
         (

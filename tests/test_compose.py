@@ -517,6 +517,18 @@ def test_defeat_reasons():
     assert reasons2["D5"] == "lower priority"
 
 
+def test_a_conclusion_of_an_unknown_kind_is_inconsistent():
+    # only a hand-built Conclusion can have another kind than the parser's three
+    guard = Guard((("prepkind", "pos"),))
+    base = RuleBase("v", (
+        CompositionRule("X", "defeasible", 9, guard, Conclusion("merge")),
+        CompositionRule("B", "defeasible", 1, guard, Conclusion("bind", Phase.POST)),
+    ))
+    d = compose(fr_complex("sortir", "dans"), FR, base)
+    assert d.fired.id == "B"
+    assert d.defeated == (("X", None, "conclusion inconsistent"),)
+
+
 # -- explanations ---------------------------------------------------------------
 
 
@@ -553,10 +565,10 @@ def test_lref_location_naming():
 
 @st.composite
 def prep_entries(draw):
-    zone = draw(st.sampled_from(Zone))
+    zone = draw(st.sampled_from(tuple(Zone)))
     if draw(st.booleans()):
         return PrepEntry("p", "pos", zone)
-    role = draw(st.sampled_from(LrefRole))
+    role = draw(st.sampled_from(tuple(LrefRole)))
     attained = draw(st.booleans()) if role is LrefRole.FINAL else None
     return PrepEntry("p", "dir", zone, role=role, attained=attained)
 
@@ -573,9 +585,9 @@ def outcome(complex_, lexicon, rules):
 @given(
     base=st.sampled_from(sorted(MEMO_BASES)),
     lemma=st.sampled_from(["v", "sortir", "a b"]),
-    role=st.sampled_from(LrefRole),
-    start=st.sampled_from(Zone),
-    end=st.sampled_from(Zone),
+    role=st.sampled_from(tuple(LrefRole)),
+    start=st.sampled_from(tuple(Zone)),
+    end=st.sampled_from(tuple(Zone)),
     prep=prep_entries(),
     ground=st.sampled_from(["g", "zz", "lref#v", "lref#sortir"]),
 )

@@ -12,7 +12,7 @@ from hypothesis import assume, given, strategies as st
 from motionsem import corpus
 from motionsem.compose import MotionComplex, compose
 from motionsem.corpus import parse_corpus, run_corpus
-from motionsem.errors import IllFormedEntryError
+from motionsem.errors import IllFormedEntryError, MotionSemError, wire_name
 from motionsem.lexicon import default_lexicon
 from motionsem.rules import default_rulebase
 
@@ -167,6 +167,32 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(IllFormedEntryError) as err:
         parse("CASE a\nINPUT sortir dans jardin\nEXPECT-ERROR X\nEND\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "expectations, line, message",
+    [
+        ("EXPECT-ERROR X\nEXPECT-ERROR Y\n", 4, "case 'a' has two EXPECT-ERROR lines"),
+        (
+            "EXPECT jardin post inside interaction\nEXPECT-ERROR X\n",
+            5,
+            "case 'a' mixes EXPECT and EXPECT-ERROR",
+        ),
+    ],
+    ids=["two-errors", "mixed"],
+)
+def test_clashing_expectations_name_their_line(expectations, line, message):
+    with pytest.raises(IllFormedEntryError) as err:
+        parse(f"CASE a\nINPUT sortir dans jardin fr\n{expectations}END\n")
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+
+def test_an_error_without_a_wire_name_goes_by_its_class_name():
+    class Unlisted(MotionSemError):
+        pass
+
+    assert wire_name(MotionSemError("x")) == "MotionSemError"
+    assert wire_name(Unlisted("x")) == "Unlisted"
 
 
 def test_golden_corpus_passes():

@@ -163,6 +163,20 @@ def test_attained_defaults_true_on_final():
     assert lex.preps["à"].attained is True
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("P\tvers\tdir\tfinal\tinside\tattained=maybe", "bad attained value 'maybe'"),
+        ("P\tde\tdir\tinside", "directional prep needs <role> <zone>"),
+    ],
+    ids=["attained", "no-role"],
+)
+def test_a_malformed_directional_prep_names_its_line(entry, message):
+    with pytest.raises(IllFormedEntryError) as err:
+        load(f"LANG\tfr\n{entry}\n")
+    assert str(err.value) == f"line 2: {message}" and err.value.line == 2
+
+
 def test_effective_zone_weakens_unattained():
     lex = load(
         "LANG\tfr\nP\tvers\tdir\tfinal\tinside\tattained=false\n"

@@ -143,6 +143,21 @@ def test_malformed_rule_lines():
         load("X\tweird\n")
 
 
+@pytest.mark.parametrize(
+    "guard, conclusion, message",
+    [
+        ("", "identify", "bad guard atom ''"),
+        ("prepkind=pos,", "identify", "bad guard atom ''"),
+        ("prepkind=pos", "forbid(identify) now", "forbid(identify) takes no options"),
+    ],
+    ids=["empty-guard", "trailing-comma", "forbid-option"],
+)
+def test_a_malformed_guard_or_conclusion_names_its_line(guard, conclusion, message):
+    with pytest.raises(IllFormedEntryError) as err:
+        load("VERSION\t1\n" + rule_line("A", "defeasible", 1, guard, conclusion))
+    assert str(err.value) == f"line 2: {message}" and err.value.line == 2
+
+
 def test_strict_outranks_priority():
     base = load(
         rule_line("weak", "strict", 1, "prepkind=pos", "identify")
@@ -533,9 +548,9 @@ extra_rules = st.builds(
         st.builds(
             Conclusion,
             st.just("bind"),
-            st.sampled_from(Phase),
-            st.none() | st.sampled_from(Zone),
-            st.none() | st.sampled_from(Provenance),
+            st.sampled_from(tuple(Phase)),
+            st.none() | st.sampled_from(tuple(Zone)),
+            st.none() | st.sampled_from(tuple(Provenance)),
         ),
     ),
 )

@@ -317,7 +317,7 @@ def test_repr_text_is_pinned(value, text):
 # Modules a `query` process never loads.  IMPORT_CHECK runs under python -S,
 # which keeps site-installed .pth hooks from preloading modules, with src/ on
 # PYTHONPATH; its last line is the query's exit code and the modules loaded.
-UNLOADED = ("typing", "re", "argparse", "dataclasses", "motionsem.corpus")
+UNLOADED = ("typing", "re", "argparse", "dataclasses", "enum", "motionsem.corpus")
 IMPORT_CHECK = (
     "import sys\n"
     "import motionsem.cli\n"
@@ -357,7 +357,7 @@ def test_cli_query_does_not_load(after_query, module):
 # sees them.  Under -S, functools compiles its own CacheInfo named tuple on
 # import, so the stdlib modules the package builds on are imported first.
 COMPILE_CHECK = (
-    "import collections, enum, functools, sys\n"
+    "import collections, functools, sys\n"
     "events = []\n"
     "sys.addaudithook(lambda event, args: event == 'compile' and events.append(args))\n"
     "import motionsem.cli\n"

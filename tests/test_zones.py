@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 from collections.abc import Mapping
 
 import pytest
@@ -167,3 +169,108 @@ def test_interpolation_properties_all_pairs():
         for x, y in zip(walk, walk[1:]):
             assert zone_distance(x, y) == 1
         assert list(reversed(walk)) == interpolate_zones(b, a)
+
+
+# The contract of the four member classes: what the code and its callers rely
+# on, whatever builds the classes.  Each class: its member names and values.
+MEMBERS = {
+    Zone: ("INSIDE CONTACT PROXIMAL DISTAL", (0, 1, 2, 3)),
+    Phase: ("PRE DURING POST", (0, 1, 2)),
+    LrefRole: ("INITIAL MEDIAL FINAL", (0, 1, 2)),
+    Provenance: ("VERB PREP INTERACTION", ("verb", "prep", "interaction")),
+}
+CLASSES = pytest.mark.parametrize("cls", list(MEMBERS), ids=lambda cls: cls.__name__)
+ORDERED = [Zone, Phase, LrefRole]
+
+
+@CLASSES
+def test_members_iterate_in_value_order_with_their_names_and_values(cls):
+    names, values = MEMBERS[cls]
+    members = [getattr(cls, name) for name in names.split()]
+    assert list(cls) == members and len(cls) == len(members)
+    assert [m.name for m in cls] == names.split()
+    assert [m.value for m in cls] == list(values)
+    assert all(type(m) is cls and type(m.value) is type(values[0]) for m in cls)
+    assert list(cls.__members__.items()) == list(zip(names.split(), members))
+
+
+@CLASSES
+def test_calling_a_class_gives_the_one_member_of_a_value(cls):
+    for member in cls:
+        assert cls(member.value) is member
+        assert cls(member) is member
+        assert cls.__members__[member.name] is member
+    assert Zone(2) is Zone.PROXIMAL and Zone(2.0) is Zone.PROXIMAL
+    assert Provenance("prep") is Provenance.PREP
+
+
+@pytest.mark.parametrize(
+    "cls, value, message",
+    [
+        (Zone, 4, "4 is not a valid Zone"),
+        (Zone, "inside", "'inside' is not a valid Zone"),
+        (Phase, None, "None is not a valid Phase"),
+        (LrefRole, [], "[] is not a valid LrefRole"),
+        (Provenance, "VERB", "'VERB' is not a valid Provenance"),
+        (Provenance, 0, "0 is not a valid Provenance"),
+    ],
+)
+def test_a_value_that_names_no_member_is_a_value_error(cls, value, message):
+    with pytest.raises(ValueError) as info:
+        cls(value)
+    assert str(info.value) == message
+
+
+def test_member_reprs_and_strs_are_pinned():
+    assert repr(Phase.POST) == "<Phase.POST: 2>"
+    assert repr(Zone.INSIDE) == "<Zone.INSIDE: 0>"
+    assert repr(LrefRole.MEDIAL) == "<LrefRole.MEDIAL: 1>"
+    assert repr(Provenance.INTERACTION) == "<Provenance.INTERACTION: 'interaction'>"
+    # an int member prints as its int, a provenance as its qualified name
+    assert (str(Zone.DISTAL), f"{Phase.POST}", f"{LrefRole.FINAL:>3}") == ("3", "2", "  2")
+    assert (str(Provenance.VERB), f"{Provenance.PREP}") == (
+        "Provenance.VERB", "Provenance.PREP"
+    )
+
+
+@pytest.mark.parametrize("cls", ORDERED, ids=lambda cls: cls.__name__)
+def test_ordered_members_are_their_ints(cls):
+    for member in cls:
+        value = member.value
+        assert isinstance(member, int) and member == value and int(member) == value
+        assert hash(member) == hash(value) and {value: member}[member] is member
+        assert member + 1 == value + 1 and bool(member) == bool(value)
+    assert sorted(cls, reverse=True) == list(cls)[::-1]
+
+
+def test_a_provenance_is_only_itself():
+    for member in Provenance:
+        assert member != member.value and member.value != member
+        assert not isinstance(member, str)
+        assert hash(member) == object.__hash__(member)
+        assert {member.value: 1}.get(member) is None
+    assert len(set(Provenance)) == 3
+
+
+@CLASSES
+def test_members_pickle_and_copy_back_to_themselves(cls):
+    for member in cls:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert member.__reduce_ex__(protocol) == (cls, (member.value,))
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        nested = copy.deepcopy({"row": [member, (member,)]})
+        assert nested["row"][0] is member and nested["row"][1][0] is member
+
+
+@CLASSES
+def test_members_and_tables_are_read_only(cls):
+    member = next(iter(cls))
+    for name in ("name", "value", "label"):
+        with pytest.raises(AttributeError):
+            setattr(member, name, "x")
+        with pytest.raises(AttributeError):
+            delattr(member, name)
+    with pytest.raises(TypeError):
+        cls.__members__["X"] = member
+    assert member.name == MEMBERS[cls][0].split()[0]
