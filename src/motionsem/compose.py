@@ -14,9 +14,11 @@ results.  A derivation is built once per entry shape as a memo entry
 holding the trace's rows in each order the two locations can sort in,
 and every call, a miss as a hit, renames that entry without sorting;
 a rule text loaded again gives the same rule base, memo and all (see
-compose()).  Whether
-the ground can be the reference location is decided by one check,
-_merge, for the features and the trace alike.
+compose()).  Whether the ground is the reference location is decided by
+the rule base alone, never by the ground's name: the name of the
+reference location is reserved (MotionComplex), and an identify
+conclusion holds exactly when compute_features finds the zones
+compatible.
 explain() has one renderer (_render): it renders a hand-built trace
 directly, and renders every other trace once per shape of derivation
 with markers for the names, which each call fills in (see
@@ -47,7 +49,11 @@ from .zones import LrefRole, Phase, Zone
 
 
 class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language"):
-    """A pre-parsed motion description: verb, preposition, ground, mobile."""
+    """A pre-parsed motion description: verb, preposition, ground, mobile.
+
+    Raises ValueError if a field is empty, or if the ground takes the name
+    of the verb's reference location (lref_location), which is reserved.
+    """
 
     __slots__ = ()
 
@@ -56,6 +62,10 @@ class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language
         if not all(self):
             name = next(name for name, value in zip(cls._fields, self) if not value)
             raise ValueError(f"motion complex field {name} must be nonempty")
+        if ground == lref_location(self):
+            raise ValueError(
+                f"motion complex ground {ground!r} is reserved for the reference location"
+            )
         return self
 
     @classmethod
@@ -74,7 +84,8 @@ def check_names(complex_: MotionComplex) -> None:
     """The name rule of `query` and corpus INPUT: each name prints on one line.
 
     Raises ValueError if the verb, preposition, ground or mobile is blank
-    or unprintable; compose() itself takes any nonempty name.
+    or unprintable; compose() itself takes any nonempty name that
+    MotionComplex does (only the reference location's is reserved).
     """
     for name, value in zip(MotionComplex._fields, complex_[:4]):
         if value.isspace() or not value.translate(_SPACE_SEPARATORS).isprintable():
@@ -102,7 +113,8 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
 
     Medial verbs carry a lexical default: the mobile is inside the path
     location while under way.  A non-CoL verb raises NotACoLVerbError,
-    and a CoL entry without its role or a zone IllFormedEntryError.
+    and a CoL entry without its role or a zone, or a medial one whose own
+    zones jump a zone (only a hand-built entry can), IllFormedEntryError.
     """
     if not verb.is_col:
         raise NotACoLVerbError(
@@ -112,6 +124,8 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
     constraints = {Phase.PRE: verb.start_zone, Phase.POST: verb.end_zone}
     if verb.lref_role is LrefRole.MEDIAL:
         constraints[Phase.DURING] = Zone.INSIDE
+        if discontinuities(constraints):
+            raise IllFormedEntryError(f"medial verb {verb.lemma!r} jumps a zone")
     return constraints
 
 
@@ -154,18 +168,16 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
 
     The flag answers: could ground and reference location be one and the
     same place?  It merges the preposition's commitment into the verb's
-    per-phase zones on a single location (_merge, the check an identify
-    conclusion must pass).  A non-CoL verb raises NotACoLVerbError (from
+    per-phase zones on a single location, and is false if the two clash
+    or the merged zones jump a zone; an identify conclusion holds exactly
+    when it is true.  A non-CoL verb raises NotACoLVerbError (from
     verb_constraints).
     """
-    compatible = _merge(verb_constraints(verb), *prep_constraint(prep))
+    zones = verb_constraints(verb)
+    phase, zone = prep_constraint(prep)
+    compatible = zones.setdefault(phase, zone) is zone and not discontinuities(zones)
     attained = prep.attained if prep.is_directional else None
     return ComplexFeatures(verb.lref_role, prep.kind, prep.role, compatible, attained)
-
-
-def _merge(zones: dict[Phase, Zone], phase: Phase, zone: Zone) -> bool:
-    """Add one fact to a location's zones; False if it clashes or they jump a zone."""
-    return zones.setdefault(phase, zone) is zone and not discontinuities(zones)
 
 
 def compose(
@@ -174,8 +186,10 @@ def compose(
     """Derive the spatiotemporal trace of a motion complex.
 
     rules.resolve, which lint runs too, tries the applicable rules from
-    strongest to weakest: the first that yields a well-formed trace
-    fires, and if none does, the combination is semantically anomalous.
+    strongest to weakest: the first whose conclusion holds on the
+    features fires, and if none does, the combination is semantically
+    anomalous.  Whether the ground is the reference location is that
+    rule's conclusion, never a matter of the ground's name.
 
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
@@ -188,10 +202,8 @@ def compose(
     memoizes the entry per shape, and load_rulebase gives a text loaded
     again the same base, memo and all.  The memo is bounded by the finite
     shape space and ignored by the rule base's ==, hash and repr;
-    concurrent fills at worst compute the same value twice.  A ground
-    named like the reference location merges the two locations of a bind
-    conclusion, so such a call derives afresh and leaves the memo alone.
-    Errors are never memoized.
+    concurrent fills at worst compute the same value twice.  Errors are
+    never memoized.
     """
     if complex.language != lexicon.language:
         raise UnknownLanguageError(
@@ -210,15 +222,11 @@ def compose(
         prep.zone,
         prep.attained,
     )
-    lref = lref_location(complex)
-    one_location = complex.ground == lref
     memo = rules._derivations
     entry = memo.get(shape)  # features, fired rule, defeats, row orders
-    if entry is None or one_location and entry[1].conclusion.kind != "identify":
-        entry = _derive(complex, verb, prep, rules, one_location)
-        if not one_location:
-            memo[shape] = entry
-    return _rename(entry, complex, lref)
+    if entry is None:
+        entry = memo[shape] = _derive(complex, verb, prep, rules)
+    return _rename(entry, complex, lref_location(complex))
 
 
 def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
@@ -241,8 +249,7 @@ def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
 
 
 def _derive(
-    complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase,
-    one_location: bool,
+    complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase
 ) -> tuple:
     """The memo entry for a complex's shape (see compose(), resolve and _orders).
 
@@ -255,10 +262,8 @@ def _derive(
     if verb.is_col:  # else compute_features raises NotACoLVerbError
         verb, prep = _as_members(verb, _VERB_FIELDS), _as_members(prep, _PREP_FIELDS)
     features = compute_features(verb, prep)
-    fired, orders, defeated = resolve(
-        features, rules, lambda rule: _orders(rule, verb, prep, one_location), complex
-    )
-    return features, fired, defeated, orders
+    fired, defeated = resolve(features, rules, complex)
+    return features, fired, defeated, _orders(fired, verb, prep)
 
 
 # Each member, and None, under itself: a lookup finds the one that a value
@@ -283,48 +288,36 @@ def _as_members(entry, tables: dict):
 
 
 def _orders(
-    rule: CompositionRule, verb: VerbEntry, prep: PrepEntry, one_location: bool
-) -> tuple[tuple, ...] | None:
-    """A conclusion's rows in each order they can take, or None if ill formed.
+    rule: CompositionRule, verb: VerbEntry, prep: PrepEntry
+) -> tuple[tuple, ...]:
+    """The fired conclusion's rows in each order they can take.
 
     A row is (at_ground, phase, zone, provenance), in canonical (location,
-    phase) order.  On one location (an identify conclusion, or a bind
-    with one_location) the ground's fact joins the verb's constraints,
-    keeping the verb's provenance where they coincide, in one order; they
-    are ill formed if they clash or jump a zone (_merge).  On two, the
-    lref's rows come before the ground's row and after it, for a ground
-    sorting after and before the lref; they are ill formed if the lref's
-    jump a zone, as a hand-built entry's may.
+    phase) order.  An identify puts the ground's fact with the verb's
+    constraints on one location, in one order, keeping the verb's
+    provenance where they coincide: resolve() fired it, so they neither
+    clash nor jump a zone.  A bind puts the lref's rows before the
+    ground's row and after it, for a ground sorting after and before the
+    lref.
     """
-    conclusion = rule.conclusion
-    if conclusion.kind == "identify":
-        one_location = True
-        phase, zone = prep_constraint(prep)
-        source = Provenance.PREP
-    elif conclusion.kind == "bind":
-        _, phase, zone, source = conclusion
-        if phase is None:
-            raise IllFormedEntryError(f"bind in rule {rule.id!r} lacks a phase")
-        zone = prep.effective_zone if zone is None else zone
-        source = Provenance.PREP if source is None else source
-    else:
-        return None  # resolve() passes no forbid; no other kind builds rows
-
     zones = verb_constraints(verb)  # the lref's, a fresh dict
-    if not one_location:
-        if discontinuities(zones):
-            return None
-        rows = tuple([(False, p, z, Provenance.VERB) for p, z in sorted(zones.items())])
-        ground = ((True, phase, zone, source),)
-        return rows + ground, ground + rows
-    if phase in zones:
-        source = Provenance.VERB  # a coincident fact keeps the verb's provenance
-    if not _merge(zones, phase, zone):
-        return None
-    return (tuple([
-        (True, p, z, source if p == phase else Provenance.VERB)
-        for p, z in sorted(zones.items())
-    ]),)
+    if rule.conclusion.kind == "identify":
+        phase, zone = prep_constraint(prep)
+        # a coincident fact keeps the verb's provenance
+        source = Provenance.VERB if phase in zones else Provenance.PREP
+        zones.setdefault(phase, zone)
+        return (tuple([
+            (True, p, z, source if p == phase else Provenance.VERB)
+            for p, z in sorted(zones.items())
+        ]),)
+    _, phase, zone, source = rule.conclusion  # a bind: resolve() fires no other kind
+    if phase is None:
+        raise IllFormedEntryError(f"bind in rule {rule.id!r} lacks a phase")
+    zone = prep.effective_zone if zone is None else zone
+    source = Provenance.PREP if source is None else source
+    rows = tuple([(False, p, z, Provenance.VERB) for p, z in sorted(zones.items())])
+    ground = ((True, phase, zone, source),)
+    return rows + ground, ground + rows
 
 
 def explain(derivation: Derivation) -> str:

@@ -85,8 +85,10 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
 
         An unattained final preposition only orients the motion, so its
         commitment weakens to proximity rather than its nominal zone.
+        attained is compared by ==, as compose()'s memo key compares it,
+        so a hand-built 0 reads as False.
         """
-        if self.attained is False:
+        if self.attained == False:  # not `is`: 0 == False
             return Zone.PROXIMAL
         return self.zone
 

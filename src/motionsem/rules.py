@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError,
@@ -390,18 +390,18 @@ def applicable_rules(
 
 
 def resolve(
-    features: ComplexFeatures, base: RuleBase, build: Callable, names: Sequence[str]
-) -> tuple[CompositionRule, object, tuple[Defeat, ...]]:
-    """The rule that fires for features, what it builds, and the defeats.
+    features: ComplexFeatures, base: RuleBase, names: Sequence[str]
+) -> tuple[CompositionRule, tuple[Defeat, ...]]:
+    """The rule that fires for features, and the defeats.
 
     The one resolution of a rule base, run by compose() and lint alike:
     one pass over applicable_rules().  A tie the pass reaches before a
     rule fires raises AmbiguousRuleBaseError; a forbid vetoes every
-    identify below it; build(rule) gives what an identify or bind makes,
-    or None if it is inconsistent, and the first that makes something
-    fires (else InfelicitousError).  Each later rule but a forbid is
-    defeated, "guard subsumed" if the fired guard is more specific.  The
-    errors name the verb, preposition and ground in names.
+    identify below it.  The first conclusion that holds fires (else
+    InfelicitousError): a bind always holds, an identify when the zones
+    are compatible, and no other kind ever.  Each later rule but a forbid
+    is defeated, "guard subsumed" if the fired guard is more specific.
+    The errors name the verb, preposition and ground in names.
     """
     candidates = applicable_rules(features, base)
     defeated: list[Defeat] = []
@@ -415,14 +415,14 @@ def resolve(
                 f"{' + '.join(names[:2])}",
                 ids,
             )
-        if rule.conclusion.kind == "forbid":
+        kind = rule.conclusion.kind
+        if kind == "forbid":
             veto = veto or rule  # the highest forbid vetoes
             continue
-        if rule.conclusion.kind == "identify" and veto is not None:
+        if kind == "identify" and veto is not None:
             defeated.append(Defeat(rule.id, veto.id, "identification forbidden"))
             continue
-        built = build(rule)
-        if built is not None:
+        if kind == "bind" or kind == "identify" and features.zone_compatible:
             break
         defeated.append(Defeat(rule.id, None, "conclusion inconsistent"))
     else:
@@ -435,29 +435,17 @@ def resolve(
             subsumed = rule.guard.subsumes(later.guard)
             reason = "guard subsumed" if subsumed else "lower priority"
             defeated.append(Defeat(later.id, rule.id, reason))
-    return rule, built, tuple(defeated)
-
-
-def _well_formed(features: ComplexFeatures, rule: CompositionRule) -> bool | None:
-    """lint's build for resolve(): whether a conclusion holds for loaded entries.
-
-    An identify holds iff the zones are compatible (compose's own check).
-    A bind always does, as a loaded verb's zones never jump: a non-medial
-    verb has no during phase and the medial path is contact->inside->contact.
-    """
-    kind = rule.conclusion.kind
-    return kind == "bind" or kind == "identify" and features.zone_compatible or None
+    return rule, tuple(defeated)
 
 
 def lint_rulebase(base: RuleBase) -> LintReport:
     """Check the 12-cell grid for feature vectors that compose() rejects.
 
-    Runs resolve() with _well_formed on each completion (zone
+    Runs resolve(), compose()'s own verdict, on each completion (zone
     compatibility, attainment) of each cell.  A cell gaps when one raises
     InfelicitousError (a veto-only cell is a gap) and lists the rules of
     each AmbiguousRuleBaseError as a tie.  So a base that lint passes
-    never makes compose() raise either for entries a lexicon loads,
-    unless the ground is named like the reference location.
+    never makes compose() raise either, whatever the ground is named.
     """
     gaps: dict[LintCell, None] = {}
     ties: list[tuple[LintCell, str]] = []
@@ -467,7 +455,7 @@ def lint_rulebase(base: RuleBase) -> LintReport:
         for compatible, attainment in itertools.product((True, False), attained):
             features = ComplexFeatures(*cell, compatible, attainment)
             try:
-                resolve(features, base, functools.partial(_well_formed, features), ())
+                resolve(features, base, ())
             except InfelicitousError:
                 gaps[cell] = None
             except AmbiguousRuleBaseError as exc:

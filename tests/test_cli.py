@@ -145,6 +145,15 @@ def test_query_blank_or_unprintable_field_is_a_usage_error(capsys, field, argv):
 
 
 @pytest.mark.parametrize("fmt", ["text", "records"])
+def test_query_refuses_the_reference_location_name_as_a_ground(capsys, fmt):
+    code, out, err = run(capsys, "query", "sortir", "dans", "lref#sortir", "--format", fmt)
+    message = "motion complex ground 'lref#sortir' is reserved for the reference location"
+    assert (code, out, err) == (cli.EXIT_LOAD_ERROR, "", f"error: {message}\n")
+    code, out, err = run(capsys, "query", "sortir", "dans", "lref#entrer", "--format", fmt)
+    assert code == cli.EXIT_OK and "lref#entrer" in out and err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
 def test_query_takes_a_no_break_space_in_a_name(capsys, fmt):
     ground = "jardin\u00a0public"
     code, out, err = run(capsys, "query", "sortir", "dans", ground, "--format", fmt)

@@ -148,6 +148,24 @@ def test_compatible_final_prep_identifies_even_when_unattained():
 # -- feature extraction ------------------------------------------------------
 
 
+@pytest.mark.parametrize("zero", [0, 0.0], ids=["int", "float"])
+def test_an_attained_that_equals_false_weakens_like_false(zero):
+    # attained is read by ==, as compose()'s memo key compares it, so the
+    # public helpers agree with compose() on a hand-built 0
+    verb = FR.verbs["entrer"]
+    odd = PrepEntry("p", "dir", Zone.INSIDE, LrefRole.FINAL, zero)
+    plain = odd._replace(attained=False)
+    assert odd.effective_zone is Zone.PROXIMAL
+    assert compute_features(verb, odd) == compute_features(verb, plain)
+    assert not compute_features(verb, odd).zone_compatible
+    post_proximal = {("g", Phase.POST, Zone.PROXIMAL)}
+    assert prep_projection(odd, "g") == prep_projection(plain, "g") == post_proximal
+    lexicon = Lexicon("fr", {"entrer": verb}, {"p": odd})
+    d = compose(fr_complex("entrer", "p", ground="g"), lexicon, RuleBase("v", RULES.rules))
+    assert d.features == compute_features(verb, odd)
+    assert ("g", "post", "proximal", "prep") in tuples(d)
+
+
 def test_zone_compatibility_flag():
     dans = FR.preps["dans"]
     assert compute_features(FR.verbs["entrer"], dans).zone_compatible
@@ -287,9 +305,9 @@ def test_a_bind_conclusion_without_a_phase_is_ill_formed():
     base = RULES.with_rule(
         CompositionRule("X", "defeasible", 1000, guard, Conclusion("bind"))
     )
-    for ground in ("g", "lref#sortir"):  # two locations and one
+    for _ in range(2):  # never memoized
         with pytest.raises(IllFormedEntryError) as info:
-            compose(fr_complex("sortir", "dans", ground=ground), FR, base)
+            compose(fr_complex("sortir", "dans", ground="g"), FR, base)
         assert str(info.value) == "bind in rule 'X' lacks a phase"
 
 
@@ -305,6 +323,24 @@ def complexes_built_four_ways(**changes):
     yield lambda: MotionComplex(**fields)
     yield lambda: MotionComplex._make(fields.values())
     yield lambda: MotionComplex(**COMPLEX_FIELDS)._replace(**changes)
+
+
+def test_the_reference_location_name_is_refused_as_a_ground():
+    # lref#<verb> names the verb's reference location, so no ground may take
+    # it: whether the two are one place is the rule base's decision alone
+    message = "motion complex ground 'lref#sortir' is reserved for the reference location"
+    for build in complexes_built_four_ways(ground="lref#sortir"):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    # an empty field is named first
+    with pytest.raises(ValueError, match="field verb_lemma must be nonempty"):
+        MotionComplex("", "dans", "lref#", "m", "fr")
+    # another verb's reference location is an ordinary name
+    d = compose(fr_complex("sortir", "dans", ground="lref#entrer"), FR, RULES)
+    assert d.fired.id == "D2i" and d.trace.lref == "lref#sortir"
+    assert d.trace.ground == "lref#entrer"
+    assert ("lref#entrer", "post", "inside", "interaction") in tuples(d)
 
 
 @pytest.mark.parametrize("field", MotionComplex._fields)
@@ -576,7 +612,7 @@ def prep_entries(draw):
 def outcome(complex_, lexicon, rules):
     try:
         d = compose(complex_, lexicon, rules)
-    except (AmbiguousRuleBaseError, InfelicitousError) as exc:
+    except (AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError) as exc:
         return type(exc), str(exc)
     return d, explain(d)
 
@@ -596,9 +632,14 @@ def test_memoized_compose_matches_a_cold_rule_base(
 ):
     # the warm bases are shared by every example, so most calls rename a
     # derivation memoized for other lemmas and grounds; a ground named
-    # lref#<lemma> must bypass the memo
+    # lref#<lemma> is refused before any lookup, and one named like another
+    # verb's reference location is a ground like any other
     warm = MEMO_BASES[base]
     lexicon = Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", role, start, end)}, {"p": prep})
+    if ground == f"lref#{lemma}":
+        with pytest.raises(ValueError, match="is reserved for the reference location"):
+            MotionComplex(lemma, "p", ground, "m", "fr")
+        return
     complex_ = MotionComplex(lemma, "p", ground, "m", "fr")
     cold = RuleBase(warm.version, warm.rules)
     assert cold._derivations is not warm._derivations
@@ -625,12 +666,9 @@ def test_derivation_memo_holds_one_entry_per_shape():
                     (verb.lref_role, verb.start_zone, verb.end_zone, prep.kind)
                     + (prep.role, prep.zone, prep.attained)
                 )
-                for ground in ("a", "g", "maison", "zz", f"lref#{verb.lemma}"):
+                for ground in ("a", "g", "maison", "zz", "lref#x"):
                     complex_ = MotionComplex(verb.lemma, prep.lemma, ground, "m", language)
-                    try:
-                        compose(complex_, lexicon, rules)
-                    except InfelicitousError:
-                        pass  # a bind onto a ground named like the lref clashes
+                    compose(complex_, lexicon, rules)  # lint passes the default base
         sizes.append(len(first._derivations))
     assert 0 < sizes[0] == sizes[1] <= len(shapes)
 
@@ -638,7 +676,7 @@ def test_derivation_memo_holds_one_entry_per_shape():
 def derivation_or_error(complex_, lexicon, rules):
     try:
         return compose(complex_, lexicon, rules)
-    except (AmbiguousRuleBaseError, InfelicitousError) as exc:
+    except (AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError) as exc:
         return type(exc), str(exc)
 
 
@@ -648,7 +686,9 @@ def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
     # first load filled under other names, and must rename to exactly what a
     # cold compile derives
     base = MEMO_BASES[name]
-    grounds = ("lref#v", "g")  # g sorts before the lref, the filler's zz after it
+    # g sorts before lref#v; lref#w, named like another verb's reference
+    # location, and the filler's zz sort after it
+    grounds = ("lref#w", "g")
     # one base per ground, so each cold call compiles
     cold = {ground: RuleBase(base.version, base.rules) for ground in grounds}
     text = dump_rulebase(base).splitlines(keepends=True)
@@ -662,7 +702,7 @@ def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
     assert shared is filler and shared == base
     assert not any(filler._derivations is c._derivations for c in cold.values())
     for lex in shape_lexicons("v"):
-        for ground in grounds:  # a merged lref#v derivation must not reach g
+        for ground in grounds:
             complex_ = MotionComplex("v", "p", ground, "m", "fr")
             expected = derivation_or_error(complex_, lex, cold[ground])
             assert derivation_or_error(complex_, lex, shared) == expected
@@ -702,20 +742,33 @@ def test_a_memo_hit_keeps_the_canonical_row_order_on_either_side_of_the_lref():
     assert binds > 0
 
 
+JUMPING = "medial verb 'v' jumps a zone"
+
+
 def test_identification_succeeds_exactly_when_the_features_say_it_can():
     # one clash-and-continuity check: under an identify-only base, every
-    # directional shape composes exactly when compute_features flags it
+    # directional shape composes exactly when compute_features flags it;
+    # a medial verb whose own zones jump a zone is refused before either
     base = MEMO_BASES["identify-only"]
     complex_ = MotionComplex("v", "p", "g", "m", "fr")
-    checked = 0
+    checked = refused = 0
     for lex in shape_lexicons("v"):
         verb, prep = lex.verbs["v"], lex.preps["p"]
+        outcome = derivation_or_error(complex_, lex, base)
+        if outcome == (IllFormedEntryError, JUMPING):
+            with pytest.raises(IllFormedEntryError, match=JUMPING):
+                compute_features(verb, prep)
+            with pytest.raises(IllFormedEntryError, match=JUMPING):
+                verb_projection(verb, "g")
+            refused += 1
+            continue
         if not prep.is_directional:
             continue
-        composed = isinstance(derivation_or_error(complex_, lex, base), Derivation)
+        composed = isinstance(outcome, Derivation)
         assert composed == compute_features(verb, prep).zone_compatible, (verb, prep)
         checked += 1
-    assert checked == len(VERB_SHAPES) * 16
+    assert refused == 12 * len(PREP_SHAPES) == 240
+    assert checked == (len(VERB_SHAPES) - 12) * 16
 
 
 def test_rule_bases_that_print_differently_share_no_memo():

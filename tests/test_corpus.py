@@ -131,6 +131,18 @@ def test_input_refuses_a_name_that_query_refuses(ground, separator):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("separator", [" ", "\t"], ids=["spaces", "tabs"])
+def test_input_refuses_the_reference_location_name_as_a_ground(separator):
+    fields = separator.join(["INPUT", "sortir", "dans", "lref#sortir", "fr"])
+    lines = ["# a comment\n", "CASE a\n", fields + "\n", "EXPECT-ERROR X\n", "END\n"]
+    with pytest.raises(IllFormedEntryError) as err:
+        parse_corpus(lines)
+    message = "motion complex ground 'lref#sortir' is reserved for the reference location"
+    assert str(err.value) == f"line 3: {message}" and err.value.line == 3
+    lines[2] = lines[2].replace("lref#sortir", "lref#entrer")
+    assert parse_corpus(lines)[0].complex.ground == "lref#entrer"
+
+
 def test_input_drops_a_field_of_ascii_spaces():
     with pytest.raises(IllFormedEntryError) as err:
         parse("CASE a\nINPUT\tsortir\tdans\t \tfr\nEXPECT-ERROR X\nEND\n")
