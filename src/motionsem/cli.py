@@ -20,8 +20,6 @@ Exit codes are fixed and published:
        reports a process ended by SIGPIPE); nothing is printed
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
@@ -73,7 +71,7 @@ def _load_rules(path: str | None) -> RuleBase:
     return load_rulebase(read_data_file(path))
 
 
-def cmd_query(args: SimpleNamespace | argparse.Namespace) -> int:
+def cmd_query(args: "SimpleNamespace | argparse.Namespace") -> int:
     try:
         complex_ = MotionComplex(args.verb, args.prep, args.ground, args.mobile, args.lang)
         check_names(complex_)
@@ -100,7 +98,7 @@ def cmd_query(args: SimpleNamespace | argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_corpus(args: SimpleNamespace | argparse.Namespace) -> int:
+def cmd_corpus(args: "SimpleNamespace | argparse.Namespace") -> int:
     from .corpus import parse_corpus, run_corpus
 
     try:
@@ -116,7 +114,7 @@ def cmd_corpus(args: SimpleNamespace | argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_CORPUS_FAILURES
 
 
-def cmd_lint(args: SimpleNamespace | argparse.Namespace) -> int:
+def cmd_lint(args: "SimpleNamespace | argparse.Namespace") -> int:
     status = EXIT_OK
     try:
         lexicons = _load_lexicons(args.lexicon)
@@ -173,7 +171,7 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -25,17 +25,13 @@ with markers for the names, which each call fills in (see
 _plain_layout).  Neither cache ever changes a result.
 """
 
-from __future__ import annotations
-
 import functools
 from collections.abc import Callable
 from itertools import chain
 from operator import itemgetter
 
 from .errors import IllFormedEntryError, NotACoLVerbError, Record, UnknownLanguageError
-from .lexicon import (
-    Lexicon, PrepEntry, VerbEntry, _new, _require_zones, lookup_prep, lookup_verb
-)
+from .lexicon import Lexicon, PrepEntry, VerbEntry, _new, lookup_prep, lookup_verb
 from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
 from .trace import (
     PROVENANCE_DISPLAY,
@@ -67,10 +63,6 @@ class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language
                 f"motion complex ground {ground!r} is reserved for the reference location"
             )
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # so _replace validates too
 
 
 # The Unicode space separators (category Zs) other than U+0020, mapped to it:
@@ -113,14 +105,13 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
 
     Medial verbs carry a lexical default: the mobile is inside the path
     location while under way.  A non-CoL verb raises NotACoLVerbError,
-    and a CoL entry without its role or a zone, or a medial one whose own
-    zones jump a zone (only a hand-built entry can), IllFormedEntryError.
+    and a medial one whose own zones then jump a zone (only a hand-built
+    entry can) IllFormedEntryError.
     """
     if not verb.is_col:
         raise NotACoLVerbError(
             f"{verb.lemma!r} is a {verb.category} verb; only CoL verbs compose"
         )
-    _require_zones(verb)
     constraints = {Phase.PRE: verb.start_zone, Phase.POST: verb.end_zone}
     if verb.lref_role is LrefRole.MEDIAL:
         constraints[Phase.DURING] = Zone.INSIDE
@@ -135,12 +126,9 @@ def prep_constraint(prep: PrepEntry) -> tuple[Phase, Zone]:
     Directional prepositions commit at the phase of their own role.  A
     positional preposition is phaseless by itself; in a motion complex
     its static relation is read as describing the end state, so the
-    commitment lands on the post phase.  A directional entry without a
-    role raises IllFormedEntryError.
+    commitment lands on the post phase.
     """
     if prep.is_directional:
-        if prep.role is None:
-            raise IllFormedEntryError(f"directional prep {prep.lemma!r} lacks a role")
         return (prep.role.phase, prep.effective_zone)
     return (Phase.POST, prep.effective_zone)
 
@@ -176,8 +164,9 @@ def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     zones = verb_constraints(verb)
     phase, zone = prep_constraint(prep)
     compatible = zones.setdefault(phase, zone) is zone and not discontinuities(zones)
-    attained = prep.attained if prep.is_directional else None
-    return ComplexFeatures(verb.lref_role, prep.kind, prep.role, compatible, attained)
+    return ComplexFeatures(
+        verb.lref_role, prep.kind, prep.role, compatible, prep.attained
+    )
 
 
 def compose(
@@ -193,8 +182,8 @@ def compose(
 
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
-    (the zones and roles of the two entries, never their lemmas, derived
-    from the members they equal; see _derive): the features, fired rule
+    (the zones and roles of the two entries, never their lemmas, which
+    hold members by construction; see VerbEntry): the features, fired rule
     and defeats, and the rows as (at_ground, phase, zone, provenance) in
     canonical order for a ground sorting after the lref and for one
     sorting before it (one order if they are identified).  Every call, a
@@ -251,40 +240,10 @@ def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
 def _derive(
     complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase
 ) -> tuple:
-    """The memo entry for a complex's shape (see compose(), resolve and _orders).
-
-    The memo key compares fields by hash and ==, so the entry is derived
-    from the members the entries' roles and zones equal and from a bool
-    attained (1.0 is LrefRole.MEDIAL, 0 is False): it then holds for every
-    entry of the shape, whichever fills it.  A field that equals none
-    raises IllFormedEntryError.
-    """
-    if verb.is_col:  # else compute_features raises NotACoLVerbError
-        verb, prep = _as_members(verb, _VERB_FIELDS), _as_members(prep, _PREP_FIELDS)
+    """The memo entry for a complex's shape (see compose(), resolve and _orders)."""
     features = compute_features(verb, prep)
     fired, defeated = resolve(features, rules, complex)
     return features, fired, defeated, _orders(fired, verb, prep)
-
-
-# Each member, and None, under itself: a lookup finds the one that a value
-# equals by the memo key's hash and ==.  Keyed by the index of the field.
-_ROLES = {None: None, **{member: member for member in LrefRole}}
-_ZONES = {None: None, **{member: member for member in Zone}}
-_VERB_FIELDS = {2: _ROLES, 3: _ZONES, 4: _ZONES}  # lref_role, start_zone, end_zone
-_PREP_FIELDS = {2: _ZONES, 3: _ROLES, 4: {None: None, False: False, True: True}}
-
-
-def _as_members(entry, tables: dict):
-    """entry with each field indexed in tables replaced by its table's value for it."""
-    fields = list(entry)
-    for index, table in tables.items():
-        if fields[index] not in table:
-            raise IllFormedEntryError(
-                f"{entry.lemma!r} has {entry._fields[index]} {fields[index]!r}, "
-                "equal to no member"
-            )
-        fields[index] = table[fields[index]]
-    return _new(type(entry), fields)
 
 
 def _orders(

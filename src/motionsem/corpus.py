@@ -19,8 +19,6 @@ before them is the location, which may hold spaces.  A case expects
 either assignment tuples or one error name, never both.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable
 
 from .compose import MotionComplex, check_names, compose

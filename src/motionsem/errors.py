@@ -8,8 +8,6 @@ and Record, the base of every record class: this is the first module the
 package imports.
 """
 
-from __future__ import annotations
-
 import io
 import os
 from collections import _tuplegetter
@@ -38,6 +36,8 @@ class Record(tuple):
     pickling.  The factory compiles a __new__ from source text for each
     class; this one __new__ serves every class, binding keywords and
     defaults only when a call does not pass exactly one value per field.
+    _make and _replace call the class, so a subclass's own __new__ checks
+    their values as it checks a call's.
     """
 
     __slots__ = ()
@@ -75,11 +75,11 @@ class Record(tuple):
 
     @classmethod
     def _make(cls, iterable):
-        """A record of the values in iterable, which must hold one per field."""
-        self = tuple.__new__(cls, iterable)
-        if len(self) != len(cls._fields):
-            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(self)}")
-        return self
+        """cls called with the values in iterable, which must hold one per field."""
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
 
     def _replace(self, /, **changes):
         """A copy of this record with the named fields changed."""

@@ -16,9 +16,12 @@ names no member raises UnknownNameError through Zone or LrefRole.from_label,
 as in every other data file.  load_lexicon validates each distinct entry
 shape once per process and class inventory, in a bounded memo that never
 keeps an error.
-"""
 
-from __future__ import annotations
+VerbEntry and PrepEntry decide which fields an entry may hold: built by
+a call, _make or _replace, an entry holds the shapes a lexicon line can
+give, with each zone and role the member it equals, or raises
+IllFormedEntryError.  Only the class inventory is the file format's own.
+"""
 
 import functools
 from collections.abc import Iterable, Mapping
@@ -54,10 +57,33 @@ class VerbEntry(
     Only CoL entries constrain zones: start_zone/end_zone give the
     mobile's zone with respect to the verb's reference location before
     and after the motion, and lref_role says which motion phase that
-    location anchors.
+    location anchors.  The category is one of VERB_CATEGORIES; a CoL
+    entry has its role and both zones, each held as the member it equals
+    (1.0 is LrefRole.MEDIAL), and any other entry none of them.  Whether
+    a CoL pair is a lexicalized class is the file format's check
+    (classify_verb), so a hand-built entry may take any pair.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        lemma, category, role, start, end, gloss = self = super().__new__(
+            cls, *args, **kwargs
+        )
+        if category not in VERB_CATEGORIES:
+            raise IllFormedEntryError(f"unknown verb category {category!r}")
+        if category != "CoL":
+            if role is None and start is None and end is None:
+                return self
+            raise IllFormedEntryError(
+                f"{category} verb {lemma!r} must not carry zone fields"
+            )
+        if role is None or start is None or end is None:
+            raise IllFormedEntryError(f"CoL entry {lemma!r} lacks zone constraints")
+        return tuple.__new__(cls, (
+            lemma, category, _member(self, 2, LrefRole), _member(self, 3, Zone),
+            _member(self, 4, Zone), gloss,
+        ))
 
     @property
     def is_col(self) -> bool:
@@ -69,11 +95,34 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
 
     Positional prepositions ("pos") just name a static zone relation;
     directional ones ("dir") additionally carry the motion-phase role they
-    focus.  attained only applies to directional-final entries and
-    defaults to true there (to/into assert arrival, towards does not).
+    focus.  The zone and role are held as the members they equal.  A
+    positional entry has no role and no attained, a directional one has a
+    role, and attained only applies to directional-final entries: there
+    it is a bool (0 is False) and defaults to true, as in the file format
+    (to/into assert arrival, towards does not).
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        lemma, kind, zone, role, attained = self = super().__new__(cls, *args, **kwargs)
+        if kind not in ("pos", "dir"):
+            raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
+        zone = _member(self, 2, Zone)
+        if kind == "pos":
+            if role is not None:
+                raise IllFormedEntryError(f"positional prep {lemma!r} has a role")
+            if attained is not None:
+                raise IllFormedEntryError("positional prep cannot carry attained")
+        elif role is None:
+            raise IllFormedEntryError(f"directional prep {lemma!r} lacks a role")
+        elif (role := _member(self, 3, LrefRole)) is LrefRole.FINAL:
+            attained = True if attained is None else _member(self, 4, _BOOL)
+        elif attained is not None:
+            raise IllFormedEntryError(
+                "attained only applies to directional-final preps"
+            )
+        return tuple.__new__(cls, (lemma, kind, zone, role, attained))
 
     @property
     def is_directional(self) -> bool:
@@ -85,12 +134,24 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
 
         An unattained final preposition only orients the motion, so its
         commitment weakens to proximity rather than its nominal zone.
-        attained is compared by ==, as compose()'s memo key compares it,
-        so a hand-built 0 reads as False.
         """
-        if self.attained == False:  # not `is`: 0 == False
+        if self.attained is False:
             return Zone.PROXIMAL
         return self.zone
+
+
+_BOOL = {False: False, True: True}.__getitem__
+
+
+def _member(entry, index: int, of):
+    """The member of(field) gives for field index of entry, else IllFormedEntryError."""
+    try:
+        return of(entry[index])
+    except (KeyError, TypeError, ValueError):
+        raise IllFormedEntryError(
+            f"{entry.lemma!r} has {entry._fields[index]} {entry[index]!r}, "
+            "equal to no member"
+        ) from None
 
 
 class Lexicon(Record, fields="language verbs preps"):
@@ -105,10 +166,6 @@ class Lexicon(Record, fields="language verbs preps"):
         return super().__new__(
             cls, language, MappingProxyType(dict(verbs)), MappingProxyType(dict(preps))
         )
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)  # so _replace copies too
 
     def __getnewargs__(self):  # for pickle and copy: a mappingproxy cannot be pickled
         return self.language, dict(self.verbs), dict(self.preps)
@@ -135,8 +192,9 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
 
 
 _PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
-# A named tuple from a tuple of its fields, skipping the class's Python-level
-# __new__: for hot paths, on classes whose __new__ checks nothing.
+# A record from a tuple of its fields, skipping the class's Python-level
+# __new__: for hot paths, on fields that __new__ accepted before (the shape
+# memo of load_lexicon) or on classes whose __new__ checks nothing.
 _new = tuple.__new__
 
 
@@ -152,17 +210,10 @@ def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
     return pair in default_class_inventory()
 
 
-def _require_zones(entry: VerbEntry) -> None:
-    """Raise IllFormedEntryError if a CoL entry lacks its role or a zone."""
-    if entry.start_zone is None or entry.end_zone is None or entry.lref_role is None:
-        raise IllFormedEntryError(f"CoL entry {entry.lemma!r} lacks zone constraints")
-
-
 def classify_verb(entry: VerbEntry) -> str:
     """Class identifier for a CoL verb, derived from its zone pair alone."""
     if not entry.is_col:
         raise NotACoLVerbError(f"{entry.lemma!r} is {entry.category}, not CoL")
-    _require_zones(entry)
     pair = (entry.start_zone, entry.end_zone)
     if _lexicalized(entry.lref_role, pair):
         return f"{pair[0].label}→{pair[1].label}"
@@ -204,31 +255,22 @@ def lookup_lexicon(lexicons: Mapping[str, Lexicon], language: str) -> Lexicon:
 def _parse_verb_line(lemma: str, tail: str) -> tuple:
     """The category, role and zones of a V line, from its tail (see load_lexicon)."""
     category, *rest = [field.strip() for field in tail.split("\t")]
-    if category not in VERB_CATEGORIES:
-        raise IllFormedEntryError(f"unknown verb category {category!r}")
-
     if category == "CoL":
         if len(rest) != 3:
             raise IllFormedEntryError(
                 "CoL verb needs <lref_role> <start_zone> <end_zone>"
             )
-        role = LrefRole.from_label(rest[0])
-        pair = (Zone.from_label(rest[1]), Zone.from_label(rest[2]))
-        if not _lexicalized(role, pair):  # classify_verb raises with the class message
-            classify_verb(VerbEntry(lemma, category, role, *pair))
-        return (category, role) + pair
-
-    if rest:
-        raise IllFormedEntryError(
-            f"{category} verb {lemma!r} must not carry zone fields"
-        )
-    return (category, None, None, None)
+        rest = [LrefRole.from_label(rest[0]), *map(Zone.from_label, rest[1:])]
+    entry = VerbEntry(lemma, category, *rest[:3])
+    if entry.is_col:
+        classify_verb(entry)  # raises outside the class inventory
+    return entry[1:5]
 
 
-def _parse_prep_line(tail: str) -> tuple:
+def _parse_prep_line(lemma: str, tail: str) -> tuple:
     """The kind, zone, role and attainment of a P line, from its tail."""
     kind, *rest = [field.strip() for field in tail.split("\t")]
-    if kind not in ("pos", "dir"):
+    if kind not in ("pos", "dir"):  # before its attained field is read
         raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
 
     attained: bool | None = None
@@ -241,20 +283,14 @@ def _parse_prep_line(tail: str) -> tuple:
     if kind == "pos":
         if len(rest) != 1:
             raise IllFormedEntryError("positional prep needs exactly a zone")
-        if attained is not None:
+        if attained is not None:  # before its zone is read
             raise IllFormedEntryError("positional prep cannot carry attained")
-        return (kind, Zone.from_label(rest[0]), None, None)
+        return PrepEntry(lemma, kind, Zone.from_label(rest[0]))[1:]
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>")
     role = LrefRole.from_label(rest[0])
-    zone = Zone.from_label(rest[1])
-    if role is LrefRole.FINAL:
-        if attained is None:
-            attained = True  # to/into-style arrival is the default
-    elif attained is not None:
-        raise IllFormedEntryError("attained only applies to directional-final preps")
-    return (kind, zone, role, attained)
+    return PrepEntry(lemma, kind, Zone.from_label(rest[1]), role, attained)[1:]
 
 
 # Each entry tag, with the error of a line that stops before its tail.
@@ -348,7 +384,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
             else:
                 fields = shapes.get(key := ("P", tail))
                 if fields is None:
-                    fields = _remember(shapes, key, _parse_prep_line(tail))
+                    fields = _remember(shapes, key, _parse_prep_line(lemma, tail))
                 if lemma in preps:
                     raise DuplicateLemmaError(f"preposition {lemma!r} defined twice")
                 preps[lemma] = _new(PrepEntry, (lemma,) + fields)
@@ -367,7 +403,6 @@ def dump_lexicon(lexicon: Lexicon) -> str:
     for entry in lexicon.verbs.values():
         fields = ["V", entry.lemma, entry.category]
         if entry.is_col:
-            _require_zones(entry)
             fields += [
                 entry.lref_role.label,
                 entry.start_zone.label,

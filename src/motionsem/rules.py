@@ -28,8 +28,6 @@ among rules of equal strength, higher priority wins and exact ties are
 an error, never silently ordered.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 from collections.abc import Iterable, Sequence

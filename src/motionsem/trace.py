@@ -10,8 +10,6 @@ and render_records() give a trace's rows in their one canonical order,
 by (location, phase), and explain's zone table prints those rows too.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 from types import MappingProxyType
 

@@ -7,8 +7,6 @@ zones has to traverse the zones in between, so the four values carry a
 fixed linear adjacency order.
 """
 
-from __future__ import annotations
-
 from types import MappingProxyType
 
 from .errors import UnknownNameError

@@ -150,11 +150,12 @@ def test_compatible_final_prep_identifies_even_when_unattained():
 
 @pytest.mark.parametrize("zero", [0, 0.0], ids=["int", "float"])
 def test_an_attained_that_equals_false_weakens_like_false(zero):
-    # attained is read by ==, as compose()'s memo key compares it, so the
-    # public helpers agree with compose() on a hand-built 0
+    # a hand-built 0 is held as False, so the public helpers agree with
+    # compose() on it
     verb = FR.verbs["entrer"]
     odd = PrepEntry("p", "dir", Zone.INSIDE, LrefRole.FINAL, zero)
     plain = odd._replace(attained=False)
+    assert odd.attained is False and odd == plain
     assert odd.effective_zone is Zone.PROXIMAL
     assert compute_features(verb, odd) == compute_features(verb, plain)
     assert not compute_features(verb, odd).zone_compatible
@@ -271,33 +272,37 @@ def test_infelicitous_when_no_rule_applies():
         compose(fr_complex("sortir", "dans"), FR, base)
 
 
-@pytest.mark.parametrize(
-    "verb",
-    [
-        VerbEntry("v", "CoL"),
-        VerbEntry("v", "CoL", None, Zone.INSIDE, Zone.DISTAL),
-        VerbEntry("v", "CoL", LrefRole.INITIAL, None, Zone.DISTAL),
-        VerbEntry("v", "CoL", LrefRole.INITIAL, Zone.INSIDE, None),
-    ],
-    ids=["bare", "no-role", "no-start", "no-end"],
-)
-def test_a_col_entry_without_its_role_or_zones_is_ill_formed(verb):
-    lexicon = Lexicon("fr", {"v": verb}, {"dans": FR.preps["dans"]})
-    for _ in range(2):  # never memoized
+# Fields of a CoL entry without its role or a zone; built inside the test,
+# since the constructor refuses them.
+MISSING_ZONES = {
+    "bare": (),
+    "no-role": (None, Zone.INSIDE, Zone.DISTAL),
+    "no-start": (LrefRole.INITIAL, None, Zone.DISTAL),
+    "no-end": (LrefRole.INITIAL, Zone.INSIDE, None),
+}
+
+
+@pytest.mark.parametrize("fields", MISSING_ZONES.values(), ids=list(MISSING_ZONES))
+def test_a_col_entry_without_its_role_or_zones_is_ill_formed(fields):
+    whole = VerbEntry("v", "CoL", LrefRole.INITIAL, Zone.INSIDE, Zone.DISTAL)
+    for build in (
+        lambda: VerbEntry("v", "CoL", *fields),
+        lambda: VerbEntry._make(("v", "CoL", *fields) + (None,) * (4 - len(fields))),
+        lambda: whole._replace(**dict(zip(whole._fields[2:5], fields or (None,) * 3))),
+    ):
         with pytest.raises(IllFormedEntryError) as info:
-            compose(fr_complex("v", "dans"), lexicon, RULES)
+            build()
         assert str(info.value) == "CoL entry 'v' lacks zone constraints"
-    with pytest.raises(IllFormedEntryError) as info:
-        compute_features(verb, FR.preps["dans"])
-    assert str(info.value) == "CoL entry 'v' lacks zone constraints"
 
 
 def test_a_directional_prep_without_a_role_is_ill_formed():
-    prep = PrepEntry("p", "dir", Zone.INSIDE)
-    lexicon = Lexicon("fr", {"sortir": FR.verbs["sortir"]}, {"p": prep})
-    with pytest.raises(IllFormedEntryError) as info:
-        compose(fr_complex("sortir", "p"), lexicon, RULES)
-    assert str(info.value) == "directional prep 'p' lacks a role"
+    for build in (
+        lambda: PrepEntry("p", "dir", Zone.INSIDE),
+        lambda: FR.preps["vers"]._replace(lemma="p", role=None, attained=None),
+    ):
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == "directional prep 'p' lacks a role"
 
 
 def test_a_bind_conclusion_without_a_phase_is_ill_formed():
@@ -928,20 +933,26 @@ def test_a_field_equal_to_a_member_composes_as_the_member(name, odd_first):
         assert outputs(*calls[key], base) == expected[key], key
 
 
-@pytest.mark.parametrize(
-    "pos, entry",
-    [
-        ("verbs", VerbEntry("odd", "CoL", LrefRole.INITIAL, 5, 9)),
-        ("verbs", VerbEntry("odd", "CoL", "initial", Zone.INSIDE, Zone.PROXIMAL)),
-        ("preps", PrepEntry("odd", "dir", Zone.INSIDE, LrefRole.FINAL, 2)),
-    ],
-    ids=["zones-5-9", "role-label", "attained-2"],
-)
-def test_a_field_equal_to_no_member_is_ill_formed_every_time(pos, entry):
-    lexicon = with_entry(FR, pos, entry)
-    complex_ = fr_complex(*(("odd", "dans") if pos == "verbs" else ("sortir", "odd")))
-    base = RuleBase(RULES.version, RULES.rules)
+# Fields that equal no member, built inside the test since the constructor
+# refuses them: the class, the fields and the field the refusal names.
+NO_MEMBER = {
+    "zones-5-9": (VerbEntry, ("odd", "CoL", LrefRole.INITIAL, 5, 9, None), "start_zone 5"),
+    "role-label": (
+        VerbEntry,
+        ("odd", "CoL", "initial", Zone.INSIDE, Zone.PROXIMAL, None),
+        "lref_role 'initial'",
+    ),
+    "attained-2": (PrepEntry, ("odd", "dir", Zone.INSIDE, LrefRole.FINAL, 2), "attained 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_MEMBER))
+def test_a_field_equal_to_no_member_is_ill_formed_every_time(name):
+    cls, fields, named = NO_MEMBER[name]
     for _ in range(2):
-        with pytest.raises(IllFormedEntryError, match="'odd' has "):
-            compose(complex_, lexicon, base)
-    assert not base._derivations
+        with pytest.raises(IllFormedEntryError) as info:
+            cls(*fields)
+        assert str(info.value) == f"'odd' has {named}, equal to no member"
+    with pytest.raises(IllFormedEntryError) as info:
+        cls._make(fields)
+    assert str(info.value) == f"'odd' has {named}, equal to no member"

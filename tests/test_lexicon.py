@@ -341,17 +341,126 @@ def test_seed_round_trip():
 
 
 @pytest.mark.parametrize(
-    "entry",
-    [
-        VerbEntry("x", "CoL", None, Zone.INSIDE, Zone.PROXIMAL),
-        VerbEntry("x", "CoL", LrefRole.INITIAL, Zone.INSIDE, None),
-    ],
+    "fields",
+    [(None, Zone.INSIDE, Zone.PROXIMAL), (LrefRole.INITIAL, Zone.INSIDE, None)],
     ids=["no-role", "no-end"],
 )
-def test_dump_rejects_a_col_entry_without_its_role_or_zones(entry):
-    lexicon = Lexicon(language="fr", verbs={"x": entry}, preps={})
+def test_a_col_entry_without_its_role_or_zones_never_reaches_dump(fields):
+    # the constructor refuses it, so no lexicon holds one for dump_lexicon
     with pytest.raises(IllFormedEntryError, match="^CoL entry 'x' lacks zone constraints$"):
-        dump_lexicon(lexicon)
+        VerbEntry("x", "CoL", *fields)
+    whole = VerbEntry("x", "CoL", LrefRole.INITIAL, Zone.INSIDE, Zone.PROXIMAL)
+    with pytest.raises(IllFormedEntryError, match="^CoL entry 'x' lacks zone constraints$"):
+        whole._replace(**dict(zip(whole._fields[2:5], fields)))
+
+
+# Each refusal of the entry constructors: the class, the fields, the message.
+REFUSALS = {
+    "verb-category": (
+        VerbEntry, ("v", "col", None, None, None, None), "unknown verb category 'col'"
+    ),
+    "verb-zones-off-col": (
+        VerbEntry, ("v", "CoPs", None, Zone.INSIDE, None, None),
+        "CoPs verb 'v' must not carry zone fields",
+    ),
+    "verb-no-zones": (
+        VerbEntry, ("v", "CoL", LrefRole.INITIAL, Zone.INSIDE, None, None),
+        "CoL entry 'v' lacks zone constraints",
+    ),
+    "verb-role": (
+        VerbEntry, ("v", "CoL", 1.5, Zone.INSIDE, Zone.CONTACT, None),
+        "'v' has lref_role 1.5, equal to no member",
+    ),
+    "verb-zone": (
+        VerbEntry, ("v", "CoL", LrefRole.FINAL, Zone.INSIDE, "contact", None),
+        "'v' has end_zone 'contact', equal to no member",
+    ),
+    "prep-kind": (
+        PrepEntry, ("p", "Dir", Zone.INSIDE, LrefRole.FINAL, True),
+        "unknown preposition kind 'Dir'",
+    ),
+    "prep-zone": (
+        PrepEntry, ("p", "pos", None, None, None), "'p' has zone None, equal to no member"
+    ),
+    "pos-role": (
+        PrepEntry, ("p", "pos", Zone.INSIDE, LrefRole.FINAL, None),
+        "positional prep 'p' has a role",
+    ),
+    "pos-attained": (
+        PrepEntry, ("p", "pos", Zone.INSIDE, None, False),
+        "positional prep cannot carry attained",
+    ),
+    "dir-no-role": (
+        PrepEntry, ("p", "dir", Zone.INSIDE, None, None),
+        "directional prep 'p' lacks a role",
+    ),
+    "dir-role": (
+        PrepEntry, ("p", "dir", Zone.INSIDE, "final", None),
+        "'p' has role 'final', equal to no member",
+    ),
+    "final-attained": (
+        PrepEntry, ("p", "dir", Zone.INSIDE, LrefRole.FINAL, "yes"),
+        "'p' has attained 'yes', equal to no member",
+    ),
+    "initial-attained": (
+        PrepEntry, ("p", "dir", Zone.INSIDE, LrefRole.INITIAL, False),
+        "attained only applies to directional-final preps",
+    ),
+}
+VALID = {
+    VerbEntry: VerbEntry("ok", "CoL", LrefRole.INITIAL, Zone.INSIDE, Zone.PROXIMAL),
+    PrepEntry: PrepEntry("ok", "pos", Zone.INSIDE),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_an_entry_no_lexicon_line_gives_is_refused_however_it_is_built(name):
+    cls, fields, message = REFUSALS[name]
+    for build in (
+        lambda: cls(*fields),
+        lambda: cls(**dict(zip(cls._fields, fields))),
+        lambda: cls._make(fields),
+        lambda: VALID[cls]._replace(**dict(zip(cls._fields, fields))),
+    ):
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == message and info.value.line is None
+
+
+def test_an_entry_holds_the_members_its_fields_equal():
+    verb = VerbEntry("v", "CoL", 1.0, 0.0, True)
+    assert verb == ("v", "CoL", LrefRole.MEDIAL, Zone.INSIDE, Zone.CONTACT, None)
+    assert [type(field) for field in verb[2:5]] == [LrefRole, Zone, Zone]
+    assert repr(verb) == (
+        "VerbEntry(lemma='v', category='CoL', lref_role=<LrefRole.MEDIAL: 1>, "
+        "start_zone=<Zone.INSIDE: 0>, end_zone=<Zone.CONTACT: 1>, gloss=None)"
+    )
+    assert VerbEntry._make(verb) == verb
+    assert VALID[VerbEntry]._replace(lref_role=2.0).lref_role is LrefRole.FINAL
+    prep = PrepEntry("p", "dir", 2.0, 2)  # a final prep is attained unless it says not
+    assert prep[2:] == (Zone.PROXIMAL, LrefRole.FINAL, True) and prep.attained is True
+    for equal, attained in ((0, False), (0.0, False), (1.0, True), (True, True)):
+        assert prep._replace(attained=equal).attained is attained
+    assert PrepEntry("p", "pos", 3.0).zone is Zone.DISTAL
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("V\tx\tcol", "unknown verb category 'col'"),
+        ("V\tx\tCoPs\tinside", "CoPs verb 'x' must not carry zone fields"),
+        (
+            "P\tx\tdir\tinitial\tinside\tattained=true",
+            "attained only applies to directional-final preps",
+        ),
+    ],
+    ids=["category", "zones-off-col", "attained-off-final"],
+)
+def test_a_refusal_of_the_constructor_names_its_line(entry, message):
+    for _ in range(2):  # a refused shape is never kept
+        with pytest.raises(IllFormedEntryError) as err:
+            load(f"LANG\tfr\n{entry}\n")
+        assert str(err.value) == f"line 2: {message}" and err.value.line == 2
 
 
 _ROLE_ZONES = sorted(default_class_inventory())

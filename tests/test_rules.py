@@ -8,9 +8,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from motionsem import rules as rules_module
 from motionsem.compose import MotionComplex, compose, compute_features
-from motionsem.errors import AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError
-from motionsem.lexicon import load_lexicon
+from motionsem.errors import (
+    AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError, NotACoLVerbError
+)
+from motionsem.lexicon import VERB_CATEGORIES, Lexicon, PrepEntry, VerbEntry, load_lexicon
 from motionsem.rules import (
     _GUARD_VALUES,
     GUARD_KEYS,
@@ -33,7 +36,7 @@ from motionsem.rules import (
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 
-from shapes import MEMO_BASES, PREP_SHAPES, inventory_verb_shapes, shape_lexicons
+from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, inventory_verb_shapes, shape_lexicons
 
 
 def load(text: str):
@@ -580,3 +583,110 @@ def test_a_base_lint_passes_never_fails_at_run_time(dropped, extra):
     report, found = assert_lint_is_run_time(RuleBase("generated", tuple(rules)))
     if report.ok:
         assert all(seen == {None} for seen in found.values())
+
+
+# -- every entry the constructors accept is on lint's grid --------------------
+
+
+def typed(vector) -> tuple:
+    """A feature vector with the type of each field: 1.0 is not LrefRole.MEDIAL here."""
+    return tuple((type(field), field) for field in vector)
+
+
+def linted_vectors() -> set:
+    """The feature vectors lint_rulebase resolves, typed."""
+    seen = set()
+
+    def spy(features, base, names):
+        seen.add(typed(features))
+        raise InfelicitousError("spied")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rules_module, "resolve", spy)
+        lint_rulebase(RuleBase("empty"))
+    return seen
+
+
+LINTED = linted_vectors()
+# Raw values a hand-built field may take besides those equal to a valid one:
+# non-members, labels, None, and a category or kind of the other kind.
+OTHERS = (None, 1.5, -1, 5, "inside", "final", "yes", "CoPs", "pos")
+# Every valid verb shape; a non-CoL verb about one time in four.
+VALID_VERBS = [("CoL", *shape) for shape in VERB_SHAPES] + 5 * [
+    (category, None, None, None) for category in VERB_CATEGORIES if category != "CoL"
+]
+
+
+def raw(value):
+    """Values equal to value (itself, an equal int, float or bool), or one of OTHERS."""
+    same = [value]
+    if value is not None and not isinstance(value, str):
+        same += [int(value), float(value)] + [bool(value)] * (int(value) in (0, 1))
+    return st.sampled_from(OTHERS + tuple(same) * (12 * len(OTHERS) // len(same)))
+
+
+def test_lint_resolves_the_30_completions():
+    assert LINTED == {typed(features) for features in COMPLETIONS}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    verb_fields=st.sampled_from(VALID_VERBS).flatmap(lambda v: st.tuples(*map(raw, v))),
+    prep_fields=st.sampled_from(PREP_SHAPES).flatmap(lambda p: st.tuples(*map(raw, p[1:]))),
+)
+def test_every_entry_the_constructors_accept_composes_on_lints_grid(verb_fields, prep_fields):
+    # each pair is refused at construction, or by compose as a non-CoL verb
+    # or a medial verb that jumps a zone, or composes to a vector lint resolves
+    try:
+        verb, prep = VerbEntry("v", *verb_fields), PrepEntry("p", *prep_fields)
+    except IllFormedEntryError:
+        return  # refused at construction
+    lexicon = Lexicon("fr", {"v": verb}, {"p": prep})
+    complex_ = MotionComplex("v", "p", "g", "m", "fr")
+    try:
+        derivation = compose(complex_, lexicon, RuleBase("cold", DEFAULT_RULES))
+    except NotACoLVerbError:
+        assert not verb.is_col
+        return
+    except IllFormedEntryError as exc:
+        assert jumps(verb) and str(exc) == "medial verb 'v' jumps a zone"
+        return
+    assert typed(derivation.features) in LINTED
+    assert typed(compute_features(verb, prep)) == typed(derivation.features)
+
+
+# Two bases lint passes, each with a hand-built preposition that lint's grid
+# did not hold while the constructors took it, so compose raised a tie that
+# lint could not see: a positional prep with a role (A/B), and a final prep
+# without attained (C/E).  The constructors now refuse the first and make the
+# second attained, so compose agrees with lint under both.
+POS_WITH_A_ROLE = load(
+    rule_line("A", "defeasible", 5, "prepkind=pos", "bind(post)")
+    + rule_line("B", "defeasible", 5, "preprole=final", "bind(pre)")
+    + rule_line("C", "defeasible", 1, "prepkind=dir", "bind(post)")
+)
+FINAL_WITHOUT_ATTAINED = load(
+    rule_line("A", "defeasible", 5, "preprole=final,attained=yes", "bind(post)")
+    + rule_line("B", "defeasible", 5, "preprole=final,attained=no", "bind(pre)")
+    + rule_line("C", "defeasible", 1, "prepkind=dir", "bind(post)")
+    + rule_line("E", "defeasible", 1, "preprole=final", "bind(pre)")
+    + rule_line("D", "defeasible", 1, "prepkind=pos", "bind(post)")
+)
+
+
+def test_a_positional_prep_with_a_role_is_refused_as_lint_assumes():
+    report, found = assert_lint_is_run_time(POS_WITH_A_ROLE)
+    assert report.ok and all(seen == {None} for seen in found.values())
+    with pytest.raises(IllFormedEntryError, match="^positional prep 'p' has a role$"):
+        PrepEntry("p", "pos", Zone.INSIDE, LrefRole.FINAL)
+
+
+def test_a_final_prep_built_without_attained_composes_as_lint_assumes():
+    report, found = assert_lint_is_run_time(FINAL_WITHOUT_ATTAINED)
+    assert report.ok and all(seen == {None} for seen in found.values())
+    prep = PrepEntry("p", "dir", Zone.INSIDE, LrefRole.FINAL)
+    assert prep.attained is True
+    verb = VerbEntry("v", "CoL", LrefRole.FINAL, Zone.PROXIMAL, Zone.INSIDE)
+    complex_ = MotionComplex("v", "p", "g", "m", "fr")
+    lexicon = Lexicon("fr", {"v": verb}, {"p": prep})
+    assert compose(complex_, lexicon, FINAL_WITHOUT_ATTAINED).fired.id == "A"

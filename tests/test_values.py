@@ -13,6 +13,7 @@ import pytest
 
 from motionsem.compose import Defeat, Derivation, MotionComplex
 from motionsem.corpus import CaseResult, CorpusCase, CorpusReport
+from motionsem.errors import IllFormedEntryError
 from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_lexicon
 from motionsem.rules import (
     ComplexFeatures,
@@ -78,6 +79,24 @@ def _hashable(values) -> bool:
 
 
 RECORD_IDS = [c.__name__ for c, _ in RECORDS]
+
+# The entry classes whose sample's required fields alone make no entry: a CoL
+# verb without its role and zones, a directional prep without its role.  The
+# constructor refuses them, with this message.
+REFUSED_ALONE = {
+    VerbEntry: "CoL entry 'sortir' lacks zone constraints",
+    PrepEntry: "directional prep 'vers' lacks a role",
+}
+
+
+def refused_alone(cls, *args, **kwargs) -> bool:
+    """Whether cls refuses its sample's required fields alone, as REFUSED_ALONE says."""
+    if cls not in REFUSED_ALONE:
+        return False
+    with pytest.raises(IllFormedEntryError) as info:
+        cls(*args, **kwargs)
+    assert str(info.value) == REFUSED_ALONE[cls]
+    return True
 
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
@@ -162,7 +181,8 @@ def test_record_fields_and_defaults_are_pinned(cls, values):
     assert cls._field_defaults == defaults
     given = dict(zip(cls._fields, values))
     required = {name: given[name] for name in cls._fields if name not in defaults}
-    assert cls(**required) == tuple({**given, **defaults, **required}.values())
+    if not refused_alone(cls, **required):
+        assert cls(**required) == tuple({**given, **defaults, **required}.values())
     # repr names every field, in order, with the value's own repr
     value = cls(*values)
     fields = ", ".join(f"{name}={field!r}" for name, field in zip(cls._fields, value))
@@ -181,7 +201,8 @@ def test_constructor_refuses_arguments_that_do_not_bind(cls, values):
     assert cls(values[0], **dict(list(given.items())[1:])) == values
     # the required fields come first and bind alone, the rest take defaults
     head = values[: len(required)]
-    assert cls(*head) == (*head, *cls._field_defaults.values())
+    if not refused_alone(cls, *head):
+        assert cls(*head) == (*head, *cls._field_defaults.values())
     missing = dict(given)
     del missing[required[-1]]
     with pytest.raises(TypeError):
@@ -241,11 +262,13 @@ def test_a_subclass_of_a_record_class_keeps_its_fields():
     class Glossed(VerbEntry):
         __slots__ = ()
 
-    value = Glossed("sortir", "CoL", gloss="go out")
-    assert Glossed._fields == VerbEntry._fields and value.gloss == "go out"
-    assert value == ("sortir", "CoL", None, None, None, "go out")
+    with pytest.raises(IllFormedEntryError, match="^CoL entry 'sortir' lacks zone"):
+        Glossed("sortir", "CoL", gloss="go out")  # a subclass keeps the entry's checks
+    value = Glossed("voyager", "CoPs", gloss="travel")
+    assert Glossed._fields == VerbEntry._fields and value.gloss == "travel"
+    assert value == ("voyager", "CoPs", None, None, None, "travel")
     assert type(value._replace(gloss=None)) is Glossed
-    assert repr(value).startswith("Glossed(lemma='sortir'")
+    assert repr(value).startswith("Glossed(lemma='voyager'")
 
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
