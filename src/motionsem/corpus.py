@@ -8,15 +8,16 @@ Corpus files are line oriented:
     EXPECT-ERROR <name>
     END
 
-Lines are cut and stripped at ASCII whitespace only, so a name may hold a
-no-break space anywhere.  INPUT fields are tab separated when the line
-contains a tab (lemmas may hold spaces) and separated by ASCII whitespace
-otherwise; each name follows the rule of `motionsem query`
-(compose.check_names).  EXPECT lines mirror the trace record lines: the
-last three fields are the phase, zone and provenance labels, in any case
-(an unknown one raises UnknownNameError, as in every data file), and all
-before them is the location, which may hold spaces.  A case expects
-either assignment tuples or one error name, never both.
+Lines are cut and stripped at ASCII whitespace only (errors.split_fields),
+as in every data file, so a name may hold a no-break space anywhere.
+INPUT fields are tab separated when the line contains a tab (lemmas may
+hold spaces) and separated by ASCII whitespace otherwise; each name
+follows the rule of `motionsem query` (compose.check_names).  EXPECT
+lines mirror the trace record lines: the last three fields are the
+phase, zone and provenance labels, in any ASCII case (an unknown one
+raises UnknownNameError, as in every data file), and all before them is
+the location, which may hold spaces.  A case expects either assignment
+tuples or one error name, never both.
 """
 
 from collections.abc import Iterable
@@ -29,6 +30,7 @@ from .errors import (
     Record,
     WHITESPACE,
     data_lines,
+    split_fields,
     wire_name,
 )
 from .lexicon import Lexicon, lookup_lexicon
@@ -97,26 +99,11 @@ class CorpusReport(Record, fields="results rule_histogram"):
         return "\n".join(lines)
 
 
-_TO_TAB = str.maketrans(dict.fromkeys(WHITESPACE, "\t"))
-
-
 def _split_input(rest: str) -> list[str]:
     if "\t" not in rest:
-        rest = rest.translate(_TO_TAB)
+        return split_fields(rest)
     fields = [field.strip(WHITESPACE) for field in rest.split("\t")]
     return [field for field in fields if field]
-
-
-def _rsplit(text: str, count: int) -> list[str]:
-    """text.rsplit(None, count) of a stripped text, cut only at ASCII whitespace."""
-    fields: list[str] = []
-    for _ in range(count):
-        cut = text.translate(_TO_TAB).rfind("\t")
-        if cut < 0:
-            break
-        fields.append(text[cut + 1 :])
-        text = text[:cut].rstrip(WHITESPACE)
-    return [text, *reversed(fields)]
 
 
 def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
@@ -136,8 +123,8 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
 
     for lineno, line in data_lines(source):
         line = line.strip(WHITESPACE)
-        cut = (line.translate(_TO_TAB) + "\t").find("\t")
-        tag, rest = line[:cut], line[cut:].strip(WHITESPACE)
+        tag = split_fields(line)[0]  # data_lines gives no blank line
+        rest = line[len(tag) :].lstrip(WHITESPACE)
         try:
             if tag == "CASE":
                 if case_id is not None:
@@ -173,12 +160,14 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                 except ValueError as exc:
                     raise IllFormedEntryError(str(exc)) from None
             elif tag == "EXPECT":
-                parts = _rsplit(rest, 3)
-                if len(parts) != 4:
+                fields = split_fields(rest)
+                if len(fields) < 4:
                     raise IllFormedEntryError(
                         "EXPECT needs <location> <phase> <zone> <provenance>"
                     )
-                location, phase, zone, prov = parts
+                location, (phase, zone, prov) = rest, fields[-3:]
+                for field in (prov, zone, phase):  # the location keeps its spacing
+                    location = location.removesuffix(field).rstrip(WHITESPACE)
                 tuples.append(
                     (
                         location,

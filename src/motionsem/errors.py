@@ -2,10 +2,10 @@
 
 An unknown zone, phase, role or provenance name raises one error,
 UnknownNameError, with one wording, whichever file or call it comes from.
-Also holds the one reader of data files, given or bundled in DATA_DIR, and
-the one line loop of their parsers, so that all four formats load alike,
-and Record, the base of every record class: this is the first module the
-package imports.
+Also holds the one reader of data files, given or bundled in DATA_DIR,
+the one line loop of their parsers and the whitespace they cut fields at,
+so that all four formats load alike, and Record, the base of every record
+class: this is the first module the package imports.
 """
 
 import io
@@ -15,9 +15,19 @@ from collections.abc import Iterable, Iterator
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
-# ASCII only: str.strip() also takes U+00A0, which a name may hold, so every
-# loader decides blank and comment lines and cuts its tags at these alone.
+# ASCII only: str.strip() and str.split() also take U+00A0, which a name may
+# hold, so every loader decides blank and comment lines and cuts and strips
+# every field at these alone (split_fields, strip(WHITESPACE)).
 WHITESPACE = " \t\n\r\x0b\x0c"
+_TO_SPACE = str.maketrans(dict.fromkeys(WHITESPACE, " "))
+
+
+def split_fields(text: str) -> list[str]:
+    """text.split(), cut only at WHITESPACE: the non-empty runs between its characters.
+
+    A field holds no ASCII whitespace, so it reads the same translated.
+    """
+    return [field for field in text.translate(_TO_SPACE).split(" ") if field]
 
 
 class Record(tuple):

@@ -8,8 +8,9 @@ curated by hand:
     V <lemma> <category> [<lref_role> <start_zone> <end_zone>] [gloss=...]
     P <lemma> <kind> [<role>] <zone> [attained=true|false]
 
-Fields are tab separated (lemmas may therefore contain spaces), zone and
-role names are the lowercase labels but are accepted in any case, and
+Fields are tab separated (lemmas may therefore contain spaces) and, like
+the inventory's pairs, cut and stripped at ASCII whitespace only; zone and
+role names are the lowercase labels but are accepted in any ASCII case, and
 verb zone fields are only present on change-of-location (CoL) entries.
 The LANG header comes before every entry.  A zone or role name that
 names no member raises UnknownNameError through Zone or LrefRole.from_label,
@@ -39,6 +40,7 @@ from .errors import (
     WHITESPACE,
     data_lines,
     read_bundled,
+    split_fields,
 )
 from .zones import LrefRole, Zone
 
@@ -181,7 +183,7 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
     """
     pairs: set[tuple[Zone, Zone]] = set()
     for lineno, line in data_lines(read_bundled("col_classes.txt")):
-        parts = line.split()
+        parts = split_fields(line)
         try:
             if len(parts) != 2:
                 raise IllFormedEntryError("class line needs exactly two zones")
@@ -254,7 +256,7 @@ def lookup_lexicon(lexicons: Mapping[str, Lexicon], language: str) -> Lexicon:
 
 def _parse_verb_line(lemma: str, tail: str) -> tuple:
     """The category, role and zones of a V line, from its tail (see load_lexicon)."""
-    category, *rest = [field.strip() for field in tail.split("\t")]
+    category, *rest = [field.strip(WHITESPACE) for field in tail.split("\t")]
     if category == "CoL":
         if len(rest) != 3:
             raise IllFormedEntryError(
@@ -269,7 +271,7 @@ def _parse_verb_line(lemma: str, tail: str) -> tuple:
 
 def _parse_prep_line(lemma: str, tail: str) -> tuple:
     """The kind, zone, role and attainment of a P line, from its tail."""
-    kind, *rest = [field.strip() for field in tail.split("\t")]
+    kind, *rest = [field.strip(WHITESPACE) for field in tail.split("\t")]
     if kind not in ("pos", "dir"):  # before its attained field is read
         raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
 
@@ -345,7 +347,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
         tag = parts[0].strip(WHITESPACE)
         try:
             if tag == "LANG":
-                value = parts[1].strip() if len(parts) == 2 else ""
+                value = parts[1].strip(WHITESPACE) if len(parts) == 2 else ""
                 if not value:
                     raise IllFormedEntryError("LANG line needs exactly one tag")
                 if value not in LANGUAGES:
@@ -372,7 +374,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
                 gloss = None
                 if "gloss=" in tail:
                     head, tab, last = tail.rpartition("\t")
-                    last = last.strip()
+                    last = last.strip(WHITESPACE)
                     if tab and last.startswith("gloss="):
                         tail, gloss = head, last[len("gloss=") :]
                 fields = shapes.get(key := ("V", tail))

@@ -18,10 +18,13 @@ or forbids identification outright (the strict continuity guard):
                   bind(<phase>) [zone=<zone>] [prov=verb|prep|interaction]
                   forbid(identify)
 
-Role, phase, zone and provenance names are accepted in any case; the
-other words are exact.  An unknown phase, zone or provenance name raises
-UnknownNameError from its class's from_label, as in every data file; an
-unknown guard value is a bad value of its key.
+Fields, atoms and conclusion words are cut and stripped at ASCII
+whitespace only, so an id or VERSION value keeps a no-break space at its
+edge, and a priority is ASCII text.  Role, phase, zone and provenance
+names are accepted in any ASCII case; the other words are exact.  An
+unknown phase, zone or provenance name raises UnknownNameError from its
+class's from_label, as in every data file; an unknown guard value is a
+bad value of its key.
 
 Strict rules outrank every defeasible rule regardless of priority;
 among rules of equal strength, higher priority wins and exact ties are
@@ -34,10 +37,10 @@ from collections.abc import Iterable, Sequence
 
 from .errors import (
     WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError,
-    InfelicitousError, Record, data_lines, read_bundled,
+    InfelicitousError, Record, data_lines, read_bundled, split_fields,
 )
 from .trace import Provenance
-from .zones import ROLE_BY_NAME, ROLE_LABELS, LrefRole, Phase, Zone
+from .zones import ROLE_LABELS, LrefRole, Phase, Zone
 
 _GUARD_VALUES = {
     "lrefrole": ROLE_LABELS,
@@ -207,26 +210,25 @@ def parse_guard(text: str) -> Guard:
     atoms: list[tuple[str, str]] = []
     seen: set[str] = set()
     for chunk in text.split(","):
-        chunk = chunk.strip()
+        chunk = chunk.strip(WHITESPACE)
         if not chunk or "=" not in chunk:
             raise IllFormedEntryError(f"bad guard atom {chunk!r}")
         key, value = chunk.split("=", 1)
         if key not in GUARD_KEYS:
             raise IllFormedEntryError(f"unknown guard key {key!r}")
-        if key in ("lrefrole", "preprole"):  # role names, like every label, in any case
-            role = ROLE_BY_NAME.get(value.upper())
-            value = value if role is None else ROLE_LABELS[role]
-        if value not in _GUARD_VALUES[key]:
+        # role names, like every label, in any ASCII case (as from_label reads)
+        label = value.lower() if key in ("lrefrole", "preprole") and value.isascii() else value
+        if label not in _GUARD_VALUES[key]:
             raise IllFormedEntryError(f"bad value {value!r} for {key}")
         if key in seen:
             raise IllFormedEntryError(f"guard repeats key {key!r}")
         seen.add(key)
-        atoms.append((key, value))
+        atoms.append((key, label))
     return Guard(tuple(atoms))  # never empty: "".split(",") is [""], a bad atom
 
 
 def parse_conclusion(text: str) -> Conclusion:
-    parts = text.split()
+    parts = split_fields(text)
     if not parts:
         raise IllFormedEntryError("empty conclusion")
     head, options = parts[0], parts[1:]
@@ -268,8 +270,7 @@ def load_rulebase(source: Iterable[str]) -> RuleBase:
 
 @functools.lru_cache(maxsize=8)
 def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
-    version = "unversioned"
-    saw_version = False
+    version = None
     rules: list[CompositionRule] = []
     ids: set[str] = set()
 
@@ -278,12 +279,11 @@ def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
         tag = fields[0].strip(WHITESPACE)
         try:
             if tag == "VERSION":
-                if saw_version:
+                if version is not None:
                     raise IllFormedEntryError("second VERSION line")
-                if len(fields) != 2 or not fields[1].strip():
+                version = fields[1].strip(WHITESPACE) if len(fields) == 2 else ""
+                if not version:
                     raise IllFormedEntryError("VERSION line needs exactly one value")
-                version = fields[1].strip()
-                saw_version = True
                 continue
 
             if tag != "R":
@@ -292,26 +292,26 @@ def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
                 raise IllFormedEntryError(
                     "rule line needs R <id> <strength> <priority> <guard> <conclusion>"
                 )
-            rule_id = fields[1].strip()
-            strength = fields[2].strip()
+            rule_id = fields[1].strip(WHITESPACE)
+            strength = fields[2].strip(WHITESPACE)
             if not rule_id:
                 raise IllFormedEntryError("empty rule id")
             if rule_id in ids:
                 raise IllFormedEntryError(f"rule id {rule_id!r} repeated")
             if strength not in ("strict", "defeasible"):
                 raise IllFormedEntryError(f"bad strength {strength!r}")
-            try:
-                priority = int(fields[3].strip())
-            except ValueError:
+            try:  # of bytes, int() strips WHITESPACE alone; of a str, it would read '٣'
+                priority = int(fields[3].encode("ascii"))
+            except ValueError:  # UnicodeEncodeError is one
                 raise IllFormedEntryError(f"bad priority {fields[3]!r}") from None
-            guard = parse_guard(fields[4].strip())
-            conclusion = parse_conclusion(fields[5].strip())
+            guard = parse_guard(fields[4])
+            conclusion = parse_conclusion(fields[5])
         except FormatError as exc:
             raise exc.at_line(lineno)
         ids.add(rule_id)
         rules.append(CompositionRule(rule_id, strength, priority, guard, conclusion))
 
-    return RuleBase(version=version, rules=tuple(rules))
+    return RuleBase("unversioned" if version is None else version, tuple(rules))
 
 
 def dump_rulebase(base: RuleBase) -> str:

@@ -70,8 +70,8 @@ class Constant(metaclass=_ConstantType):
 
     @classmethod
     def from_label(cls, label: str):
-        """The member named label, in any case."""
-        member = cls.__members__.get(label.upper())
+        """The member named label, in any ASCII case: no look-alike such as 'ſ' or 'ı'."""
+        member = cls.__members__.get(label.upper()) if label.isascii() else None
         if member is None:
             raise UnknownNameError(f"unknown {cls._kind} name: {label!r}")
         return member
@@ -130,13 +130,10 @@ class LrefRole(Constant, int, kind="role"):
 
 # Read-only tables built once at import, so that parsing and rendering
 # never rebuild a label: labels indexed by member value (each class counts
-# from 0), members by upper-case name (from_label accepts any case).
+# from 0).
 ZONE_LABELS = tuple(zone.label for zone in Zone)
 PHASE_LABELS = tuple(phase.label for phase in Phase)
 ROLE_LABELS = tuple(role.label for role in LrefRole)
-ZONE_BY_NAME = Zone.__members__
-PHASE_BY_NAME = Phase.__members__
-ROLE_BY_NAME = LrefRole.__members__
 _ROLE_PHASES = (Phase.PRE, Phase.DURING, Phase.POST)
 
 

@@ -7,12 +7,11 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
-from motionsem import corpus
 from motionsem.compose import MotionComplex, compose
 from motionsem.corpus import parse_corpus, run_corpus
-from motionsem.errors import IllFormedEntryError, MotionSemError, wire_name
+from motionsem.errors import IllFormedEntryError, MotionSemError, split_fields, wire_name
 from motionsem.lexicon import default_lexicon
 from motionsem.rules import default_rulebase
 
@@ -84,15 +83,15 @@ def test_expect_keeps_a_no_break_space_at_the_edge_of_a_ground(ground, separator
     check_round_trip(ground, separator)
 
 
-@given(st.text("ab \t\x0b\u00a0\u2003", max_size=12), st.integers(0, 4))
-def test_expect_fields_are_cut_only_at_ascii_whitespace(text, count):
-    # parse_corpus passes a text stripped at ASCII whitespace
-    text = text.strip(" \t\x0b")
-    assume(text)
-    masked = text.replace("\u00a0", "x").replace("\u2003", "y")
-    fields = masked.rsplit(None, count)
-    expected = [f.replace("x", "\u00a0").replace("y", "\u2003") for f in fields]
-    assert corpus._rsplit(text, count) == expected
+@given(st.text("ab \t\n\r\x0b\x0c\u00a0\u2003\x1c", max_size=12))
+def test_expect_fields_are_cut_only_at_ascii_whitespace(text):
+    # the cutter of EXPECT lines and of every other data format
+    masked = text.replace("\u00a0", "x").replace("\u2003", "y").replace("\x1c", "z")
+    fields = masked.split()
+    expected = [
+        f.replace("x", "\u00a0").replace("y", "\u2003").replace("z", "\x1c") for f in fields
+    ]
+    assert split_fields(text) == expected
 
 
 def test_line_tag_is_cut_only_at_ascii_whitespace():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from motionsem import lexicon as lexicon_module
 from motionsem.errors import (
+    WHITESPACE,
     DuplicateLemmaError,
     IllFormedEntryError,
     NotACoLVerbError,
@@ -103,18 +104,26 @@ def test_non_col_verbs_reject_zone_fields():
 
 
 @pytest.mark.parametrize(
-    "spelling",
+    "spelling, error",
     [
-        "gloss=to run", " gloss=to run", "gloss=to run ", "gloss=to run\r",
-        "\u00a0gloss=to run\u00a0",
+        ("gloss=to run", None), (" gloss=to run", None), ("gloss=to run ", None),
+        ("gloss=to run\r", None),
+        # stripped of ASCII whitespace only, the field does not start with gloss=
+        ("\u00a0gloss=to run\u00a0", "ICoPs verb 'courir' must not carry zone fields"),
     ],
     ids=["plain", "leading-space", "trailing-space", "carriage-return", "no-break-spaces"],
 )
-def test_a_gloss_is_read_from_the_stripped_last_field(spelling):
-    lex = load(
+def test_a_gloss_is_read_from_the_stripped_last_field(spelling, error):
+    text = (
         f"LANG\tfr\nV\tcourir\tICoPs\t{spelling}\nV\tfuir\tICoPs\n"
         f"V\tsortir\tCoL\tinitial\tinside\tproximal\t{spelling}\n"
     )
+    if error is not None:
+        with pytest.raises(IllFormedEntryError) as err:
+            load(text)
+        assert str(err.value) == f"line 2: {error}"
+        return
+    lex = load(text)
     assert lex.verbs["courir"] == VerbEntry("courir", "ICoPs", gloss="to run")
     assert lex.verbs["fuir"] == VerbEntry("fuir", "ICoPs")  # the same shape, no gloss
     assert lex.verbs["sortir"].gloss == "to run"
@@ -234,7 +243,7 @@ def test_an_inventory_comment_after_a_no_break_space_is_data(bundled_data):
     (bundled_data / "col_classes.txt").write_text("\u00a0# note\n", encoding="utf-8")
     with pytest.raises(UnknownNameError) as info:
         default_class_inventory()
-    assert str(info.value) == "line 1: unknown zone name: '#'"
+    assert str(info.value) == "line 1: unknown zone name: '\\xa0#'"
 
 
 def test_a_changed_inventory_gets_a_new_shape_memo(bundled_data):
@@ -464,9 +473,15 @@ def test_a_refusal_of_the_constructor_names_its_line(entry, message):
 
 
 _ROLE_ZONES = sorted(default_class_inventory())
-_LEMMA = st.text(
-    alphabet="abcdefghijklmnopqrstuvwxyzé' -", min_size=1, max_size=12
-).map(str.strip).filter(bool)
+# Lemmas and glosses stripped of ASCII whitespace alone, so that some start
+# or end with a no-break or em space; a blank lemma is refused.
+_NAME_CHARS = "abcdefghijklmnopqrstuvwxyzé' -\u00a0\u2003"
+_LEMMA = st.text(alphabet=_NAME_CHARS, min_size=1, max_size=12).map(
+    lambda lemma: lemma.strip(WHITESPACE)
+).filter(str.strip)
+_GLOSS = st.text(alphabet=_NAME_CHARS, max_size=12).map(
+    lambda gloss: gloss.rstrip(WHITESPACE)
+)
 
 
 @st.composite
@@ -474,7 +489,7 @@ def verb_entries(draw):
     lemma = draw(_LEMMA)
     category = draw(st.sampled_from(["CoL", "CoPs", "ICoPs", "CoPtu"]))
     if category != "CoL":
-        return VerbEntry(lemma, category, gloss=draw(st.none() | st.just("a gloss")))
+        return VerbEntry(lemma, category, gloss=draw(st.none() | _GLOSS))
     if draw(st.booleans()):
         role = draw(st.sampled_from([LrefRole.INITIAL, LrefRole.FINAL]))
         start, end = draw(st.sampled_from(_ROLE_ZONES))

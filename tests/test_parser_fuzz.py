@@ -9,6 +9,7 @@ field through hypothesis would cost far more time per line than parsing.
 from __future__ import annotations
 
 import io
+import os
 import random
 import re
 from importlib import resources
@@ -16,7 +17,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from motionsem import lexicon as lexicon_module
+from motionsem import errors, lexicon as lexicon_module
 from motionsem.corpus import parse_corpus
 from motionsem.errors import DuplicateLemmaError, FormatError, data_lines
 from motionsem.lexicon import Lexicon, default_lexicon, dump_lexicon, load_lexicon
@@ -225,7 +226,9 @@ def shared_shapes(seed: int) -> list[str]:
         if rng.random() < 0.5:
             fields = [rng.choice(variants(f)) if f in LABELS else f for f in fields]
             k = rng.randrange(len(fields))
-            fields[k] = rng.choice(["", " ", "\u00a0"]) + fields[k] + rng.choice(["", " ", "\r"])
+            # ASCII whitespace alone pads a field: a no-break space would
+            # make it another, refused shape
+            fields[k] = rng.choice(["", " ", "\x0b"]) + fields[k] + rng.choice(["", " ", "\r"])
         lemma = f"w{i}"
         if rng.random() < slip:
             tag = {"V": "P", "P": "V"}[tag]
@@ -318,6 +321,116 @@ def test_a_line_that_starts_with_a_no_break_space_is_data_in_every_format(
         load(io.StringIO(text.format("\u00a0")))
     assert str(info.value) == f"line 2: unknown line tag {chr(0xA0) + tag!r}"
     assert info.value.line == 2
+
+
+def load_inventory(source):
+    """The class inventory of the text of source, written over the bundled one."""
+    path = os.path.join(errors.DATA_DIR, "col_classes.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(source.read())
+    lexicon_module.default_class_inventory.cache_clear()
+    return lexicon_module.default_class_inventory()
+
+
+LEX = "LANG\tfr\n"
+RULE = "VERSION\t1\nR\tD1\tdefeasible\t5\tprepkind=pos\t"
+GUARD = "VERSION\t1\nR\tD1\tdefeasible\t5\t{}\tidentify"
+CASE = "CASE a\nINPUT sortir dans jardin fr\nEXPECT jardin {}\nEND\n"
+# Each keyword field of each format: its loader, the text with {} in place
+# of the field, its ASCII spelling (for a cut, the empty text between two
+# fields), whether it loads padded with ASCII whitespace and whether it is
+# a label, which loads in any ASCII case.
+KEYWORD_FIELDS = {
+    "lexicon-lang": (load_lexicon, "LANG\t{}\nP\tdans\tpos\tinside", "fr", True, False),
+    "lexicon-category": (
+        load_lexicon, LEX + "V\ts\t{}\tinitial\tinside\tproximal", "CoL", True, False
+    ),
+    "lexicon-verb-role": (
+        load_lexicon, LEX + "V\ts\tCoL\t{}\tinside\tproximal", "initial", True, True
+    ),
+    "lexicon-start-zone": (
+        load_lexicon, LEX + "V\ts\tCoL\tinitial\t{}\tproximal", "inside", True, True
+    ),
+    "lexicon-end-zone": (
+        load_lexicon, LEX + "V\te\tCoL\tfinal\tproximal\t{}", "inside", True, True
+    ),
+    "lexicon-kind": (load_lexicon, LEX + "P\tdans\t{}\tinside", "pos", True, False),
+    "lexicon-pos-zone": (load_lexicon, LEX + "P\tdans\tpos\t{}", "inside", True, True),
+    "lexicon-dir-role": (load_lexicon, LEX + "P\tà\tdir\t{}\tinside", "final", True, True),
+    "lexicon-dir-zone": (load_lexicon, LEX + "P\tà\tdir\tfinal\t{}", "inside", True, True),
+    "lexicon-attained": (
+        load_lexicon, LEX + "P\tà\tdir\tfinal\tinside\t{}", "attained=false", True, False
+    ),
+    "rules-strength": (
+        load_rulebase, "VERSION\t1\nR\tD1\t{}\t5\tprepkind=pos\tidentify", "defeasible",
+        True, False,
+    ),
+    "rules-priority": (
+        load_rulebase, "VERSION\t1\nR\tD1\tdefeasible\t{}\tprepkind=pos\tidentify", "3",
+        True, False,
+    ),
+    "rules-atom": (load_rulebase, GUARD, "prepkind=pos", True, False),
+    "rules-second-atom": (
+        load_rulebase, GUARD.format("prepkind=dir,{}"), "lrefrole=initial", True, False
+    ),
+    "rules-guard-role": (
+        load_rulebase, GUARD.format("prepkind=dir,lrefrole={}"), "initial", False, True
+    ),
+    "rules-identify": (load_rulebase, RULE + "{}", "identify", True, False),
+    "rules-forbid": (load_rulebase, RULE + "{}", "forbid(identify)", True, False),
+    "rules-bind": (load_rulebase, RULE + "{} zone=inside", "bind(post)", True, False),
+    "rules-bind-phase": (load_rulebase, RULE + "bind({})", "post", False, True),
+    "rules-bind-cut": (load_rulebase, RULE + "bind(post){}zone=inside", "", True, False),
+    "rules-zone": (load_rulebase, RULE + "bind(post) {}", "zone=inside", True, False),
+    "rules-zone-label": (load_rulebase, RULE + "bind(post) zone={}", "inside", False, True),
+    "rules-prov-label": (load_rulebase, RULE + "bind(post) prov={}", "interaction", False, True),
+    "inventory-start": (load_inventory, "{} distal", "inside", True, True),
+    "inventory-end": (load_inventory, "inside {}", "distal", True, True),
+    "inventory-cut": (load_inventory, "contact{}distal", "", True, False),
+    "corpus-phase": (parse_corpus, CASE.format("{} inside interaction"), "post", True, True),
+    "corpus-zone": (parse_corpus, CASE.format("post {} interaction"), "inside", True, True),
+    "corpus-provenance": (parse_corpus, CASE.format("post inside {}"), "interaction", True, True),
+    "corpus-cut": (parse_corpus, CASE.format("post{}inside interaction"), "", True, False),
+}
+# Non-ASCII spellings that str.upper() or int() used to read as ASCII ones.
+LOOK_ALIKES = {"i": "ı", "s": "ſ", "fi": "ﬁ", "3": "٣"}
+
+
+@pytest.mark.parametrize("load, text, word, padded, label", KEYWORD_FIELDS.values(),
+                         ids=KEYWORD_FIELDS)
+def test_a_keyword_is_spelt_and_padded_in_ascii_alone_in_every_format(
+    request, load, text, word, padded, label
+):
+    if load is load_inventory:
+        request.getfixturevalue("bundled_data")
+    loaded = load(io.StringIO(text.format(word or " ")))
+    ascii_forms = [pad + word + pad for pad in (" ", "\x0b")] if padded else []
+    ascii_forms += [word.upper(), word.title()] if label else []
+    for spelling in ascii_forms:
+        assert load(io.StringIO(text.format(spelling))) == loaded, spelling
+
+    spellings = [f for pad in ("\u00a0", "\u2003") for f in (pad + word, word + pad)]
+    spellings += [word.replace(a, b) for a, b in LOOK_ALIKES.items() if a in word]
+    for spelling in spellings:
+        # refused as a field with an ASCII letter in place of each other
+        # character is: a no-break space or a look-alike is data
+        masked = "".join(c if c.isascii() else "Q" for c in spelling)
+        with pytest.raises(FormatError) as oracle:
+            load(io.StringIO(text.format(masked)))
+        escapes = iter([repr(c)[1:-1] for c in spelling if not c.isascii()])
+        expected = re.sub("Q", lambda _: next(escapes), str(oracle.value))
+        with pytest.raises(FormatError) as info:
+            load(io.StringIO(text.format(spelling)))
+        assert (str(info.value), info.value.line) == (expected, oracle.value.line)
+
+
+def test_a_rule_id_version_and_gloss_keep_a_no_break_space_at_their_edge():
+    base = load_rulebase(io.StringIO(
+        "VERSION\t\u00a01\u00a0\nR\t\u00a0D1\u00a0\tdefeasible\t5\tprepkind=pos\tidentify\n"
+    ))
+    assert (base.version, base.rules[0].id) == ("\u00a01\u00a0", "\u00a0D1\u00a0")
+    text = "LANG\tfr\nV\tcourir\tICoPs\t gloss=\u00a0to run\u00a0 \n"
+    assert load_lexicon(io.StringIO(text)).verbs["courir"].gloss == "\u00a0to run\u00a0"
 
 
 @settings(max_examples=100, deadline=None)

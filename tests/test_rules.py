@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from motionsem import rules as rules_module
 from motionsem.compose import MotionComplex, compose, compute_features
 from motionsem.errors import (
-    AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError, NotACoLVerbError
+    WHITESPACE, AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError,
+    NotACoLVerbError,
 )
 from motionsem.lexicon import VERB_CATEGORIES, Lexicon, PrepEntry, VerbEntry, load_lexicon
 from motionsem.rules import (
@@ -232,6 +233,21 @@ def test_round_trip_keeps_version():
     again = load(dump_rulebase(base))
     assert again.version == "2024-custom"
     assert again == base
+
+
+# Names stripped of ASCII whitespace alone, so that some start or end with
+# a no-break or em space, as a rule id or VERSION value may.
+_NAMES = st.text("ab1- \u00a0\u2003", min_size=1, max_size=8).map(
+    lambda name: name.strip(WHITESPACE)
+).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(version=_NAMES, ids=st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+def test_generated_rule_bases_round_trip(version, ids):
+    rules = tuple(rule._replace(id=i) for rule, i in zip(default_rulebase().rules, ids))
+    base = RuleBase(version, rules)
+    assert load(dump_rulebase(base)) == base
 
 
 def test_with_rule_rejects_duplicate_id():

@@ -96,7 +96,6 @@ def test_an_unknown_name_reads_alike_in_every_file(
 
 def test_label_tables_are_read_only():
     tables = [zones.ZONE_LABELS, zones.PHASE_LABELS, zones.ROLE_LABELS]
-    tables += [zones.ZONE_BY_NAME, zones.PHASE_BY_NAME, zones.ROLE_BY_NAME]
     tables += [trace.PROVENANCE_LABELS, trace.PROVENANCE_DISPLAY]
     for table in tables:
         key = next(iter(table)) if isinstance(table, Mapping) else 0
