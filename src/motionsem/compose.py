@@ -30,7 +30,7 @@ from collections.abc import Callable
 from itertools import chain
 from operator import itemgetter
 
-from .errors import IllFormedEntryError, NotACoLVerbError, Record, UnknownLanguageError
+from .errors import IllFormedEntryError, NotACoLVerbError, Record, UnknownLanguageError, is_name
 from .lexicon import Lexicon, PrepEntry, VerbEntry, _new, lookup_prep, lookup_verb
 from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
 from .trace import (
@@ -65,22 +65,15 @@ class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language
         return self
 
 
-# The Unicode space separators (category Zs) other than U+0020, mapped to it:
-# a name may hold them, but str.isprintable counts only U+0020 as printable.
-_SPACE_SEPARATORS = dict.fromkeys(
-    (0x00A0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " "
-)
-
-
 def check_names(complex_: MotionComplex) -> None:
-    """The name rule of `query` and corpus INPUT: each name prints on one line.
+    """The name rule of `query` and corpus INPUT (errors.is_name; README, Data files).
 
-    Raises ValueError if the verb, preposition, ground or mobile is blank
-    or unprintable; compose() itself takes any nonempty name that
-    MotionComplex does (only the reference location's is reserved).
+    Raises ValueError if the verb, preposition, ground or mobile is not a
+    name; compose() itself takes any nonempty name that MotionComplex does
+    (only the reference location's is reserved).
     """
     for name, value in zip(MotionComplex._fields, complex_[:4]):
-        if value.isspace() or not value.translate(_SPACE_SEPARATORS).isprintable():
+        if not is_name(value):
             raise ValueError(
                 f"motion complex field {name} must be printable and not blank"
             )

@@ -9,10 +9,10 @@ Corpus files are line oriented:
     END
 
 Lines are cut and stripped at ASCII whitespace only (errors.split_fields),
-as in every data file, so a name may hold a no-break space anywhere.
-INPUT fields are tab separated when the line contains a tab (lemmas may
-hold spaces) and separated by ASCII whitespace otherwise; each name
-follows the rule of `motionsem query` (compose.check_names).  EXPECT
+as in every data file, and a case id, each INPUT name, a location and an
+error name are names (errors.is_name).  INPUT fields are tab separated
+when the line contains a tab (lemmas may hold spaces) and separated by
+ASCII whitespace otherwise.  EXPECT
 lines mirror the trace record lines: the last three fields are the
 phase, zone and provenance labels, in any ASCII case (an unknown one
 raises UnknownNameError, as in every data file), and all before them is
@@ -30,6 +30,7 @@ from .errors import (
     Record,
     WHITESPACE,
     data_lines,
+    is_name,
     split_fields,
     wire_name,
 )
@@ -131,8 +132,10 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                     raise IllFormedEntryError(
                         f"case {case_id!r} (line {case_line}) not closed with END"
                     )
-                if not rest:
-                    raise IllFormedEntryError("CASE line needs an id")
+                if not is_name(rest):
+                    raise IllFormedEntryError(
+                        f"bad case id {rest!r}" if rest else "CASE line needs an id"
+                    )
                 case_id = rest
                 case_line = lineno
                 if case_id in seen_ids:
@@ -168,6 +171,8 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                 location, (phase, zone, prov) = rest, fields[-3:]
                 for field in (prov, zone, phase):  # the location keeps its spacing
                     location = location.removesuffix(field).rstrip(WHITESPACE)
+                if not is_name(location):
+                    raise IllFormedEntryError(f"bad location {location!r}")
                 tuples.append(
                     (
                         location,
@@ -181,8 +186,10 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                     raise IllFormedEntryError(
                         f"case {case_id!r} has two EXPECT-ERROR lines"
                     )
-                if not rest:
-                    raise IllFormedEntryError("EXPECT-ERROR needs a name")
+                if not is_name(rest):
+                    raise IllFormedEntryError(
+                        f"bad error name {rest!r}" if rest else "EXPECT-ERROR needs a name"
+                    )
                 error_name = rest
             elif tag == "END":
                 if complex_ is None:
@@ -217,20 +224,13 @@ def run_case(
         if case.expected_error == name:
             return CaseResult(case.id, "pass", detail=name)
         if case.expected_error is not None:
-            return CaseResult(
-                case.id,
-                "fail",
-                detail=f"expected error {case.expected_error}, got {name}: {exc}",
-            )
+            detail = f"expected error {case.expected_error}, got {name}: {exc}"
+            return CaseResult(case.id, "fail", detail=detail)
         return CaseResult(case.id, "error", detail=f"{name}: {exc}")
 
     if case.expected_error is not None:
-        return CaseResult(
-            case.id,
-            "fail",
-            fired_rule=derivation.fired.id,
-            detail=f"expected error {case.expected_error}, got a derivation",
-        )
+        detail = f"expected error {case.expected_error}, got a derivation"
+        return CaseResult(case.id, "fail", fired_rule=derivation.fired.id, detail=detail)
 
     actual = set(derivation.trace.tuples())
     expected = set(case.expected_tuples)

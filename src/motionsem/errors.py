@@ -3,9 +3,9 @@
 An unknown zone, phase, role or provenance name raises one error,
 UnknownNameError, with one wording, whichever file or call it comes from.
 Also holds the one reader of data files, given or bundled in DATA_DIR,
-the one line loop of their parsers and the whitespace they cut fields at,
-so that all four formats load alike, and Record, the base of every record
-class: this is the first module the package imports.
+the one line loop of their parsers, the whitespace they cut fields at and
+the rule of a name (is_name), so that all four formats load alike, and
+Record, the base of every record class: the package imports it first.
 """
 
 import io
@@ -28,6 +28,20 @@ def split_fields(text: str) -> list[str]:
     A field holds no ASCII whitespace, so it reads the same translated.
     """
     return [field for field in text.translate(_TO_SPACE).split(" ") if field]
+
+
+# A name may hold the Unicode space separators (category Zs), but str.isprintable
+# takes only U+0020 of them.  translate raises a KeyError for each character this
+# table lacks, so is_name translates only text that is not printable as it is.
+_SPACE_SEPARATORS = dict.fromkeys(
+    (0xA0, 0x1680, *range(0x2000, 0x200B), 0x202F, 0x205F, 0x3000), " "
+)
+
+
+def is_name(text: str) -> bool:
+    """Whether text is a name: not empty, not blank, printable once Zs reads as space."""
+    printable = text.isprintable() or text.translate(_SPACE_SEPARATORS).isprintable()
+    return printable and text != "" and not text.isspace()
 
 
 class Record(tuple):

@@ -8,15 +8,15 @@ curated by hand:
     V <lemma> <category> [<lref_role> <start_zone> <end_zone>] [gloss=...]
     P <lemma> <kind> [<role>] <zone> [attained=true|false]
 
-Fields are tab separated (lemmas may therefore contain spaces) and, like
-the inventory's pairs, cut and stripped at ASCII whitespace only; zone and
-role names are the lowercase labels but are accepted in any ASCII case, and
-verb zone fields are only present on change-of-location (CoL) entries.
-The LANG header comes before every entry.  A zone or role name that
-names no member raises UnknownNameError through Zone or LrefRole.from_label,
-as in every other data file.  load_lexicon validates each distinct entry
-shape once per process and class inventory, in a bounded memo that never
-keeps an error.
+Fields are tab separated (a lemma, a name by errors.is_name, may hold
+spaces) and, like the inventory's pairs, cut and stripped at ASCII
+whitespace only; zone and role names are the lowercase labels but are
+accepted in any ASCII case, and verb zone fields are only present on
+change-of-location (CoL) entries.  The LANG header comes before every
+entry.  A zone or role name that names no member raises UnknownNameError
+through Zone or LrefRole.from_label, as in every other data file.
+load_lexicon validates each distinct entry shape once per process and
+class inventory, in a bounded memo that never keeps an error.
 
 VerbEntry and PrepEntry decide which fields an entry may hold: built by
 a call, _make or _replace, an entry holds the shapes a lexicon line can
@@ -39,6 +39,7 @@ from .errors import (
     UnlexicalizedClassError,
     WHITESPACE,
     data_lines,
+    is_name,
     read_bundled,
     split_fields,
 )
@@ -365,8 +366,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
             if len(parts) < 3:
                 raise IllFormedEntryError(_SHORT_LINE[tag])
             lemma, tail = parts[1].strip(WHITESPACE), parts[2]
-            if not lemma or lemma.isspace():
-                raise IllFormedEntryError("empty lemma")
+            if not is_name(lemma):
+                raise IllFormedEntryError(f"bad lemma {lemma!r}")
             if shapes is None:
                 shapes = _shape_memo(default_class_inventory())
 

@@ -19,8 +19,8 @@ or forbids identification outright (the strict continuity guard):
                   forbid(identify)
 
 Fields, atoms and conclusion words are cut and stripped at ASCII
-whitespace only, so an id or VERSION value keeps a no-break space at its
-edge, and a priority is ASCII text.  Role, phase, zone and provenance
+whitespace only, an id and the VERSION value are names (errors.is_name),
+and a priority is ASCII text.  Role, phase, zone and provenance
 names are accepted in any ASCII case; the other words are exact.  An
 unknown phase, zone or provenance name raises UnknownNameError from its
 class's from_label, as in every data file; an unknown guard value is a
@@ -37,7 +37,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import (
     WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError,
-    InfelicitousError, Record, data_lines, read_bundled, split_fields,
+    InfelicitousError, Record, data_lines, is_name, read_bundled, split_fields,
 )
 from .trace import Provenance
 from .zones import ROLE_LABELS, LrefRole, Phase, Zone
@@ -199,12 +199,6 @@ class RuleBase:
     def __reduce__(self):  # for pickle and copy, which cannot assign the fields
         return self.__class__, (self.version, self.rules)
 
-    def with_rule(self, rule: CompositionRule) -> "RuleBase":
-        """A copy of this base with one extra rule (ids must stay unique)."""
-        if any(r.id == rule.id for r in self.rules):
-            raise IllFormedEntryError(f"rule id {rule.id!r} already present")
-        return RuleBase(version=self.version, rules=self.rules + (rule,))
-
 
 def parse_guard(text: str) -> Guard:
     atoms: list[tuple[str, str]] = []
@@ -282,8 +276,11 @@ def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
                 if version is not None:
                     raise IllFormedEntryError("second VERSION line")
                 version = fields[1].strip(WHITESPACE) if len(fields) == 2 else ""
-                if not version:
-                    raise IllFormedEntryError("VERSION line needs exactly one value")
+                if not is_name(version):
+                    raise IllFormedEntryError(
+                        f"bad version {version!r}" if version
+                        else "VERSION line needs exactly one value"
+                    )
                 continue
 
             if tag != "R":
@@ -294,8 +291,8 @@ def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
                 )
             rule_id = fields[1].strip(WHITESPACE)
             strength = fields[2].strip(WHITESPACE)
-            if not rule_id:
-                raise IllFormedEntryError("empty rule id")
+            if not is_name(rule_id):
+                raise IllFormedEntryError(f"bad rule id {rule_id!r}")
             if rule_id in ids:
                 raise IllFormedEntryError(f"rule id {rule_id!r} repeated")
             if strength not in ("strict", "defeasible"):

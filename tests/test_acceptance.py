@@ -15,6 +15,7 @@ from motionsem.compose import MotionComplex, compose
 from motionsem.errors import InfelicitousError
 from motionsem.lexicon import default_lexicon, dump_lexicon, load_lexicon
 from motionsem.rules import (
+    RuleBase,
     default_rulebase,
     dump_rulebase,
     lint_rulebase,
@@ -203,7 +204,8 @@ def test_criterion_7_nonmonotonicity_witness():
                 "bind(pre) prov=interaction\n"
             )
         ).rules[0]
-        flipped = compose(complex_, FR, RULES.with_rule(override))
+        base = RuleBase(RULES.version, RULES.rules + (override,))
+        flipped = compose(complex_, FR, base)
         assert flipped.fired.id == "OVR"
         assert ("jardin", "pre", "inside", "interaction") in flipped.trace.tuples()
         assert ("jardin", "post", "inside", "interaction") not in flipped.trace.tuples()

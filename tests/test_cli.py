@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from motionsem import cli, default_lexicon, default_rulebase, load_lexicon
-from motionsem.compose import _SPACE_SEPARATORS, MotionComplex, compose, explain
+from motionsem.compose import MotionComplex, compose, explain
+from motionsem.errors import _SPACE_SEPARATORS
 from motionsem.trace import render_records
 
 GOLDEN = str(resources.files("motionsem.data").joinpath("golden.corpus"))

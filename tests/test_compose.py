@@ -307,9 +307,8 @@ def test_a_directional_prep_without_a_role_is_ill_formed():
 
 def test_a_bind_conclusion_without_a_phase_is_ill_formed():
     guard = Guard((("prepkind", "pos"),))
-    base = RULES.with_rule(
-        CompositionRule("X", "defeasible", 1000, guard, Conclusion("bind"))
-    )
+    rule = CompositionRule("X", "defeasible", 1000, guard, Conclusion("bind"))
+    base = RuleBase(RULES.version, RULES.rules + (rule,))
     for _ in range(2):  # never memoized
         with pytest.raises(IllFormedEntryError) as info:
             compose(fr_complex("sortir", "dans", ground="g"), FR, base)
@@ -538,9 +537,7 @@ def test_strict_override_flips_the_default_conclusion():
             "R\tOVR\tstrict\t1\tprepkind=pos,zonecompat=no\tbind(pre) prov=interaction\n"
         )
     )
-    base = RULES
-    for rule in override.rules:
-        base = base.with_rule(rule)
+    base = RuleBase(RULES.version, RULES.rules + override.rules)
     flipped = compose(complex_, FR, base)
     assert flipped.fired.id == "OVR"
     assert ("jardin", "pre", "inside", "interaction") in tuples(flipped)

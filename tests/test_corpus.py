@@ -110,6 +110,8 @@ REFUSED_NAMES = {
     "line-separator": "jar\u2028din",
     "blank": "\u00a0\u2003",
     "newline": "jar\ndin",
+    "escape": "a\x1bb",
+    "erase-line": "D2\x1b[2Ki",
 }
 
 

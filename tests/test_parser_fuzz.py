@@ -12,18 +12,21 @@ import io
 import os
 import random
 import re
+import unicodedata
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motionsem import errors, lexicon as lexicon_module
+from motionsem.compose import MotionComplex, check_names
 from motionsem.corpus import parse_corpus
 from motionsem.errors import DuplicateLemmaError, FormatError, data_lines
 from motionsem.lexicon import Lexicon, default_lexicon, dump_lexicon, load_lexicon
 from motionsem.rules import _load_rulebase, load_rulebase
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
+from test_corpus import REFUSED_NAMES
 
 LABELS = [m.name.lower() for enum in (Zone, Phase, LrefRole) for m in enum]
 NOISE = ["", " ", "\t", "é", "jusqu'à", "ß", "ınsıde", "ﬁnal", "\u00a0", "#", "=", "x"]
@@ -321,6 +324,76 @@ def test_a_line_that_starts_with_a_no_break_space_is_data_in_every_format(
         load(io.StringIO(text.format("\u00a0")))
     assert str(info.value) == f"line 2: unknown line tag {chr(0xA0) + tag!r}"
     assert info.value.line == 2
+
+
+# Each field a data file reads as a name: its loader, its lines with {} for
+# the name, the line the name is on and the field's name in a message.
+NAME_FIELDS = {
+    "lemma": (load_lexicon, "LANG\tfr\nP\t{}\tpos\tinside", 2, "lemma"),
+    "rule-id": (load_rulebase, "VERSION\t1\nR\t{}\tstrict\t1\tprepkind=pos\tidentify", 2,
+                "rule id"),
+    "version": (load_rulebase, "# a base\nVERSION\t{}", 2, "version"),
+    "case-id": (parse_corpus, "CASE {}\nINPUT s d j fr\nEXPECT-ERROR X\nEND", 1, "case id"),
+    "location": (parse_corpus, "CASE a\nINPUT s d j fr\nEXPECT {} post inside prep\nEND", 3,
+                 "location"),
+    "error-name": (parse_corpus, "CASE a\nINPUT s d j fr\nEXPECT-ERROR {}\nEND", 3,
+                   "error name"),
+}
+
+
+@pytest.mark.parametrize("key", REFUSED_NAMES)
+@pytest.mark.parametrize("field", NAME_FIELDS)
+def test_a_name_field_refuses_a_name_that_query_refuses(field, key):
+    load, text, line, label = NAME_FIELDS[field]
+    name = REFUSED_NAMES[key]
+    with pytest.raises(FormatError) as info:
+        load([row.format(name) + "\n" for row in text.split("\n")])
+    assert (info.value.line, str(info.value)) == (line, f"line {line}: bad {label} {name!r}")
+    assert str(info.value).isprintable()  # the name is quoted with repr
+
+
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_rulebase, "VERSION\t\n", "VERSION line needs exactly one value"),
+        (parse_corpus, "CASE \t\n", "CASE line needs an id"),
+        (parse_corpus, "CASE a\nEXPECT-ERROR \n", "EXPECT-ERROR needs a name"),
+    ],
+    ids=["version", "case-id", "error-name"],
+)
+def test_a_missing_name_keeps_its_own_message(load, text, message):
+    with pytest.raises(FormatError) as info:
+        load(io.StringIO(text))
+    assert str(info.value) == f"line {text.count(chr(10))}: {message}"
+
+
+def is_printable_name(text):
+    """Not blank, and printable once each Unicode space separator reads as a space."""
+    spaced = "".join(" " if unicodedata.category(c) == "Zs" else c for c in text)
+    return text.strip() != "" and spaced.isprintable()
+
+
+NAME_TEXT = st.text("sé \u00a0\u2003\t\x0b\r\x1b\x85\u2028\x00", max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lemma=NAME_TEXT, rule_id=NAME_TEXT, version=NAME_TEXT)
+@example(lemma="sor\x1btir", rule_id="D2\x1b[2Ki", version="\u00a0")
+def test_a_name_a_data_file_gives_is_one_a_command_takes(lemma, rule_id, version):
+    lines = ["LANG\tfr\n", f"V\t{lemma}\tCoPs\n", f"P\t{lemma}\tpos\tinside\n"]
+    try:
+        lexicon = load_lexicon(lines)
+    except FormatError:
+        pass
+    else:
+        (verb,), (prep,) = lexicon.verbs, lexicon.preps
+        check_names(MotionComplex(verb, prep, "jardin", "mobile", "fr"))
+    rules = [f"VERSION\t{version}\n", f"R\t{rule_id}\tstrict\t1\tprepkind=pos\tidentify\n"]
+    try:
+        base = load_rulebase(rules)
+    except FormatError:
+        return
+    assert is_printable_name(base.version) and is_printable_name(base.rules[0].id)
 
 
 def load_inventory(source):
