@@ -301,26 +301,19 @@ _SHORT_LINE = {
     "V": "verb line needs at least a lemma and category",
     "P": "prep line needs at least a lemma and kind",
 }
-# The most shapes a memo holds: the spellings of a tail are unbounded, while
-# the valid shapes in lowercase spelling number 52.
+# load_lexicon's (inventory, tag, tail) -> fields memo: a verb shape's validity
+# depends on the class inventory.  The spellings of a tail are unbounded, while
+# the valid shapes in lowercase spelling number 52, so it holds at most
+# _SHAPE_BOUND shapes.
+_SHAPES: dict[tuple, tuple] = {}
 _SHAPE_BOUND = 1024
 
 
-@functools.lru_cache(maxsize=1)
-def _shape_memo(inventory: frozenset) -> dict:
-    """load_lexicon's (tag, tail) -> fields memo for one class inventory.
-
-    A verb shape's validity depends on the inventory, so a new inventory
-    gets a new, empty memo and the old memo is dropped.
-    """
-    return {}
-
-
-def _remember(memo: dict, key: tuple[str, str], fields: tuple) -> tuple:
-    """fields, kept in memo under key; a memo at its bound is emptied first."""
-    if len(memo) >= _SHAPE_BOUND:
-        memo.clear()
-    memo[key] = fields
+def _remember(key: tuple, fields: tuple) -> tuple:
+    """fields, kept in _SHAPES under key; a memo at its bound is emptied first."""
+    if len(_SHAPES) >= _SHAPE_BOUND:
+        _SHAPES.clear()
+    _SHAPES[key] = fields
     return fields
 
 
@@ -335,13 +328,13 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     An entry's shape is its tag and tail: the raw text after the lemma,
     less a verb's gloss.  Each distinct shape is validated once per
     process and class inventory, which the first entry line reads, and
-    its entries are built from the fields it parsed to (_shape_memo); the
+    its entries are built from the fields it parsed to (_SHAPES); the
     lemma checks run on every line, and an error is never kept.
     """
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
     language: str | None = None
-    shapes: dict[tuple[str, str], tuple] | None = None  # (tag, tail) -> fields
+    inventory: frozenset | None = None
 
     for lineno, line in data_lines(source):
         parts = line.split("\t", 2)
@@ -368,8 +361,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
             lemma, tail = parts[1].strip(WHITESPACE), parts[2]
             if not is_name(lemma):
                 raise IllFormedEntryError(f"bad lemma {lemma!r}")
-            if shapes is None:
-                shapes = _shape_memo(default_class_inventory())
+            if inventory is None:
+                inventory = default_class_inventory()
 
             if tag == "V":
                 gloss = None
@@ -378,16 +371,16 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
                     last = last.strip(WHITESPACE)
                     if tab and last.startswith("gloss="):
                         tail, gloss = head, last[len("gloss=") :]
-                fields = shapes.get(key := ("V", tail))
+                fields = _SHAPES.get(key := (inventory, "V", tail))
                 if fields is None:
-                    fields = _remember(shapes, key, _parse_verb_line(lemma, tail))
+                    fields = _remember(key, _parse_verb_line(lemma, tail))
                 if lemma in verbs:
                     raise DuplicateLemmaError(f"verb {lemma!r} defined twice")
                 verbs[lemma] = _new(VerbEntry, (lemma,) + fields + (gloss,))
             else:
-                fields = shapes.get(key := ("P", tail))
+                fields = _SHAPES.get(key := (inventory, "P", tail))
                 if fields is None:
-                    fields = _remember(shapes, key, _parse_prep_line(lemma, tail))
+                    fields = _remember(key, _parse_prep_line(lemma, tail))
                 if lemma in preps:
                     raise DuplicateLemmaError(f"preposition {lemma!r} defined twice")
                 preps[lemma] = _new(PrepEntry, (lemma,) + fields)

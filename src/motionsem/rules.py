@@ -67,24 +67,19 @@ class ComplexFeatures(
 
     @property
     def atoms(self) -> frozenset[tuple[str, str]]:
-        """The guard atoms these features satisfy; absent features give none."""
-        return _feature_atoms(self)
+        """The guard atoms these features satisfy; absent features give none.
 
-
-# The cache compares vectors by ==, so a role is read as the member it
-# equals (1.0 is LrefRole.MEDIAL), as a cached member vector would be, and
-# one that equals no member raises ValueError: the atoms never depend on
-# which equal vector was asked first.
-@functools.cache  # compute_features() produces at most 30 vectors
-def _feature_atoms(features: Sequence) -> frozenset[tuple[str, str]]:
-    lref_role, prep_kind, prep_role, zone_compatible, attained = features
-    atoms = {("lrefrole", ROLE_LABELS[LrefRole(lref_role)]), ("prepkind", prep_kind)}
-    atoms.add(("zonecompat", "yes" if zone_compatible else "no"))
-    if prep_role is not None:
-        atoms.add(("preprole", ROLE_LABELS[LrefRole(prep_role)]))
-    if attained is not None:
-        atoms.add(("attained", "yes" if attained else "no"))
-    return frozenset(atoms)
+        A role is read as the member it equals (1.0 is LrefRole.MEDIAL); one
+        that equals no member raises ValueError.
+        """
+        lref_role, prep_kind, prep_role, zone_compatible, attained = self
+        atoms = {("lrefrole", ROLE_LABELS[LrefRole(lref_role)]), ("prepkind", prep_kind)}
+        atoms.add(("zonecompat", "yes" if zone_compatible else "no"))
+        if prep_role is not None:
+            atoms.add(("preprole", ROLE_LABELS[LrefRole(prep_role)]))
+        if attained is not None:
+            atoms.add(("attained", "yes" if attained else "no"))
+        return frozenset(atoms)
 
 
 class Guard(Record, fields="atoms"):
@@ -92,8 +87,9 @@ class Guard(Record, fields="atoms"):
 
     __slots__ = ()
 
-    def matches(self, features: ComplexFeatures) -> bool:
-        return features.atoms.issuperset(self.atoms)
+    def matches(self, atoms: frozenset[tuple[str, str]]) -> bool:
+        """Whether atoms, a ComplexFeatures' atoms, hold every atom of this guard."""
+        return atoms.issuperset(self.atoms)
 
     def subsumes(self, other: "Guard") -> bool:
         """True when this guard is strictly more specific than other."""
@@ -379,7 +375,8 @@ def applicable_rules(
     their file order; resolution rejects such ties instead of relying
     on it.
     """
-    hits = [r for r in base.rules if r.guard.matches(features)]
+    atoms = features.atoms
+    hits = [r for r in base.rules if r.guard.matches(atoms)]
     hits.sort(key=CompositionRule.sort_key, reverse=True)
     return hits
 

@@ -53,7 +53,7 @@ RULE_FILES = {
     ),
     "bad.rules": "R\tA\tdefeasible\tfive\tprepkind=pos\tidentify\n",
 }
-# Each command runs with the rule files above in its working directory.
+# Each command, with the rule files above named by their paths.
 COMMANDS = (
     ("query", "sortir", "dans", "jardin"),
     ("query", "sortir", "dans", "jardin", "--format", "records"),
@@ -109,20 +109,16 @@ def seed_pairs() -> str:
 
 def commands() -> str:
     parts = []
-    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in RULE_FILES.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
-        os.chdir(tmp)
-        try:
-            for argv in COMMANDS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(list(argv))
-                shown = [os.path.basename(word) for word in argv]
-                parts.append(f"$ {shown} -> {code}\n{out.getvalue()}--\n{err.getvalue()}")
-        finally:
-            os.chdir(cwd)
+        for argv in COMMANDS:
+            words = [os.path.join(tmp, word) if word in RULE_FILES else word for word in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(words)
+            shown = [os.path.basename(word) for word in argv]
+            parts.append(f"$ {shown} -> {code}\n{out.getvalue()}--\n{err.getvalue()}")
     return "".join(parts)
 
 
@@ -157,7 +153,6 @@ def moved() -> list[str]:
 
 def main(argv: list[str]) -> int:
     if argv == ["--write"]:
-        DIGESTS.parent.mkdir(exist_ok=True)
         text = "".join(f"{digest}  {name}\n" for name, digest in digests().items())
         DIGESTS.write_text(text, encoding="utf-8")
         return 0

@@ -162,6 +162,11 @@ def test_empty_corpus():
         ("CASE a\nEND\n", "no INPUT"),
         ("CASE a\nINPUT sortir dans jardin fr\nEND\n", "no expectation"),
         ("INPUT sortir dans jardin fr\n", "outside any case"),
+        (
+            "CASE a\nINPUT sortir dans jardin fr\nINPUT entrer dans jardin fr\n"
+            "EXPECT-ERROR X\nEND\n",
+            "case 'a' has two INPUT lines",
+        ),
         ("CASE a\nINPUT sortir dans\nEXPECT-ERROR X\nEND\n", "INPUT needs"),
         ("CASE a\nCASE b\n", "not closed"),
         ("CASE a\nINPUT sortir dans jardin fr\nEXPECT x y\nEND\n", "EXPECT needs"),

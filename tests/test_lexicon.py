@@ -233,7 +233,7 @@ def test_an_inventory_error_names_its_own_line(bundled_data):
 )
 def test_a_lexicon_without_a_col_verb_reads_the_inventory_too(bundled_data, entry):
     break_the_inventory(bundled_data)
-    # the first entry fetches the shape memo, which belongs to the inventory
+    # the first entry reads the inventory, which keys the shape memo
     with pytest.raises(UnknownNameError) as info:
         load_lexicon(["LANG\tfr\n", entry])
     assert str(info.value) == "line 16: unknown zone name: 'bogus'"
@@ -260,6 +260,20 @@ def test_a_changed_inventory_gets_a_new_shape_memo(bundled_data):
     )
 
 
+def test_an_inventory_switched_back_loads_its_verbs_again(bundled_data):
+    loaded = default_lexicon("fr")
+    inventory = bundled_data / "col_classes.txt"
+    text = inventory.read_text(encoding="utf-8")
+    inventory.write_text(text.replace("inside\tproximal\n", ""), encoding="utf-8")
+    default_class_inventory.cache_clear()
+    with pytest.raises(UnlexicalizedClassError, match="'sortir' is not a lexicalized"):
+        default_lexicon("fr")
+    inventory.write_text(text, encoding="utf-8")
+    default_class_inventory.cache_clear()
+    assert default_lexicon("fr").verbs["sortir"] == loaded.verbs["sortir"]
+    assert default_lexicon("fr") == loaded
+
+
 def test_a_flood_of_tail_spellings_keeps_the_shape_memo_bounded():
     bound = lexicon_module._SHAPE_BOUND
     lines = ["LANG\tfr"] + [
@@ -269,7 +283,7 @@ def test_a_flood_of_tail_spellings_keeps_the_shape_memo_bounded():
     assert list(lex.preps.values()) == [
         PrepEntry(f"p{i}", "pos", Zone.INSIDE) for i in range(2 * bound)
     ]
-    memo = lexicon_module._shape_memo(default_class_inventory())
+    memo = lexicon_module._SHAPES
     assert 0 < len(memo) <= bound
 
 

@@ -154,7 +154,7 @@ def test_fuzzed_lexicons(seed):
 
 def clear_parse_memos():
     """Empty the process-wide parse memos, so the next load parses cold."""
-    lexicon_module._shape_memo.cache_clear()
+    lexicon_module._SHAPES.clear()
     _load_rulebase.cache_clear()
 
 

@@ -18,7 +18,6 @@ from motionsem.lexicon import VERB_CATEGORIES, Lexicon, PrepEntry, VerbEntry, lo
 from motionsem.rules import (
     _GUARD_VALUES,
     GUARD_KEYS,
-    _feature_atoms,
     ComplexFeatures,
     CompositionRule,
     Conclusion,
@@ -60,19 +59,21 @@ def features(
 
 def test_parse_guard():
     guard = parse_guard("prepkind=pos,zonecompat=yes")
-    assert guard.matches(features(prep_kind="pos", zone_compatible=True))
-    assert not guard.matches(features(prep_kind="pos", zone_compatible=False))
-    assert not guard.matches(features(prep_kind="dir", zone_compatible=True))
+    assert guard.matches(features(prep_kind="pos", zone_compatible=True).atoms)
+    assert not guard.matches(features(prep_kind="pos", zone_compatible=False).atoms)
+    assert not guard.matches(features(prep_kind="dir", zone_compatible=True).atoms)
 
 
 def test_guard_on_absent_feature_never_matches():
     guard = parse_guard("preprole=final")
-    assert not guard.matches(features(prep_kind="pos", prep_role=None))
-    assert guard.matches(features(prep_kind="dir", prep_role=LrefRole.FINAL))
+    assert not guard.matches(features(prep_kind="pos", prep_role=None).atoms)
+    assert guard.matches(features(prep_kind="dir", prep_role=LrefRole.FINAL).atoms)
     attained_guard = parse_guard("attained=yes")
-    assert not attained_guard.matches(features(prep_kind="dir", prep_role=LrefRole.INITIAL))
+    assert not attained_guard.matches(
+        features(prep_kind="dir", prep_role=LrefRole.INITIAL).atoms
+    )
     assert attained_guard.matches(
-        features(prep_kind="dir", prep_role=LrefRole.FINAL, attained=True)
+        features(prep_kind="dir", prep_role=LrefRole.FINAL, attained=True).atoms
     )
 
 
@@ -291,7 +292,7 @@ def test_guard_matching_equals_atom_by_atom_definition():
     assert len(guards) == 4 * 3 * 4 * 3 * 3 - 1
     for guard in guards:
         for features in COMPLETIONS:
-            assert guard.matches(features) == atom_by_atom(guard.atoms, features), (
+            assert guard.matches(features.atoms) == atom_by_atom(guard.atoms, features), (
                 guard,
                 features,
             )
@@ -299,17 +300,15 @@ def test_guard_matching_equals_atom_by_atom_definition():
 
 @pytest.mark.parametrize("role", [1.0, True])
 def test_feature_atoms_read_a_role_as_the_member_it_equals_in_either_order(role):
-    # the atoms memo compares vectors by ==, so neither order may change them
+    # the atoms are built afresh on each read, so neither order may change them
     members = [ComplexFeatures(LrefRole.MEDIAL, "dir", LrefRole.MEDIAL, True, None)]
     members.append(members[0]._replace(prep_kind="pos", prep_role=None))
     for member in members:
         equal = member._replace(lref_role=role)
         if member.prep_role is not None:
             equal = equal._replace(prep_role=role)
-        _feature_atoms.cache_clear()
         first = equal.atoms
         assert member.atoms == first
-        _feature_atoms.cache_clear()
         assert member.atoms == equal.atoms == first
         assert ("lrefrole", "medial") in first
         assert ("preprole", "medial") in first or member.prep_role is None
@@ -321,7 +320,6 @@ def test_feature_atoms_refuse_a_role_that_equals_no_member(role):
         ComplexFeatures(role, "pos", None, True, None),
         ComplexFeatures(LrefRole.MEDIAL, "dir", role, True, None),
     ):
-        _feature_atoms.cache_clear()
         with pytest.raises(ValueError):
             features.atoms
         assert features._replace(lref_role=LrefRole.MEDIAL, prep_role=None).atoms
