@@ -30,7 +30,10 @@ from collections.abc import Callable
 from itertools import chain
 from operator import itemgetter
 
-from .errors import IllFormedEntryError, NotACoLVerbError, Record, UnknownLanguageError, is_name
+from .errors import (
+    AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError, NotACoLVerbError, Record,
+    UnknownLanguageError, is_name,
+)
 from .lexicon import Lexicon, PrepEntry, VerbEntry, _new, lookup_prep, lookup_verb
 from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
 from .trace import (
@@ -167,11 +170,11 @@ def compose(
 ) -> Derivation:
     """Derive the spatiotemporal trace of a motion complex.
 
-    rules.resolve, which lint runs too, tries the applicable rules from
-    strongest to weakest: the first whose conclusion holds on the
-    features fires, and if none does, the combination is semantically
-    anomalous.  Whether the ground is the reference location is that
-    rule's conclusion, never a matter of the ground's name.
+    rules.resolve, whose verdict lint reads too, tries the applicable rules
+    from strongest to weakest; the first whose conclusion holds fires.  A
+    tie raises AmbiguousRuleBaseError, and no rule firing (an anomalous
+    combination) InfelicitousError.  Whether the ground is the reference
+    location is that rule's conclusion, never a matter of the ground's name.
 
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
@@ -233,9 +236,17 @@ def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
 def _derive(
     complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase
 ) -> tuple:
-    """The memo entry for a complex's shape (see compose(), resolve and _orders)."""
+    """The memo entry for a shape, or the error of its failed verdict (see compose())."""
     features = compute_features(verb, prep)
-    fired, defeated = resolve(features, rules, complex)
+    fired, defeated, tied = resolve(features, rules)
+    if tied:
+        raise AmbiguousRuleBaseError(
+            f"rules {', '.join(tied)} tie on strength and priority for "
+            f"{' + '.join(complex[:2])}", tied
+        )
+    if fired is None:
+        names = " + ".join(complex[:3])
+        raise InfelicitousError(f"no rule yields a well-formed trace for {names}")
     return features, fired, defeated, _orders(fired, verb, prep)
 
 

@@ -33,11 +33,11 @@ an error, never silently ordered.
 
 import functools
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import (
-    WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError,
-    InfelicitousError, Record, data_lines, is_name, read_bundled, split_fields,
+    WHITESPACE, FormatError, IllFormedEntryError, Record, data_lines, is_name,
+    read_bundled, split_fields,
 )
 from .trace import Provenance
 from .zones import ROLE_LABELS, LrefRole, Phase, Zone
@@ -382,62 +382,53 @@ def applicable_rules(
 
 
 def resolve(
-    features: ComplexFeatures, base: RuleBase, names: Sequence[str]
-) -> tuple[CompositionRule, tuple[Defeat, ...]]:
-    """The rule that fires for features, and the defeats.
+    features: ComplexFeatures, base: RuleBase
+) -> tuple[CompositionRule | None, tuple[Defeat, ...], tuple[str, ...]]:
+    """The verdict of a rule base on features: (fired, defeats, tied).
 
-    The one resolution of a rule base, run by compose() and lint alike:
-    one pass over applicable_rules().  A tie the pass reaches before a
-    rule fires raises AmbiguousRuleBaseError; a forbid vetoes every
-    identify below it.  The first conclusion that holds fires (else
-    InfelicitousError): a bind always holds, an identify when the zones
-    are compatible, and no other kind ever.  Each later rule but a forbid
-    is defeated, "guard subsumed" if the fired guard is more specific.
-    The errors name the verb, preposition and ground in names.
+    The one resolution, read by compose() and lint alike: one pass over the
+    ranks of applicable_rules().  A rank of two or more rules reached before
+    a rule fires is a tie: fired is None, tied their sorted ids.  A forbid
+    vetoes every identify below it.  The first conclusion that holds fires
+    (a bind always, an identify when the zones are compatible, no other
+    kind ever), else fired is None.  Each later rule but a forbid is
+    defeated, "guard subsumed" if the fired guard is more specific.  defeats
+    holds the fates in rank order, those a failed verdict reached too.
     """
-    candidates = applicable_rules(features, base)
-    defeated: list[Defeat] = []
-    veto: CompositionRule | None = None
-    for index, rule in enumerate(candidates):
-        key = rule.sort_key()
-        ids = tuple(sorted(r.id for r in candidates[index:] if r.sort_key() == key))
-        if len(ids) > 1:
-            raise AmbiguousRuleBaseError(
-                f"rules {', '.join(ids)} tie on strength and priority for "
-                f"{' + '.join(names[:2])}",
-                ids,
-            )
+    fired = veto = None
+    defeats: list[Defeat] = []
+    ranks = itertools.groupby(applicable_rules(features, base), CompositionRule.sort_key)
+    for _, group in ranks:
+        rank = tuple(group)
+        rule = rank[0]
         kind = rule.conclusion.kind
-        if kind == "forbid":
+        if fired is not None:  # every later rule but a forbid is defeated
+            defeats += [
+                Defeat(r.id, fired.id, "guard subsumed"
+                       if fired.guard.subsumes(r.guard) else "lower priority")
+                for r in rank if r.conclusion.kind != "forbid"
+            ]
+        elif len(rank) > 1:
+            return None, tuple(defeats), tuple(sorted(r.id for r in rank))
+        elif kind == "forbid":
             veto = veto or rule  # the highest forbid vetoes
-            continue
-        if kind == "identify" and veto is not None:
-            defeated.append(Defeat(rule.id, veto.id, "identification forbidden"))
-            continue
-        if kind == "bind" or kind == "identify" and features.zone_compatible:
-            break
-        defeated.append(Defeat(rule.id, None, "conclusion inconsistent"))
-    else:
-        raise InfelicitousError(
-            f"no rule yields a well-formed trace for {' + '.join(names[:3])}"
-        )
-
-    for later in candidates[index + 1 :]:
-        if later.conclusion.kind != "forbid":
-            subsumed = rule.guard.subsumes(later.guard)
-            reason = "guard subsumed" if subsumed else "lower priority"
-            defeated.append(Defeat(later.id, rule.id, reason))
-    return rule, tuple(defeated)
+        elif kind == "identify" and veto is not None:
+            defeats.append(Defeat(rule.id, veto.id, "identification forbidden"))
+        elif kind == "bind" or kind == "identify" and features.zone_compatible:
+            fired = rule
+        else:
+            defeats.append(Defeat(rule.id, None, "conclusion inconsistent"))
+    return fired, tuple(defeats), ()
 
 
 def lint_rulebase(base: RuleBase) -> LintReport:
     """Check the 12-cell grid for feature vectors that compose() rejects.
 
-    Runs resolve(), compose()'s own verdict, on each completion (zone
-    compatibility, attainment) of each cell.  A cell gaps when one raises
-    InfelicitousError (a veto-only cell is a gap) and lists the rules of
-    each AmbiguousRuleBaseError as a tie.  So a base that lint passes
-    never makes compose() raise either, whatever the ground is named.
+    Reads resolve()'s verdict, compose()'s own, on each completion (zone
+    compatibility, attainment) of each cell: a cell gaps where one fires
+    no rule and ties none (a veto-only cell is a gap), and lists each tie.
+    So a base that lint passes never makes compose() raise either,
+    whatever the ground is named.
     """
     gaps: dict[LintCell, None] = {}
     ties: list[tuple[LintCell, str]] = []
@@ -445,12 +436,10 @@ def lint_rulebase(base: RuleBase) -> LintReport:
         cell_ties: set[str] = set()
         attained = (True, False) if cell.prep_role is LrefRole.FINAL else (None,)
         for compatible, attainment in itertools.product((True, False), attained):
-            features = ComplexFeatures(*cell, compatible, attainment)
-            try:
-                resolve(features, base, ())
-            except InfelicitousError:
+            fired, _, tied = resolve(ComplexFeatures(*cell, compatible, attainment), base)
+            if tied:
+                cell_ties.add("/".join(tied))
+            elif fired is None:
                 gaps[cell] = None
-            except AmbiguousRuleBaseError as exc:
-                cell_ties.add("/".join(exc.rule_ids))
         ties += [(cell, tie) for tie in sorted(cell_ties)]
     return LintReport(tuple(gaps), tuple(ties))

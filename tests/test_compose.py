@@ -524,6 +524,34 @@ def test_cross_lingual_contrast_on_positional_vs_directional_final():
     assert contrasted >= 3  # the contrast class is not vacuous
 
 
+def test_cross_lingual_contrast_holds_on_every_shape():
+    # the paper's contrast as a property: over every verb shape that is not
+    # a jumping medial one, every zone z and attainment, a French positional
+    # z and an English directional-final z that give the same unidentified
+    # zones tag the French ground's fact interaction and no English one
+    contrasted = 0
+    for role, start, end in VERB_SHAPES:
+        if role is LrefRole.MEDIAL and max(abs(start - Zone.INSIDE), abs(end - Zone.INSIDE)) > 1:
+            continue  # a medial verb whose own zones jump a zone
+        verbs = {"v": VerbEntry("v", "CoL", role, start, end)}
+        for zone in Zone:
+            fr = Lexicon("fr", verbs, {"p": PrepEntry("p", "pos", zone)})
+            d_fr = compose(MotionComplex("v", "p", "g", "m", "fr"), fr, RULES)
+            for attained in (True, False):
+                prep = PrepEntry("p", "dir", zone, role=LrefRole.FINAL, attained=attained)
+                en = Lexicon("en", verbs, {"p": prep})
+                d_en = compose(MotionComplex("v", "p", "g", "m", "en"), en, RULES)
+                fr_rows, en_rows = d_fr.trace.tuples(), d_en.trace.tuples()
+                if {t[:3] for t in fr_rows} != {t[:3] for t in en_rows}:
+                    continue
+                if d_fr.trace.ground == d_fr.trace.lref:
+                    continue  # identified readings are verb-sourced on both sides
+                assert any(t[3] == "interaction" for t in fr_rows if t[0] == "g")
+                assert all(t[3] != "interaction" for t in en_rows if t[0] == "g")
+                contrasted += 1
+    assert contrasted == 76  # the contrast class is not vacuous
+
+
 # -- defeasibility -------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from motionsem.rules import (
     ComplexFeatures,
     CompositionRule,
     Conclusion,
+    Defeat,
     Guard,
     LintCell,
     RuleBase,
@@ -423,8 +424,25 @@ def test_default_defeats_are_pinned():
     base = default_rulebase()
     assert set(DEFAULT_DEFEATS) == set(COMPLETIONS)
     for features in COMPLETIONS:
-        fired, defeated = resolve(features, base, ())
+        fired, defeated, tied = resolve(features, base)
+        assert tied == ()
         assert outcome_line(fired, defeated) == DEFAULT_DEFEATS[features], features
+
+
+def test_a_failed_verdict_keeps_the_fates_of_its_candidates():
+    # no rule fires, yet each candidate's fate is in the verdict
+    incompatible = features(prep_kind="dir", prep_role=LrefRole.INITIAL)
+    assert resolve(incompatible, MEMO_BASES["identify-only"]) == (
+        None, (Defeat("only", None, "conclusion inconsistent"),), ()
+    )
+    vetoed = load(
+        rule_line("F", "strict", 1, "prepkind=dir", "forbid(identify)")
+        + rule_line("I", "defeasible", 9, "prepkind=dir", "identify")
+    )
+    compatible = incompatible._replace(zone_compatible=True)
+    assert resolve(compatible, vetoed) == (
+        None, (Defeat("I", "F", "identification forbidden"),), ()
+    )
 
 
 def inventory_lexicon():
@@ -447,7 +465,7 @@ UNREACHED = ComplexFeatures(M, "dir", F, True, False)
 
 
 def verdict(call):
-    """None if call returns; else what lint reports for its error."""
+    """None if call returns; else what lint reports for compose()'s error."""
     try:
         call()
     except InfelicitousError:
@@ -491,8 +509,10 @@ def assert_lint_is_run_time(base):
     """Lint reports a cell for a completion exactly when compose() raises there."""
     found = run_time_verdicts(base)
     assert set(COMPLETIONS) - set(found) == {UNREACHED}
-    verdicts = {features: verdict(lambda: resolve(features, base, ()))
-                for features in COMPLETIONS}
+    verdicts = {}
+    for features in COMPLETIONS:
+        fired, _, tied = resolve(features, base)
+        verdicts[features] = "/".join(tied) if tied else "gap" if fired is None else None
     for features, seen in found.items():
         assert seen == {verdicts[features]}, features
 
@@ -598,9 +618,9 @@ def linted_vectors() -> set:
     """The feature vectors lint_rulebase resolves, typed."""
     seen = set()
 
-    def spy(features, base, names):
+    def spy(features, base):
         seen.add(typed(features))
-        raise InfelicitousError("spied")
+        return None, (), ()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rules_module, "resolve", spy)
