@@ -15,8 +15,9 @@ replacement to the copy, runs only that mutant's tests and restores the
 file.  A mutant is killed when each of its tests fails; otherwise it
 survived, which is a gap in the tests.  One line per mutant and the totals
 are printed; the exit status is 1 if any mutant survived, and a run that
-cannot decide (a named test failing unchanged, or one pytest cannot find)
-stops with a message and status 1 too.  Stdlib only.
+cannot decide (a named test failing unchanged, one pytest cannot find, or
+a mutant whose old text does not occur exactly once or whose replaced text
+does not parse) stops with a message and status 1 too.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -51,6 +52,22 @@ def load_mutants(path: Path = MUTANTS) -> list[SimpleNamespace]:
         for name, section in parser.items()
         if name != parser.default_section
     ]
+
+
+def mutated(mutant: SimpleNamespace, original: str) -> str:
+    """original with mutant's replacement made; exits unless that is decidable.
+
+    A replacement that does not parse would fail every test on import,
+    whatever the tests check, and so count as killed.
+    """
+    if original.count(mutant.old) != 1:
+        sys.exit(f"{mutant.name}: old text does not occur exactly once")
+    text = original.replace(mutant.old, mutant.new)
+    try:
+        ast.parse(text)
+    except SyntaxError as exc:
+        sys.exit(f"{mutant.name}: the replaced text does not parse: {exc}")
+    return text
 
 
 def failures(copy: Path, tests: list[str]) -> list[str]:
@@ -98,9 +115,7 @@ def main(argv: list[str]) -> int:
         for mutant in chosen:
             path = copy / "src" / "motionsem" / mutant.file
             original = path.read_text(encoding="utf-8")
-            if original.count(mutant.old) != 1:
-                sys.exit(f"{mutant.name}: old text does not occur exactly once")
-            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
+            path.write_text(mutated(mutant, original), encoding="utf-8")
             try:
                 failed = failures(copy, mutant.tests)
             finally:

@@ -19,15 +19,14 @@ the rule base alone, never by the ground's name: the name of the
 reference location is reserved (MotionComplex), and an identify
 conclusion holds exactly when compute_features finds the zones
 compatible.
-explain() has one renderer (_render): it renders a hand-built trace
-directly, and renders every other trace once per shape of derivation
-with markers for the names, which each call fills in (see
-_plain_layout).  Neither cache ever changes a result.
+explain() writes the rule lines on every call, and its body has one
+renderer (_render): it renders a hand-built trace directly, and every
+other trace once per shape of trace with markers for the names, which
+each call fills in (see _plain_layout).  Neither cache ever changes a result.
 """
 
 import functools
 from collections.abc import Callable
-from itertools import chain
 from operator import itemgetter
 
 from .errors import (
@@ -286,21 +285,34 @@ def _orders(
 def explain(derivation: Derivation) -> str:
     """Human-readable account of a derivation, deterministic for fixed input.
 
-    Ends with the machine-diffable trace records so a reader has both
-    views in one place.  All but the names is laid out once per fired
-    rule, defeats and shape of trace, and kept in a bounded cache (see
-    _plain_layout); a call fills in the names.  A trace that is not
-    plain, as only hand-built ones are (an absent binding, a third
-    location, a name with a line break, a phase or zone that is not
-    exactly a Phase or Zone member), is rendered directly with its
-    names, as is a rule or defeat field holding a NUL.  The cache never
-    changes the text.
+    The complex, the fired rule and the defeats are written from the
+    derivation's fields on every call.  The body that follows (bindings,
+    zone table and the machine-diffable trace records, so a reader has
+    both views in one place) is laid out once per shape of trace, keyed
+    by that shape alone, and kept in a bounded cache (see _plain_layout);
+    a call fills in the names.  A trace that is not plain, as only
+    hand-built ones are (an absent binding, a third location, a name
+    with a line break, a mobile that is not a str, a phase or zone that
+    is not exactly a Phase or Zone member), has its body rendered
+    directly.  The cache never changes the text.
     """
     complex_, _, fired, defeated, trace = derivation
-    rule = (fired.id, fired.strength, fired.priority, *chain.from_iterable(defeated))
-    mobile, lref, ground, assignments = trace
+    verb, prep, ground, mobile, language = complex_
+    lines = [
+        f"motion complex: {verb} + {prep} + {ground}  [{language}]",
+        f"mobile: {mobile}",
+        "",
+        f"fired rule: {fired.id} ({fired.strength}, priority {fired.priority})",
+        "defeated:" if defeated else "defeated: none",
+    ]
+    for rule_id, by, reason in defeated:
+        by = f" by {by}" if by else ""
+        lines.append(f"  {rule_id} ({reason}{by})")
+    lines.append("")
+    mobile, lref, ground, assignments = trace  # the body's names, from the trace
     if (  # plain: the locations are exactly lref and ground, printable str names
-        type(lref) is str
+        type(mobile) is str
+        and type(lref) is str
         and type(ground) is str
         and {lref, ground} == {a[0] for a in assignments}
         and f"{mobile}{lref}{ground}".isprintable()
@@ -312,93 +324,66 @@ def explain(derivation: Derivation) -> str:
             rows += (location == ground, phase, zone, source)
         else:
             ground_first = ground < lref
-            layout = _plain_layout(ground_first, tuple(rows), *rule)
-            if layout is not None:
-                parts, pick = layout
-                first, second = (ground, lref) if ground_first else (lref, ground)
-                width = max(8, len(lref), len(ground))
-                cells = first.ljust(width), second.ljust(width), "location".ljust(width)
-                return "".join(pick((*complex_, mobile, first, second, *cells) + parts))
-    return _render(complex_, trace, str, "location", *rule)
+            parts, pick = _plain_layout(ground_first, tuple(rows))
+            first, second = (ground, lref) if ground_first else (lref, ground)
+            width = max(8, len(lref), len(ground))
+            cells = first.ljust(width), second.ljust(width), "location".ljust(width)
+            lines.append("".join(pick((mobile, first, second, *cells) + parts)))
+            return "\n".join(lines)
+    lines.append(_render(trace, str, "location"))
+    return "\n".join(lines)
 
 
-# Slot markers: NUL and one hex digit each, so all have one width and
-# never occur in a plain name, which is printable.  Slots 0 to 4 are the
-# motion complex's fields in order, 5 the mobile, 6 and 7 the two
-# locations in sort order, and 8, 9 and 10 the same locations and the
-# heading of the location column, padded to its width.
-_SLOTS = tuple(f"\0{slot:x}" for slot in range(11))
+# Slot markers: NUL and one digit each, so all have one width and never
+# occur in a plain name, which is printable.  Slot 0 is the mobile, 1
+# and 2 the two locations in sort order, and 3, 4 and 5 the same
+# locations and the heading of the location column, padded to its width.
+_SLOTS = tuple(f"\0{slot}" for slot in range(6))
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
-def _plain_layout(
-    ground_first: bool, rows: tuple, *rule
-) -> tuple[tuple, Callable] | None:
-    """explain()'s text for every plain trace of one shape and rule outcome.
+@functools.lru_cache(maxsize=1024)
+def _plain_layout(ground_first: bool, rows: tuple) -> tuple[tuple, Callable]:
+    """explain()'s body for every plain trace of one shape.
 
     rows holds four fields per assignment: whether its location is the
     ground (if every one is, the two are identified), phase, zone and
-    provenance.  The text is rendered once with slot markers for the
+    provenance.  The body is rendered once with slot markers for the
     names and split at them into literal parts; a getter picks its pieces
     in order from the slots' values followed by the literal parts.
     Markers sort like the names they stand for, so the rows keep their
-    order.  None when a rule field holds a NUL, which would read as one.
+    order.
 
-    The cache is keyed by content, never by identity, and typed, with the
-    rule outcome flattened to its fields, so that fields which compare
-    equal but print differently (priority 43 and 43.0) get layouts of
-    their own.  The rows need no types: explain() passes only exact Phase
-    and Zone members, and a provenance equals nothing but itself.  It
-    holds the last 1024 layouts; the seed lexicons under the default
-    rules need 162.
+    The cache is keyed by content, never by identity.  It needs no types:
+    explain() passes only exact Phase and Zone members, and a provenance
+    equals nothing but itself.  It holds the last 1024 layouts; the seed
+    lexicons under the default rules need 154.
     """
-    if any("\0" in f"{field}" for field in rule):
-        return None
     slot = _SLOTS
     if all(rows[::4]):
-        lref = ground = slot[6]
+        lref = ground = slot[1]
     else:
-        lref, ground = (slot[7], slot[6]) if ground_first else (slot[6], slot[7])
+        lref, ground = (slot[2], slot[1]) if ground_first else (slot[1], slot[2])
     assignments = tuple(
         ZoneAssignment(ground if at_ground else lref, phase, zone, source)
         for at_ground, phase, zone, source in zip(*[iter(rows)] * 4)
     )
-    trace = SpatiotemporalTrace(slot[5], lref, ground, assignments)
-    cell = {slot[6]: slot[8], slot[7]: slot[9]}.get
-    head, *pieces = _render(slot[:5], trace, cell, slot[10], *rule).split("\0")
+    trace = SpatiotemporalTrace(slot[0], lref, ground, assignments)
+    cell = {slot[1]: slot[3], slot[2]: slot[4]}.get
+    head, *pieces = _render(trace, cell, slot[5]).split("\0")
     parts, picks = [head], [len(slot)]
     for piece in pieces:
-        picks += (int(piece[0], 16), len(slot) + len(parts))
+        picks += (int(piece[0]), len(slot) + len(parts))
         parts.append(piece[1:])
     return tuple(parts), itemgetter(*picks)
 
 
-def _render(
-    complex_, trace: SpatiotemporalTrace, cell: Callable, heading: str,
-    rule_id, strength, priority, *defeats
-) -> str:
-    """explain()'s text for a motion complex's fields, a trace and a rule outcome.
+def _render(trace: SpatiotemporalTrace, cell: Callable, heading: str) -> str:
+    """explain()'s body for a trace: bindings, zone table and records.
 
     cell gives a location's cell in the zone table and heading that
     column's heading; each column is padded to its widest cell.
     """
-    verb, prep, ground, mobile, language = complex_
-    lines = [
-        f"motion complex: {verb} + {prep} + {ground}  [{language}]",
-        f"mobile: {mobile}",
-        "",
-        f"fired rule: {rule_id} ({strength}, priority {priority})",
-    ]
-    if defeats:
-        lines.append("defeated:")
-        for defeated, by, reason in zip(*[iter(defeats)] * 3):
-            by = f" by {by}" if by else ""
-            lines.append(f"  {defeated} ({reason}{by})")
-    else:
-        lines.append("defeated: none")
-
-    lines.append("")
-    lines.append("bindings:")
+    lines = ["bindings:"]
     rows = trace.tuples()
     if trace.lref == trace.ground:
         lines.append(

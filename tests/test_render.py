@@ -7,17 +7,23 @@ for byte on every shape, ground order, seed pair and hand-built trace.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import reference_render as reference
 from motionsem.compose import Defeat, MotionComplex, _plain_layout, compose, explain
 from motionsem.errors import MotionSemError
 from motionsem.lexicon import default_lexicon
-from motionsem.trace import render_records
-from motionsem.zones import Zone
+from motionsem.trace import Provenance, SpatiotemporalTrace, ZoneAssignment, render_records
+from motionsem.zones import Phase, Zone
 from shapes import MEMO_BASES, shape_lexicons
 
 RULES = MEMO_BASES["default"]
+SEED_PAIR = compose(
+    MotionComplex("sortir", "de", "maison", "mobile", "fr"), default_lexicon("fr"), RULES
+)
 
 
 def assert_renders_like_the_reference(derivation):
@@ -98,6 +104,7 @@ def hand_built_variants(derivation):
             yield derivation._replace(trace=variant, defeated=defeated)
     yield derivation._replace(fired=derivation.fired._replace(id="R{1}", strength="{x}"))
     yield derivation._replace(fired=derivation.fired._replace(id="R\x006", strength="\0"))
+    yield derivation._replace(complex=derivation.complex._replace(ground=5))
 
 
 @pytest.mark.parametrize("verb", ["sortir", "entrer", "passer"])
@@ -110,8 +117,8 @@ def test_hand_built_derivations_render_like_the_reference(verb):
 
 def test_names_that_break_lines_render_like_the_reference():
     fr = default_lexicon("fr")
-    for ground in ("a\nb", "a\rb", "a b", "end\n", "\x85"):
-        for mobile in ("m", "m\n", "m\x0bn"):
+    for ground in ("a\nb", "a\rb", "a\u2028b", "end\n", "\x85", "a b"):
+        for mobile in ("m", "m\n", "m\x0bn", 7):
             complex_ = MotionComplex("sortir", "de", ground, mobile, "fr")
             assert_renders_like_the_reference(compose(complex_, fr, RULES))
 
@@ -137,7 +144,7 @@ def test_a_float_phase_or_zone_raises_like_the_reference(field):
     assert_renders_like_the_reference(converted(int))
 
 
-def test_fields_that_compare_equal_but_print_differently_get_their_own_layout():
+def test_fields_that_compare_equal_but_print_differently_print_as_themselves():
     fr = default_lexicon("fr")
     derivation = compose(MotionComplex("sortir", "de", "maison", "m", "fr"), fr, RULES)
     assert derivation.defeated
@@ -157,19 +164,95 @@ def test_fields_that_compare_equal_but_print_differently_get_their_own_layout():
 
 def test_layout_cache_is_bounded_and_eviction_changes_no_text():
     fr = default_lexicon("fr")
-    derivation = compose(MotionComplex("entrer", "dans", "jardin", "m", "fr"), fr, RULES)
+    derivation = compose(MotionComplex("sortir", "dans", "jardin", "m", "fr"), fr, RULES)
+    trace = derivation.trace
     _plain_layout.cache_clear()
     bound = _plain_layout.cache_info().maxsize
     assert bound == 1024
-    variants = [  # one layout each
-        derivation._replace(fired=derivation.fired._replace(priority=priority))
-        for priority in range(bound + 10)
+    rows = list(itertools.product(Phase, Zone, Provenance))
+    variants = [  # one layout each: an lref row and a ground row, 1296 shapes
+        derivation._replace(trace=trace._replace(assignments=(
+            ZoneAssignment(trace.lref, *lref_row), ZoneAssignment(trace.ground, *ground_row)
+        )))
+        for lref_row, ground_row in itertools.product(rows, rows)
     ]
+    assert len(variants) > bound
     texts = [explain(d) for d in variants]
     assert _plain_layout.cache_info().currsize == bound
     evicted = variants[:10]
     assert [explain(d) for d in evicted] == texts[:10]
     assert texts[:10] == [reference.explain(d) for d in evicted]
+
+
+# names as compose() makes them first (printable text, which explain
+# lays out from its cache), then ones only a hand-built trace holds
+NAMES = st.sampled_from(
+    ["m", "g", "zz", "a b", "{0}", "100%s", "\u00e9t\u00e9", "a\nb", "nul\0", None, 0, 7]
+)
+ROWS = st.tuples(
+    st.sampled_from(tuple(Phase)),
+    st.sampled_from(tuple(Zone)),
+    st.sampled_from(tuple(Provenance)),
+)
+RULE_FIELDS = st.one_of(
+    st.text("R {}%\0", max_size=3), st.none(), st.integers(), st.floats(), st.booleans()
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # a plain trace but for its mobile, which is not a str
+    mobile=7,
+    lref="lref#sortir",
+    ground="maison",
+    lref_rows=[(Phase.PRE, Zone.INSIDE, Provenance.VERB)],
+    ground_rows=[(Phase.POST, Zone.DISTAL, Provenance.PREP)],
+    third=False,
+    fired=("R", "defeasible", 1),
+    defeated=[],
+)
+@given(
+    mobile=NAMES,
+    lref=NAMES,
+    ground=NAMES,
+    lref_rows=st.lists(ROWS, max_size=2),
+    ground_rows=st.lists(ROWS, max_size=2),
+    third=st.booleans(),
+    fired=st.tuples(RULE_FIELDS, RULE_FIELDS, RULE_FIELDS),
+    defeated=st.lists(st.builds(Defeat, RULE_FIELDS, RULE_FIELDS, RULE_FIELDS), max_size=3),
+)
+def test_hand_made_derivations_render_like_the_reference(
+    mobile, lref, ground, lref_rows, ground_rows, third, fired, defeated
+):
+    # differential: any derivation, not only one compose() returns, renders
+    # as the reference does or raises the same exception type; third puts
+    # the last row at a location that is neither the lref nor the ground
+    assignments = [ZoneAssignment(lref, *row) for row in lref_rows]
+    assignments += [ZoneAssignment(ground, *row) for row in ground_rows]
+    if third and assignments:
+        assignments[-1] = assignments[-1]._replace(location="third")
+    trace = SEED_PAIR.trace._replace(
+        mobile=mobile, lref=lref, ground=ground, assignments=tuple(assignments)
+    )
+    rule_id, strength, priority = fired
+    derivation = SEED_PAIR._replace(
+        fired=SEED_PAIR.fired._replace(id=rule_id, strength=strength, priority=priority),
+        defeated=tuple(defeated),
+        trace=trace,
+    )
+    for render, oracle, value in [
+        (explain, reference.explain, derivation),
+        (render_records, reference.render_records, trace),
+        (SpatiotemporalTrace.tuples, reference.tuples, trace),
+    ]:
+        assert outcome(render, value) == outcome(oracle, value)
+
+
+def outcome(render, value):
+    """What render gives for value: its text, or the type of what it raises."""
+    try:
+        return render(value)
+    except Exception as exc:  # only the type is compared
+        return type(exc)
 
 
 SORTIR_DANS_JARDIN = """\
