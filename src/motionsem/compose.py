@@ -45,6 +45,8 @@ from .trace import (
 )
 from .zones import LrefRole, Phase, Zone
 
+_LREF = "lref#"  # the reference location's name is this and the verb lemma (lref_location)
+
 
 class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language"):
     """A pre-parsed motion description: verb, preposition, ground, mobile.
@@ -60,7 +62,7 @@ class MotionComplex(Record, fields="verb_lemma prep_lemma ground mobile language
         if not all(self):
             name = next(name for name, value in zip(cls._fields, self) if not value)
             raise ValueError(f"motion complex field {name} must be nonempty")
-        if ground == lref_location(self):
+        if isinstance(ground, str) and _LREF in ground and ground == lref_location(self):
             raise ValueError(
                 f"motion complex ground {ground!r} is reserved for the reference location"
             )
@@ -92,7 +94,7 @@ class Derivation(Record, fields="complex features fired defeated trace"):
 
 def lref_location(complex: MotionComplex) -> str:
     """Name for the verb's reference location when it stays implicit."""
-    return f"lref#{complex.verb_lemma}"
+    return f"{_LREF}{complex.verb_lemma}"
 
 
 def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
@@ -175,6 +177,7 @@ def compose(
     combination) InfelicitousError.  Whether the ground is the reference
     location is that rule's conclusion, never a matter of the ground's name.
 
+    A verb that is not CoL is refused (verb_constraints) before the memo is read.
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
     (the zones and roles of the two entries, never their lemmas, which
@@ -189,31 +192,28 @@ def compose(
     concurrent fills at worst compute the same value twice.  Errors are
     never memoized.
     """
-    if complex.language != lexicon.language:
+    verb_lemma, prep_lemma, ground, mobile, language = complex
+    if language != lexicon.language:
         raise UnknownLanguageError(
-            f"complex is {complex.language!r} but lexicon is {lexicon.language!r}"
+            f"complex is {language!r} but lexicon is {lexicon.language!r}"
         )
-    verb = lookup_verb(lexicon, complex.verb_lemma)
-    prep = lookup_prep(lexicon, complex.prep_lemma)
+    verb = lookup_verb(lexicon, verb_lemma)
+    prep = lookup_prep(lexicon, prep_lemma)
+    if verb.category != "CoL":  # not verb.is_col, read without a property call
+        verb_constraints(verb)  # raises NotACoLVerbError before the memo is read
 
-    shape = (  # with the category, a non-CoL verb never hits an entry: _derive raises
-        verb.category,
-        verb.lref_role,
-        verb.start_zone,
-        verb.end_zone,
-        prep.kind,
-        prep.role,
-        prep.zone,
-        prep.attained,
+    shape = (
+        verb.lref_role, verb.start_zone, verb.end_zone,
+        prep.kind, prep.role, prep.zone, prep.attained,
     )
     memo = rules._derivations
     entry = memo.get(shape)  # features, fired rule, defeats, row orders
     if entry is None:
         entry = memo[shape] = _derive(complex, verb, prep, rules)
-    return _rename(entry, complex, lref_location(complex))
+    return _rename(entry, complex, ground, mobile)
 
 
-def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
+def _rename(entry: tuple, complex: MotionComplex, ground: str, mobile: str) -> Derivation:
     """The derivation of a memo entry (see compose()) for one complex.
 
     Picks the entry's row order for this ground and lref and names each
@@ -221,14 +221,12 @@ def _rename(entry: tuple, complex: MotionComplex, lref: str) -> Derivation:
     their fields without their Python-level __new__.
     """
     features, fired, defeated, orders = entry
-    ground = complex.ground
-    if len(orders) == 1:  # identified: the ground is the lref
-        lref = ground
-    assignments = tuple([
-        _new(ZoneAssignment, (ground if at_ground else lref, phase, zone, source))
-        for at_ground, phase, zone, source in orders[ground < lref]
-    ])
-    trace = _new(SpatiotemporalTrace, (complex.mobile, lref, ground, assignments))
+    lref = ground if len(orders) == 1 else lref_location(complex)  # 1: identified
+    assignments = []  # a loop: a comprehension would be a call of its own
+    for at_ground, phase, zone, source in orders[ground < lref]:
+        location = ground if at_ground else lref
+        assignments.append(_new(ZoneAssignment, (location, phase, zone, source)))
+    trace = _new(SpatiotemporalTrace, (mobile, lref, ground, tuple(assignments)))
     return _new(Derivation, (complex, features, fired, defeated, trace))
 
 
@@ -290,48 +288,48 @@ def explain(derivation: Derivation) -> str:
     zone table and the machine-diffable trace records, so a reader has
     both views in one place) is laid out once per shape of trace, keyed
     by that shape alone, and kept in a bounded cache (see _plain_layout);
-    a call fills in the names.  A trace that is not plain, as only
-    hand-built ones are (an absent binding, a third location, a name
-    with a line break, a mobile that is not a str, a phase or zone that
-    is not exactly a Phase or Zone member), has its body rendered
-    directly.  The cache never changes the text.
+    a call fills in the names.  One walk over the rows decides whether the
+    trace is plain and builds that key: a trace that is not, as only
+    hand-built ones are (an absent binding, a row at a third location or
+    none at the ground or at an lref of another name, a name with a line
+    break, a mobile that is not a str, a phase or zone that is not exactly
+    a Phase or Zone member), has its body rendered directly.  The cache
+    never changes the text.
     """
     complex_, _, fired, defeated, trace = derivation
     verb, prep, ground, mobile, language = complex_
-    lines = [
-        f"motion complex: {verb} + {prep} + {ground}  [{language}]",
-        f"mobile: {mobile}",
-        "",
-        f"fired rule: {fired.id} ({fired.strength}, priority {fired.priority})",
-        "defeated:" if defeated else "defeated: none",
-    ]
+    text = (
+        f"motion complex: {verb} + {prep} + {ground}  [{language}]\nmobile: {mobile}\n\n"
+        f"fired rule: {fired.id} ({fired.strength}, priority {fired.priority})\n"
+        f"defeated:{'' if defeated else ' none'}"
+    )
     for rule_id, by, reason in defeated:
         by = f" by {by}" if by else ""
-        lines.append(f"  {rule_id} ({reason}{by})")
-    lines.append("")
+        text += f"\n  {rule_id} ({reason}{by})"
     mobile, lref, ground, assignments = trace  # the body's names, from the trace
-    if (  # plain: the locations are exactly lref and ground, printable str names
-        type(mobile) is str
-        and type(lref) is str
-        and type(ground) is str
-        and {lref, ground} == {a[0] for a in assignments}
-        and f"{mobile}{lref}{ground}".isprintable()
+    if type(mobile) is type(lref) is type(ground) is str and (
+        f"{mobile}{lref}{ground}".isprintable()
     ):
-        rows = []  # four fields a row; only exact members, as 2.0 == Phase.POST
+        # the layout key, four fields a row; plain: each row at the lref or the ground,
+        # exact members (2.0 == Phase.POST), a ground row and, unless identified, an lref row
+        rows, grounds = [], 0
         for location, phase, zone, source in assignments:
             if type(phase) is not Phase or type(zone) is not Zone:
                 break
-            rows += (location == ground, phase, zone, source)
+            at_ground = location == ground
+            if not (at_ground or location == lref):
+                break
+            grounds += at_ground
+            rows += (at_ground, phase, zone, source)
         else:
-            ground_first = ground < lref
-            parts, pick = _plain_layout(ground_first, tuple(rows))
-            first, second = (ground, lref) if ground_first else (lref, ground)
-            width = max(8, len(lref), len(ground))
-            cells = first.ljust(width), second.ljust(width), "location".ljust(width)
-            lines.append("".join(pick((mobile, first, second, *cells) + parts)))
-            return "\n".join(lines)
-    lines.append(_render(trace, str, "location"))
-    return "\n".join(lines)
+            if grounds and (lref == ground or grounds < len(assignments)):
+                ground_first = ground < lref
+                parts, pick = _plain_layout(ground_first, tuple(rows))
+                first, second = (ground, lref) if ground_first else (lref, ground)
+                width = max(8, len(lref), len(ground))
+                cells = first.ljust(width), second.ljust(width), "location".ljust(width)
+                return f"{text}\n\n{''.join(pick((mobile, first, second, *cells) + parts))}"
+    return f"{text}\n\n{_render(trace, str, 'location')}"
 
 
 # Slot markers: NUL and one digit each, so all have one width and never

@@ -44,6 +44,15 @@ def is_name(text: str) -> bool:
     return printable and text != "" and not text.isspace()
 
 
+def _check_name(text, kind: str) -> None:
+    """Raise IllFormedEntryError, worded as the readers word it, unless text is a
+    name that a data file gives back as it is: a str name with no WHITESPACE at
+    either edge, which every reader strips.  For the constructors of what a dump
+    writes (lemmas, rule ids, the VERSION value)."""
+    if not (isinstance(text, str) and is_name(text) and text.strip(WHITESPACE) == text):
+        raise IllFormedEntryError(f"bad {kind} {text!r}")
+
+
 class Record(tuple):
     """A named tuple class that compiles nothing: the base of every record class.
 

@@ -21,7 +21,9 @@ class inventory, in a bounded memo that never keeps an error.
 VerbEntry and PrepEntry decide which fields an entry may hold: built by
 a call, _make or _replace, an entry holds the shapes a lexicon line can
 give, with each zone and role the member it equals, or raises
-IllFormedEntryError.  Only the class inventory is the file format's own.
+IllFormedEntryError, and their lemmas (and a verb's gloss) are what a
+dump writes and a load reads back.  Only the class inventory is the file
+format's own.
 """
 
 import functools
@@ -38,6 +40,7 @@ from .errors import (
     UnknownLemmaError,
     UnlexicalizedClassError,
     WHITESPACE,
+    _check_name,
     data_lines,
     is_name,
     read_bundled,
@@ -64,7 +67,10 @@ class VerbEntry(
     entry has its role and both zones, each held as the member it equals
     (1.0 is LrefRole.MEDIAL), and any other entry none of them.  Whether
     a CoL pair is a lexicalized class is the file format's check
-    (classify_verb), so a hand-built entry may take any pair.
+    (classify_verb), so a hand-built entry may take any pair.  The lemma
+    and the gloss are what dump_lexicon writes and load_lexicon reads back
+    as they are: the lemma a name with no ASCII whitespace at an edge, the
+    gloss a str with no tab or line break and none at its end.
     """
 
     __slots__ = ()
@@ -73,6 +79,13 @@ class VerbEntry(
         lemma, category, role, start, end, gloss = self = super().__new__(
             cls, *args, **kwargs
         )
+        _check_name(lemma, "lemma")
+        if gloss is not None and not (  # as a load reads it: to a tab or line end, rstripped
+            isinstance(gloss, str)
+            and gloss.rstrip(WHITESPACE) == gloss
+            and not any(cut in gloss for cut in "\t\n\r")
+        ):
+            raise IllFormedEntryError(f"bad gloss {gloss!r}")
         if category not in VERB_CATEGORIES:
             raise IllFormedEntryError(f"unknown verb category {category!r}")
         if category != "CoL":
@@ -102,13 +115,15 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
     positional entry has no role and no attained, a directional one has a
     role, and attained only applies to directional-final entries: there
     it is a bool (0 is False) and defaults to true, as in the file format
-    (to/into assert arrival, towards does not).
+    (to/into assert arrival, towards does not).  The lemma is a name as a
+    verb's is.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         lemma, kind, zone, role, attained = self = super().__new__(cls, *args, **kwargs)
+        _check_name(lemma, "lemma")
         if kind not in ("pos", "dir"):
             raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
         zone = _member(self, 2, Zone)
@@ -160,12 +175,15 @@ def _member(entry, index: int, of):
 class Lexicon(Record, fields="language verbs preps"):
     """Immutable per-language lexicon with unique lemmas per part of speech.
 
-    verbs and preps are read-only copies of the mappings passed in.
+    The language is one of LANGUAGES; verbs and preps are read-only
+    copies of the mappings passed in.
     """
 
     __slots__ = ()
 
     def __new__(cls, language, verbs, preps):
+        if language not in LANGUAGES:
+            raise IllFormedEntryError(f"unsupported language tag {language!r}")
         return super().__new__(
             cls, language, MappingProxyType(dict(verbs)), MappingProxyType(dict(preps))
         )

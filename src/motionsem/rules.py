@@ -36,7 +36,7 @@ import itertools
 from collections.abc import Iterable
 
 from .errors import (
-    WHITESPACE, FormatError, IllFormedEntryError, Record, data_lines, is_name,
+    WHITESPACE, FormatError, IllFormedEntryError, Record, _check_name, data_lines, is_name,
     read_bundled, split_fields,
 )
 from .trace import Provenance
@@ -127,9 +127,18 @@ class Conclusion(
 
 
 class CompositionRule(Record, fields="id strength priority guard conclusion"):
-    """A guard and a conclusion, ranked by strength ("strict" or "defeasible")."""
+    """A guard and a conclusion, ranked by strength ("strict" or "defeasible").
+
+    The id is a name that dump_rulebase writes and load_rulebase reads back
+    as it is, as the VERSION value of a RuleBase is.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_name(self[0], "rule id")
+        return self
 
     @property
     def is_strict(self) -> bool:
@@ -174,6 +183,7 @@ class RuleBase:
         object.__setattr__(self, "version", version)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_derivations", {})
+        _check_name(version, "version")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

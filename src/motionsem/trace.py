@@ -155,6 +155,8 @@ def render_records(trace: SpatiotemporalTrace) -> str:
         lines.append(f"lref {trace.lref}")
     if trace.ground is not None:
         lines.append(f"ground {trace.ground}")
-    for a in sorted(trace.assignments, key=_LOCATION_PHASE):
-        lines.append(" ".join(a.tuple()))
+    for location, phase, zone, prov in sorted(trace.assignments, key=_LOCATION_PHASE):
+        lines.append(" ".join(  # labelled from the tables ZoneAssignment.tuple reads
+            (location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov])
+        ))
     return "\n".join(lines)

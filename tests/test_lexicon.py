@@ -5,12 +5,13 @@ from __future__ import annotations
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motionsem import lexicon as lexicon_module
 from motionsem.errors import (
     WHITESPACE,
     DuplicateLemmaError,
+    FormatError,
     IllFormedEntryError,
     NotACoLVerbError,
     UnknownLanguageError,
@@ -536,3 +537,107 @@ def test_generated_lexicons_round_trip(data):
         preps={p.lemma: p for p in preps},
     )
     assert load(dump_lexicon(lexicon)) == lexicon
+
+
+# Raw text for a lemma or a gloss: a core that may hold ASCII whitespace, line
+# breaks and an escape, between edges that may be a no-break or em space, an
+# ASCII space or tab, or a line break.
+_EDGE = st.sampled_from(["", "", "\u00a0", "\u2003", " ", "\t", "\n"])
+_RAW = st.tuples(_EDGE, st.text("ab- \t\n\r\x0b\x1b\x85", max_size=3), _EDGE).map("".join)
+
+
+def built(cls, *fields):
+    """cls(*fields), or None if its constructor refuses them."""
+    try:
+        return cls(*fields)
+    except IllFormedEntryError:
+        return None
+
+
+def read_back(text):
+    """The lexicon text loads as, or the FormatError it raises."""
+    try:
+        return load(text)
+    except FormatError as exc:
+        return exc
+
+
+@settings(max_examples=25, deadline=None)
+@example(language="fr", verbs=[("\u00a0lead\u2003", "\u2003to lead\u00a0")], preps=["\u2003in"])
+@example(language="en", verbs=[(" lead", None), ("lead", "to lead ")], preps=["in\t"])
+@given(
+    language=st.sampled_from(["fr", "en", "de", "fr\u00a0", ""]),
+    verbs=st.lists(st.tuples(_RAW, st.none() | _RAW), max_size=4),
+    preps=st.lists(_RAW, max_size=3),
+)
+def test_the_constructors_accept_exactly_what_loads_back_as_it_was_dumped(
+    language, verbs, preps
+):
+    # what a constructor accepts, dump_lexicon writes and load_lexicon reads
+    # back equal; what it refuses, written in the same format, is refused by
+    # load_lexicon or read back changed
+    kept = {}
+    for lemma, gloss in verbs:
+        entry = built(VerbEntry, lemma, "CoPs", None, None, None, gloss)
+        if entry is None:
+            tail = "" if gloss is None else f"\tgloss={gloss}"
+            loaded = read_back(f"LANG\tfr\nV\t{lemma}\tCoPs{tail}\n")
+            assert isinstance(loaded, FormatError) or [
+                entry[::5] for entry in loaded.verbs.values()
+            ] != [(lemma, gloss)]
+        else:
+            kept[lemma] = entry
+    kept_preps = {}
+    for lemma in preps:
+        entry = built(PrepEntry, lemma, "pos", Zone.INSIDE)
+        if entry is None:
+            loaded = read_back(f"LANG\tfr\nP\t{lemma}\tpos\tinside\n")
+            assert isinstance(loaded, FormatError) or list(loaded.preps) != [lemma]
+        else:
+            kept_preps[lemma] = entry
+    lexicon = built(Lexicon, language, kept, kept_preps)
+    if lexicon is None:
+        loaded = read_back(f"LANG\t{language}\n")
+        assert isinstance(loaded, FormatError) or loaded.language != language
+    else:
+        assert load(dump_lexicon(lexicon)) == lexicon
+
+
+# Each value a dump would not give back, the field it is refused in, and
+# the message, in the wording of load_lexicon.
+NAME_REFUSALS = {
+    "lemma-padded": (dict(lemma=" lead"), "bad lemma ' lead'"),
+    "lemma-tab": (dict(lemma="a\tb"), "bad lemma 'a\\tb'"),
+    "lemma-blank": (dict(lemma="\u00a0"), "bad lemma '\\xa0'"),
+    "lemma-escape": (dict(lemma="sor\x1btir"), "bad lemma 'sor\\x1btir'"),
+    "lemma-not-a-str": (dict(lemma=5), "bad lemma 5"),
+    "gloss-line-break": (dict(gloss="x\ny"), "bad gloss 'x\\ny'"),
+    "gloss-carriage-return": (dict(gloss="x\ry"), "bad gloss 'x\\ry'"),
+    "gloss-tab": (dict(gloss="a\tb"), "bad gloss 'a\\tb'"),
+    "gloss-padded-end": (dict(gloss="to run "), "bad gloss 'to run '"),
+    "gloss-not-a-str": (dict(gloss=1), "bad gloss 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(NAME_REFUSALS))
+def test_a_name_a_dump_would_not_give_back_is_refused_at_construction(name):
+    fields, message = NAME_REFUSALS[name]
+    builds = [lambda: VALID[VerbEntry]._replace(**fields)]
+    if "lemma" in fields:
+        builds += [
+            lambda: VerbEntry(fields["lemma"], "CoPs"),
+            lambda: PrepEntry(fields["lemma"], "pos", Zone.INSIDE),
+            lambda: VALID[PrepEntry]._replace(**fields),
+        ]
+    for build in builds:
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_a_lexicon_of_a_language_load_refuses_is_refused():
+    for language in ("de", " fr", "", None):
+        with pytest.raises(IllFormedEntryError) as info:
+            Lexicon(language, {}, {})
+        assert str(info.value) == f"unsupported language tag {language!r}"
+    assert Lexicon("en", {}, {}).language == "en"

@@ -71,6 +71,12 @@ def test_every_seed_pair_renders_like_the_reference(language):
     assert rendered > 0
 
 
+def hand_built(record, **fields):
+    """record with fields replaced around its class's checks, as no constructor takes
+    them (a rule id must be a name); explain prints whatever it is given."""
+    return tuple.__new__(type(record), map(fields.get, record._fields, record))
+
+
 def hand_built_variants(derivation):
     """Derivations no compose() call returns, each printed as the reference does."""
     trace = derivation.trace
@@ -86,7 +92,8 @@ def hand_built_variants(derivation):
         trace._replace(assignments=rows + (clash,)),
         trace._replace(assignments=rows + rows[:1]),
         trace._replace(assignments=()),
-        trace._replace(assignments=rows[:1]),
+        trace._replace(assignments=rows[:1]),  # the ground's row alone
+        trace._replace(assignments=rows[1:]),  # the lref's rows alone
         trace._replace(ground=trace.lref),
         trace._replace(mobile="two\nlines"),
         trace._replace(mobile="{5} 100%s"),
@@ -103,7 +110,7 @@ def hand_built_variants(derivation):
         for defeated in defeats:
             yield derivation._replace(trace=variant, defeated=defeated)
     yield derivation._replace(fired=derivation.fired._replace(id="R{1}", strength="{x}"))
-    yield derivation._replace(fired=derivation.fired._replace(id="R\x006", strength="\0"))
+    yield derivation._replace(fired=hand_built(derivation.fired, id="R\x006", strength="\0"))
     yield derivation._replace(complex=derivation.complex._replace(ground=5))
 
 
@@ -235,7 +242,7 @@ def test_hand_made_derivations_render_like_the_reference(
     )
     rule_id, strength, priority = fired
     derivation = SEED_PAIR._replace(
-        fired=SEED_PAIR.fired._replace(id=rule_id, strength=strength, priority=priority),
+        fired=hand_built(SEED_PAIR.fired, id=rule_id, strength=strength, priority=priority),
         defeated=tuple(defeated),
         trace=trace,
     )

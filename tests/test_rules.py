@@ -6,12 +6,12 @@ import io
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from motionsem import rules as rules_module
 from motionsem.compose import MotionComplex, compose, compute_features
 from motionsem.errors import (
-    WHITESPACE, AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError,
+    WHITESPACE, AmbiguousRuleBaseError, FormatError, IllFormedEntryError, InfelicitousError,
     NotACoLVerbError,
 )
 from motionsem.lexicon import VERB_CATEGORIES, Lexicon, PrepEntry, VerbEntry, load_lexicon
@@ -250,6 +250,63 @@ def test_generated_rule_bases_round_trip(version, ids):
     rules = tuple(rule._replace(id=i) for rule, i in zip(default_rulebase().rules, ids))
     base = RuleBase(version, rules)
     assert load(dump_rulebase(base)) == base
+
+
+# Raw text for a rule id or a VERSION value: a core that may hold ASCII
+# whitespace, line breaks and an escape, between edges that may be a no-break
+# or em space, an ASCII space or tab, or a line break.
+_EDGE = st.sampled_from(["", "", "\u00a0", "\u2003", " ", "\t", "\n"])
+_RAW = st.tuples(_EDGE, st.text("ab1- \t\n\r\x1b\x85", max_size=3), _EDGE).map("".join)
+
+
+def read_back(text):
+    """The rule base text loads as, or the FormatError it raises."""
+    try:
+        return load(text)
+    except FormatError as exc:
+        return exc
+
+
+@settings(max_examples=25, deadline=None)
+@example(version="\u00a0v1\u2003", ids=["\u2003D1\u00a0", " D2"])
+@example(version="v1 ", ids=["D1"])
+@given(version=_RAW, ids=st.lists(_RAW, min_size=1, max_size=3, unique=True))
+def test_the_constructors_accept_exactly_the_names_that_load_back_as_dumped(version, ids):
+    # what CompositionRule and RuleBase accept, dump_rulebase writes and
+    # load_rulebase reads back equal; what they refuse, written in the same
+    # format, is refused by load_rulebase or read back changed
+    rules = []
+    for rule, rule_id in zip(default_rulebase().rules, ids):
+        try:
+            rules.append(rule._replace(id=rule_id))
+        except IllFormedEntryError:
+            line = "\t".join(["R", rule_id, *rule.render().split("\t")[2:]])
+            loaded = read_back(line)
+            assert isinstance(loaded, FormatError) or [r.id for r in loaded.rules] != [rule_id]
+    try:
+        base = RuleBase(version, tuple(rules))
+    except IllFormedEntryError:
+        loaded = read_back(f"VERSION\t{version}\n")
+        assert isinstance(loaded, FormatError) or loaded.version != version
+    else:
+        assert load(dump_rulebase(base)) == base
+
+
+@pytest.mark.parametrize(
+    "name",
+    [" D1", "D1\t", "a\tb", "", "\u2003", "D2\x1b[2Ki", "a\nb", 7, None],
+    ids=["padded", "tab-end", "tab", "empty", "em-space", "escape", "line-break", "int", "none"],
+)
+def test_a_rule_id_or_version_a_dump_would_not_give_back_is_refused(name):
+    rule = default_rulebase().rules[0]
+    for build, message in [
+        (lambda: rule._replace(id=name), f"bad rule id {name!r}"),
+        (lambda: CompositionRule(name, *rule[1:]), f"bad rule id {name!r}"),
+        (lambda: RuleBase(name, (rule,)), f"bad version {name!r}"),
+    ]:
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == message
 
 
 # The 30 feature vectors compute_features can produce: 3 verb roles x 4
