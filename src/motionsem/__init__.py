@@ -48,8 +48,6 @@ from .compose import (
     compose,
     compute_features,
     explain,
-    prep_projection,
-    verb_projection,
 )
 
 # corpus is imported on first use of one of its names (PEP 562), so that
@@ -102,8 +100,6 @@ __all__ = [
     "compose",
     "compute_features",
     "explain",
-    "verb_projection",
-    "prep_projection",
     "CorpusCase",
     "CorpusReport",
     "parse_corpus",

@@ -130,24 +130,6 @@ def prep_constraint(prep: PrepEntry) -> tuple[Phase, Zone]:
     return (Phase.POST, prep.effective_zone)
 
 
-def verb_projection(verb: VerbEntry, location: str) -> set[tuple[str, Phase, Zone]]:
-    """What the verb entry alone says, anchored at the given location."""
-    return {(location, p, z) for p, z in verb_constraints(verb).items()}
-
-
-def prep_projection(prep: PrepEntry, location: str) -> set[tuple[str, Phase, Zone]]:
-    """What the preposition entry alone says about the given ground.
-
-    Positional entries project nothing here: their static relation has
-    no motion phase of its own, which is exactly why a phased assignment
-    sourced from one counts as interaction information.
-    """
-    if not prep.is_directional:
-        return set()
-    phase, zone = prep_constraint(prep)
-    return {(location, phase, zone)}
-
-
 def compute_features(verb: VerbEntry, prep: PrepEntry) -> ComplexFeatures:
     """Feature vector for rule guards, including the zone-compatibility flag.
 
@@ -271,8 +253,6 @@ def _orders(
             for p, z in sorted(zones.items())
         ]),)
     _, phase, zone, source = rule.conclusion  # a bind: resolve() fires no other kind
-    if phase is None:
-        raise IllFormedEntryError(f"bind in rule {rule.id!r} lacks a phase")
     zone = prep.effective_zone if zone is None else zone
     source = Provenance.PREP if source is None else source
     rows = tuple([(False, p, z, Provenance.VERB) for p, z in sorted(zones.items())])

@@ -53,6 +53,17 @@ def _check_name(text, kind: str) -> None:
         raise IllFormedEntryError(f"bad {kind} {text!r}")
 
 
+def _member(record, index: int, of):
+    """The member of(field) gives for field index of record, else IllFormedEntryError."""
+    try:
+        return of(record[index])
+    except (KeyError, TypeError, ValueError):
+        raise IllFormedEntryError(
+            f"{record[0]!r} has {record._fields[index]} {record[index]!r}, "
+            "equal to no member"
+        ) from None
+
+
 class Record(tuple):
     """A named tuple class that compiles nothing: the base of every record class.
 

@@ -18,12 +18,12 @@ through Zone or LrefRole.from_label, as in every other data file.
 load_lexicon validates each distinct entry shape once per process and
 class inventory, in a bounded memo that never keeps an error.
 
-VerbEntry and PrepEntry decide which fields an entry may hold: built by
-a call, _make or _replace, an entry holds the shapes a lexicon line can
-give, with each zone and role the member it equals, or raises
-IllFormedEntryError, and their lemmas (and a verb's gloss) are what a
-dump writes and a load reads back.  Only the class inventory is the file
-format's own.
+VerbEntry, PrepEntry and Lexicon decide what they may hold: built by a
+call, _make or _replace, an entry holds the shapes a lexicon line can
+give, with each zone and role the member it equals, and a lexicon a
+language of LANGUAGES and entries keyed by their own lemmas, or each
+raises IllFormedEntryError; lemmas and glosses are what a dump writes and
+a load reads back.  Only the class inventory is the file format's own.
 """
 
 import functools
@@ -41,6 +41,7 @@ from .errors import (
     UnlexicalizedClassError,
     WHITESPACE,
     _check_name,
+    _member,
     data_lines,
     is_name,
     read_bundled,
@@ -80,12 +81,7 @@ class VerbEntry(
             cls, *args, **kwargs
         )
         _check_name(lemma, "lemma")
-        if gloss is not None and not (  # as a load reads it: to a tab or line end, rstripped
-            isinstance(gloss, str)
-            and gloss.rstrip(WHITESPACE) == gloss
-            and not any(cut in gloss for cut in "\t\n\r")
-        ):
-            raise IllFormedEntryError(f"bad gloss {gloss!r}")
+        _check_gloss(gloss)
         if category not in VERB_CATEGORIES:
             raise IllFormedEntryError(f"unknown verb category {category!r}")
         if category != "CoL":
@@ -124,8 +120,7 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
     def __new__(cls, *args, **kwargs):
         lemma, kind, zone, role, attained = self = super().__new__(cls, *args, **kwargs)
         _check_name(lemma, "lemma")
-        if kind not in ("pos", "dir"):
-            raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
+        _check_kind(kind)
         zone = _member(self, 2, Zone)
         if kind == "pos":
             if role is not None:
@@ -161,22 +156,27 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
 _BOOL = {False: False, True: True}.__getitem__
 
 
-def _member(entry, index: int, of):
-    """The member of(field) gives for field index of entry, else IllFormedEntryError."""
-    try:
-        return of(entry[index])
-    except (KeyError, TypeError, ValueError):
-        raise IllFormedEntryError(
-            f"{entry.lemma!r} has {entry._fields[index]} {entry[index]!r}, "
-            "equal to no member"
-        ) from None
+def _check_gloss(gloss) -> None:
+    """Refuse a gloss a load would not read back (for VerbEntry and load_lexicon)."""
+    if gloss is not None and not (  # as a load reads it: to a tab or line end, rstripped
+        isinstance(gloss, str)
+        and gloss.rstrip(WHITESPACE) == gloss
+        and "\t" not in gloss and "\n" not in gloss and "\r" not in gloss
+    ):
+        raise IllFormedEntryError(f"bad gloss {gloss!r}")
+
+
+def _check_kind(kind) -> None:
+    """Refuse a preposition kind other than pos or dir (for PrepEntry and load_lexicon)."""
+    if kind not in ("pos", "dir"):
+        raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
 
 
 class Lexicon(Record, fields="language verbs preps"):
     """Immutable per-language lexicon with unique lemmas per part of speech.
 
     The language is one of LANGUAGES; verbs and preps are read-only
-    copies of the mappings passed in.
+    copies of the mappings passed in, of entries keyed by their lemmas.
     """
 
     __slots__ = ()
@@ -184,9 +184,14 @@ class Lexicon(Record, fields="language verbs preps"):
     def __new__(cls, language, verbs, preps):
         if language not in LANGUAGES:
             raise IllFormedEntryError(f"unsupported language tag {language!r}")
-        return super().__new__(
+        self = _, verbs, preps = super().__new__(
             cls, language, MappingProxyType(dict(verbs)), MappingProxyType(dict(preps))
         )
+        for entries, of in ((verbs, VerbEntry), (preps, PrepEntry)):
+            for lemma, entry in entries.items():
+                if not (isinstance(entry, of) and entry.lemma == lemma):
+                    raise IllFormedEntryError(f"lexicon key {lemma!r} holds {entry!r}")
+        return self
 
     def __getnewargs__(self):  # for pickle and copy: a mappingproxy cannot be pickled
         return self.language, dict(self.verbs), dict(self.preps)
@@ -214,8 +219,8 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
 
 _PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
 # A record from a tuple of its fields, skipping the class's Python-level
-# __new__: for hot paths, on fields that __new__ accepted before (the shape
-# memo of load_lexicon) or on classes whose __new__ checks nothing.
+# __new__: for hot paths, on fields its __new__ would accept (load_lexicon's
+# shape memo and Lexicon) or on classes whose __new__ checks nothing.
 _new = tuple.__new__
 
 
@@ -291,8 +296,7 @@ def _parse_verb_line(lemma: str, tail: str) -> tuple:
 def _parse_prep_line(lemma: str, tail: str) -> tuple:
     """The kind, zone, role and attainment of a P line, from its tail."""
     kind, *rest = [field.strip(WHITESPACE) for field in tail.split("\t")]
-    if kind not in ("pos", "dir"):  # before its attained field is read
-        raise IllFormedEntryError(f"unknown preposition kind {kind!r}")
+    _check_kind(kind)  # before its attained field is read
 
     attained: bool | None = None
     if rest and rest[-1].startswith("attained="):
@@ -304,9 +308,7 @@ def _parse_prep_line(lemma: str, tail: str) -> tuple:
     if kind == "pos":
         if len(rest) != 1:
             raise IllFormedEntryError("positional prep needs exactly a zone")
-        if attained is not None:  # before its zone is read
-            raise IllFormedEntryError("positional prep cannot carry attained")
-        return PrepEntry(lemma, kind, Zone.from_label(rest[0]))[1:]
+        return PrepEntry(lemma, kind, Zone.from_label(rest[0]), None, attained)[1:]
 
     if len(rest) != 2:
         raise IllFormedEntryError("directional prep needs <role> <zone>")
@@ -347,7 +349,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
     less a verb's gloss.  Each distinct shape is validated once per
     process and class inventory, which the first entry line reads, and
     its entries are built from the fields it parsed to (_SHAPES); the
-    lemma checks run on every line, and an error is never kept.
+    lemma and gloss checks run on every line, and an error is never kept.
     """
     verbs: dict[str, VerbEntry] = {}
     preps: dict[str, PrepEntry] = {}
@@ -362,8 +364,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
                 value = parts[1].strip(WHITESPACE) if len(parts) == 2 else ""
                 if not value:
                     raise IllFormedEntryError("LANG line needs exactly one tag")
-                if value not in LANGUAGES:
-                    raise IllFormedEntryError(f"unsupported language tag {value!r}")
+                Lexicon(value, {}, {})  # the constructor's refusal, on no entries
                 if language is not None:
                     raise IllFormedEntryError("second LANG line")
                 language = value
@@ -377,8 +378,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
             if len(parts) < 3:
                 raise IllFormedEntryError(_SHORT_LINE[tag])
             lemma, tail = parts[1].strip(WHITESPACE), parts[2]
-            if not is_name(lemma):
-                raise IllFormedEntryError(f"bad lemma {lemma!r}")
+            if not is_name(lemma):  # a stripped str: is_name decides as _check_name does
+                _check_name(lemma, "lemma")  # on a hit, no constructor checks it
             if inventory is None:
                 inventory = default_class_inventory()
 
@@ -389,6 +390,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
                     last = last.strip(WHITESPACE)
                     if tab and last.startswith("gloss="):
                         tail, gloss = head, last[len("gloss=") :]
+                        _check_gloss(gloss)  # no constructor checks it
                 fields = _SHAPES.get(key := (inventory, "V", tail))
                 if fields is None:
                     fields = _remember(key, _parse_verb_line(lemma, tail))
@@ -408,7 +410,8 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
 
     if language is None:
         raise IllFormedEntryError("lexicon has no LANG header")
-    return Lexicon(language=language, verbs=verbs, preps=preps)
+    # the checks of Lexicon's constructor hold: no walk or copy of the entries
+    return _new(Lexicon, (language, MappingProxyType(verbs), MappingProxyType(preps)))
 
 
 def dump_lexicon(lexicon: Lexicon) -> str:

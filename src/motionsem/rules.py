@@ -26,6 +26,13 @@ unknown phase, zone or provenance name raises UnknownNameError from its
 class's from_label, as in every data file; an unknown guard value is a
 bad value of its key.
 
+Guard, Conclusion, CompositionRule and RuleBase refuse, in load_rulebase's
+words, what no rule line gives: a guard with no atom, an unknown key, a bad
+value or a key twice; a conclusion of another kind, a bind with no phase, an
+identify or forbid with a field; a rule id that is no name, a strength not
+strict or defeasible, a priority not an int (a bool is none); a rule base of
+other values, or with an id twice.  A bind holds the member of each value.
+
 Strict rules outrank every defeasible rule regardless of priority;
 among rules of equal strength, higher priority wins and exact ties are
 an error, never silently ordered.
@@ -36,7 +43,7 @@ import itertools
 from collections.abc import Iterable
 
 from .errors import (
-    WHITESPACE, FormatError, IllFormedEntryError, Record, _check_name, data_lines, is_name,
+    WHITESPACE, FormatError, IllFormedEntryError, Record, _check_name, _member, data_lines,
     read_bundled, split_fields,
 )
 from .trace import Provenance
@@ -83,9 +90,28 @@ class ComplexFeatures(
 
 
 class Guard(Record, fields="atoms"):
-    """Conjunction of feature atoms; an atom on an absent feature never matches."""
+    """Conjunction of (key, value) feature atoms; an atom on an absent feature never matches."""
 
     __slots__ = ()
+
+    def __new__(cls, atoms):
+        folded: dict[str, str] = {}
+        for atom in atoms:
+            if type(atom) is not tuple or len(atom) != 2 or not isinstance(atom[1], str):
+                raise IllFormedEntryError(f"bad guard atom {atom!r}")
+            key, value = atom
+            if key not in GUARD_KEYS:
+                raise IllFormedEntryError(f"unknown guard key {key!r}")
+            # role names, like every label, in any ASCII case (as from_label reads)
+            label = value.lower() if key in ("lrefrole", "preprole") and value.isascii() else value
+            if label not in _GUARD_VALUES[key]:
+                raise IllFormedEntryError(f"bad value {value!r} for {key}")
+            if key in folded:
+                raise IllFormedEntryError(f"guard repeats key {key!r}")
+            folded[key] = label
+        if not folded:
+            raise IllFormedEntryError("guard has no atom")
+        return tuple.__new__(cls, (tuple(folded.items()),))
 
     def matches(self, atoms: frozenset[tuple[str, str]]) -> bool:
         """Whether atoms, a ComplexFeatures' atoms, hold every atom of this guard."""
@@ -113,11 +139,21 @@ class Conclusion(
 
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        kind, _, zone, provenance = self = super().__new__(cls, *args, **kwargs)
+        if kind == "bind":
+            zone = None if zone is None else _member(self, 2, Zone)
+            provenance = None if provenance is None else _member(self, 3, Provenance)
+            return tuple.__new__(cls, (kind, _member(self, 1, Phase), zone, provenance))
+        if kind not in ("identify", "forbid"):
+            raise IllFormedEntryError(f"unknown conclusion {kind!r}")
+        if self[1:] != (None, None, None):
+            raise IllFormedEntryError(f"{self.render()} takes no options")
+        return self
+
     def render(self) -> str:
-        if self.kind == "identify":
-            return "identify"
-        if self.kind == "forbid":
-            return "forbid(identify)"
+        if self.kind != "bind":
+            return "identify" if self.kind == "identify" else "forbid(identify)"
         parts = [f"bind({self.phase.label})"]
         if self.zone is not None:
             parts.append(f"zone={self.zone.label}")
@@ -136,8 +172,12 @@ class CompositionRule(Record, fields="id strength priority guard conclusion"):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_name(self[0], "rule id")
+        rule_id, strength, priority, _, _ = self = super().__new__(cls, *args, **kwargs)
+        _check_name(rule_id, "rule id")
+        if strength not in ("strict", "defeasible"):
+            raise IllFormedEntryError(f"bad strength {strength!r}")
+        if type(priority) is not int:  # 43.0 and True equal an int but print as none
+            raise IllFormedEntryError(f"bad priority {str(priority)!r}")
         return self
 
     @property
@@ -184,6 +224,11 @@ class RuleBase:
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_derivations", {})
         _check_name(version, "version")
+        if type(rules) is not tuple or not all(isinstance(r, CompositionRule) for r in rules):
+            raise IllFormedEntryError(f"bad rules {rules!r}")
+        ids: set[str] = set()
+        for rule in rules:
+            _add_id(rule.id, ids)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -206,25 +251,17 @@ class RuleBase:
         return self.__class__, (self.version, self.rules)
 
 
+def _add_id(rule_id: str, ids: set[str]) -> None:
+    """Add rule_id to ids unless it is there (for RuleBase and load_rulebase)."""
+    if rule_id in ids:
+        raise IllFormedEntryError(f"rule id {rule_id!r} repeated")
+    ids.add(rule_id)
+
+
 def parse_guard(text: str) -> Guard:
-    atoms: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip(WHITESPACE)
-        if not chunk or "=" not in chunk:
-            raise IllFormedEntryError(f"bad guard atom {chunk!r}")
-        key, value = chunk.split("=", 1)
-        if key not in GUARD_KEYS:
-            raise IllFormedEntryError(f"unknown guard key {key!r}")
-        # role names, like every label, in any ASCII case (as from_label reads)
-        label = value.lower() if key in ("lrefrole", "preprole") and value.isascii() else value
-        if label not in _GUARD_VALUES[key]:
-            raise IllFormedEntryError(f"bad value {value!r} for {key}")
-        if key in seen:
-            raise IllFormedEntryError(f"guard repeats key {key!r}")
-        seen.add(key)
-        atoms.append((key, label))
-    return Guard(tuple(atoms))  # never empty: "".split(",") is [""], a bad atom
+    """The Guard of a guard field; an atom with no "=" stays text, a bad atom."""
+    chunks = [chunk.strip(WHITESPACE) for chunk in text.split(",")]
+    return Guard([tuple(chunk.split("=", 1)) if "=" in chunk else chunk for chunk in chunks])
 
 
 def parse_conclusion(text: str) -> Conclusion:
@@ -233,15 +270,10 @@ def parse_conclusion(text: str) -> Conclusion:
         raise IllFormedEntryError("empty conclusion")
     head, options = parts[0], parts[1:]
 
-    if head == "identify":
+    if head in ("identify", "forbid(identify)"):
         if options:
-            raise IllFormedEntryError("identify takes no options")
-        return Conclusion("identify")
-
-    if head == "forbid(identify)":
-        if options:
-            raise IllFormedEntryError("forbid(identify) takes no options")
-        return Conclusion("forbid")
+            raise IllFormedEntryError(f"{head} takes no options")
+        return Conclusion("identify" if head == "identify" else "forbid")
 
     if head.startswith("bind(") and head.endswith(")"):
         phase = Phase.from_label(head[len("bind(") : -1])
@@ -282,11 +314,9 @@ def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
                 if version is not None:
                     raise IllFormedEntryError("second VERSION line")
                 version = fields[1].strip(WHITESPACE) if len(fields) == 2 else ""
-                if not is_name(version):
-                    raise IllFormedEntryError(
-                        f"bad version {version!r}" if version
-                        else "VERSION line needs exactly one value"
-                    )
+                if not version:
+                    raise IllFormedEntryError("VERSION line needs exactly one value")
+                _check_name(version, "version")  # RuleBase, built after the loop, tags no line
                 continue
 
             if tag != "R":
@@ -297,22 +327,16 @@ def _load_rulebase(source: tuple[str, ...]) -> RuleBase:
                 )
             rule_id = fields[1].strip(WHITESPACE)
             strength = fields[2].strip(WHITESPACE)
-            if not is_name(rule_id):
-                raise IllFormedEntryError(f"bad rule id {rule_id!r}")
-            if rule_id in ids:
-                raise IllFormedEntryError(f"rule id {rule_id!r} repeated")
-            if strength not in ("strict", "defeasible"):
-                raise IllFormedEntryError(f"bad strength {strength!r}")
+            _add_id(rule_id, ids)  # RuleBase, built after the loop, tags no line
             try:  # of bytes, int() strips WHITESPACE alone; of a str, it would read '٣'
                 priority = int(fields[3].encode("ascii"))
             except ValueError:  # UnicodeEncodeError is one
                 raise IllFormedEntryError(f"bad priority {fields[3]!r}") from None
             guard = parse_guard(fields[4])
             conclusion = parse_conclusion(fields[5])
+            rules.append(CompositionRule(rule_id, strength, priority, guard, conclusion))
         except FormatError as exc:
             raise exc.at_line(lineno)
-        ids.add(rule_id)
-        rules.append(CompositionRule(rule_id, strength, priority, guard, conclusion))
 
     return RuleBase("unversioned" if version is None else version, tuple(rules))
 
@@ -400,10 +424,10 @@ def resolve(
     ranks of applicable_rules().  A rank of two or more rules reached before
     a rule fires is a tie: fired is None, tied their sorted ids.  A forbid
     vetoes every identify below it.  The first conclusion that holds fires
-    (a bind always, an identify when the zones are compatible, no other
-    kind ever), else fired is None.  Each later rule but a forbid is
-    defeated, "guard subsumed" if the fired guard is more specific.  defeats
-    holds the fates in rank order, those a failed verdict reached too.
+    (a bind always, an identify when the zones are compatible), else fired
+    is None.  Each later rule but a forbid is defeated, "guard subsumed" if
+    the fired guard is more specific.  defeats holds the fates in rank
+    order, those a failed verdict reached too.
     """
     fired = veto = None
     defeats: list[Defeat] = []
@@ -424,7 +448,7 @@ def resolve(
             veto = veto or rule  # the highest forbid vetoes
         elif kind == "identify" and veto is not None:
             defeats.append(Defeat(rule.id, veto.id, "identification forbidden"))
-        elif kind == "bind" or kind == "identify" and features.zone_compatible:
+        elif kind == "bind" or features.zone_compatible:  # else an identify
             fired = rule
         else:
             defeats.append(Defeat(rule.id, None, "conclusion inconsistent"))

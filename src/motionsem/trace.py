@@ -91,25 +91,10 @@ def validate_trace(trace: SpatiotemporalTrace) -> list[Violation]:
     for location, phase, zone, _ in trace.assignments:
         zones = per_location.setdefault(location, {})
         if phase in zones:
-            if zones[phase] is not zone:
-                violations.append(
-                    Violation(
-                        location,
-                        (phase,),
-                        "conflict",
-                        f"two zones assigned in one phase "
-                        f"({zones[phase].label} vs {zone.label})",
-                    )
-                )
-            else:
-                violations.append(
-                    Violation(
-                        location,
-                        (phase,),
-                        "conflict",
-                        "duplicate assignment for this phase",
-                    )
-                )
+            message = f"two zones assigned in one phase ({zones[phase].label} vs {zone.label})"
+            if zones[phase] is zone:
+                message = "duplicate assignment for this phase"
+            violations.append(Violation(location, (phase,), "conflict", message))
             continue
         zones[phase] = zone
 

@@ -1,4 +1,5 @@
-"""Every hand-built entry shape, and the rule bases the exhaustive tests use.
+"""Every hand-built entry shape, the rule bases the exhaustive tests use, and
+the test-side helpers they share (hand_built, the entries' projections).
 
 Hand-built verb entries skip the class inventory, so they reach every
 role x start zone x end zone: 48 verb shapes.  With the 20 preposition
@@ -13,9 +14,10 @@ from __future__ import annotations
 import functools
 import io
 
+from motionsem.compose import prep_constraint, verb_constraints
 from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_class_inventory
 from motionsem.rules import default_rulebase, load_rulebase
-from motionsem.zones import LrefRole, Zone
+from motionsem.zones import LrefRole, Phase, Zone
 
 MEMO_BASES = {
     "default": default_rulebase(),
@@ -61,3 +63,28 @@ def inventory_verb_shapes() -> list[tuple[LrefRole, Zone, Zone]]:
     return [
         (role, *pair) for role in (LrefRole.INITIAL, LrefRole.FINAL) for pair in pairs
     ] + [(LrefRole.MEDIAL, Zone.CONTACT, Zone.CONTACT)]
+
+
+def hand_built(record, **fields):
+    """record with fields replaced around its class's checks, as no constructor takes
+    them (a rule id must be a name, a priority an int); explain prints whatever it
+    is given."""
+    return tuple.__new__(type(record), map(fields.get, record._fields, record))
+
+
+def verb_projection(verb: VerbEntry, location: str) -> set[tuple[str, Phase, Zone]]:
+    """What the verb entry alone says, anchored at the given location."""
+    return {(location, p, z) for p, z in verb_constraints(verb).items()}
+
+
+def prep_projection(prep: PrepEntry, location: str) -> set[tuple[str, Phase, Zone]]:
+    """What the preposition entry alone says about the given ground.
+
+    Positional entries project nothing here: their static relation has
+    no motion phase of its own, which is exactly why a phased assignment
+    sourced from one counts as interaction information.
+    """
+    if not prep.is_directional:
+        return set()
+    phase, zone = prep_constraint(prep)
+    return {(location, phase, zone)}

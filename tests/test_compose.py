@@ -14,8 +14,6 @@ from motionsem.compose import (
     compute_features,
     explain,
     lref_location,
-    prep_projection,
-    verb_projection,
 )
 from motionsem.errors import (
     AmbiguousRuleBaseError,
@@ -26,9 +24,7 @@ from motionsem.errors import (
 )
 from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_lexicon
 from motionsem.rules import (
-    CompositionRule,
     Conclusion,
-    Guard,
     RuleBase,
     _load_rulebase,
     applicable_rules,
@@ -38,7 +34,10 @@ from motionsem.rules import (
 )
 from motionsem.trace import Provenance, render_records, validate_trace
 from motionsem.zones import LrefRole, Phase, Zone
-from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, shape_lexicons
+from shapes import (
+    MEMO_BASES, PREP_SHAPES, VERB_SHAPES, hand_built, prep_projection, shape_lexicons,
+    verb_projection,
+)
 
 FR = default_lexicon("fr")
 EN = default_lexicon("en")
@@ -306,13 +305,15 @@ def test_a_directional_prep_without_a_role_is_ill_formed():
 
 
 def test_a_bind_conclusion_without_a_phase_is_ill_formed():
-    guard = Guard((("prepkind", "pos"),))
-    rule = CompositionRule("X", "defeasible", 1000, guard, Conclusion("bind"))
-    base = RuleBase(RULES.version, RULES.rules + (rule,))
-    for _ in range(2):  # never memoized
+    # refused when built, so no rule base holds one for compose() to meet
+    for build in (
+        lambda: Conclusion("bind"),
+        lambda: Conclusion("bind", Phase.POST, Zone.INSIDE)._replace(phase=None),
+        lambda: Conclusion._make(("bind", None, None, Provenance.PREP)),
+    ):
         with pytest.raises(IllFormedEntryError) as info:
-            compose(fr_complex("sortir", "dans", ground="g"), FR, base)
-        assert str(info.value) == "bind in rule 'X' lacks a phase"
+            build()
+        assert str(info.value) == "'bind' has phase None, equal to no member"
 
 
 COMPLEX_FIELDS = dict(
@@ -583,16 +584,17 @@ def test_defeat_reasons():
     assert reasons2["D5"] == "lower priority"
 
 
-def test_a_conclusion_of_an_unknown_kind_is_inconsistent():
-    # only a hand-built Conclusion can have another kind than the parser's three
-    guard = Guard((("prepkind", "pos"),))
-    base = RuleBase("v", (
-        CompositionRule("X", "defeasible", 9, guard, Conclusion("merge")),
-        CompositionRule("B", "defeasible", 1, guard, Conclusion("bind", Phase.POST)),
-    ))
-    d = compose(fr_complex("sortir", "dans"), FR, base)
-    assert d.fired.id == "B"
-    assert d.defeated == (("X", None, "conclusion inconsistent"),)
+def test_a_conclusion_of_an_unknown_kind_is_ill_formed():
+    # refused when built: a Conclusion has the parser's three kinds alone
+    for kind in ("merge", "Bind", None):
+        for build in (
+            lambda: Conclusion(kind),
+            lambda: Conclusion("identify")._replace(kind=kind),
+            lambda: Conclusion(kind, Phase.POST),
+        ):
+            with pytest.raises(IllFormedEntryError) as info:
+                build()
+            assert str(info.value) == f"unknown conclusion {kind!r}"
 
 
 # -- explanations ---------------------------------------------------------------
@@ -808,7 +810,8 @@ def test_rule_bases_that_print_differently_share_no_memo():
     complex_ = fr_complex("sortir", "dans")
     ints = default_rulebase()
     as_int = compose(complex_, FR, ints)
-    rules = tuple(r._replace(priority=float(r.priority)) for r in ints.rules)
+    # a float priority is refused when built, so these rules are built around it
+    rules = tuple(hand_built(r, priority=float(r.priority)) for r in ints.rules)
     floats = RuleBase(ints.version, rules)
     assert floats == ints and floats._derivations is not ints._derivations
     as_float = compose(complex_, FR, floats)

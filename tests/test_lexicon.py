@@ -478,8 +478,13 @@ def test_an_entry_holds_the_members_its_fields_equal():
             "P\tx\tdir\tinitial\tinside\tattained=true",
             "attained only applies to directional-final preps",
         ),
+        ("P\tx\tpos\tinside\tattained=false", "positional prep cannot carry attained"),
+        ("P\tx\tbogus\tinside", "unknown preposition kind 'bogus'"),
+        ("P\tx\tbogus\tinitial\tinside\tattained=maybe", "unknown preposition kind 'bogus'"),
+        ("V\tx\tCoPs\tgloss=a\rb", "bad gloss 'a\\rb'"),
     ],
-    ids=["category", "zones-off-col", "attained-off-final"],
+    ids=["category", "zones-off-col", "attained-off-final", "attained-off-dir", "kind"]
+    + ["kind-before-attained", "gloss"],
 )
 def test_a_refusal_of_the_constructor_names_its_line(entry, message):
     for _ in range(2):  # a refused shape is never kept
@@ -563,19 +568,26 @@ def read_back(text):
 
 
 @settings(max_examples=25, deadline=None)
-@example(language="fr", verbs=[("\u00a0lead\u2003", "\u2003to lead\u00a0")], preps=["\u2003in"])
-@example(language="en", verbs=[(" lead", None), ("lead", "to lead ")], preps=["in\t"])
+@example(language="fr", verbs=[("\u00a0lead\u2003", "\u2003to lead\u00a0")], preps=["\u2003in"],
+         keys=[], crossed=False)
+@example(language="en", verbs=[(" lead", None), ("lead", "to lead ")], preps=["in\t"],
+         keys=[], crossed=False)
+@example(language="fr", verbs=[("x", None)], preps=[], keys=["y"], crossed=False)
+@example(language="fr", verbs=[("x", None)], preps=[], keys=[], crossed=True)
 @given(
     language=st.sampled_from(["fr", "en", "de", "fr\u00a0", ""]),
     verbs=st.lists(st.tuples(_RAW, st.none() | _RAW), max_size=4),
     preps=st.lists(_RAW, max_size=3),
+    keys=st.lists(st.none() | _RAW, max_size=4),
+    crossed=st.booleans(),
 )
 def test_the_constructors_accept_exactly_what_loads_back_as_it_was_dumped(
-    language, verbs, preps
+    language, verbs, preps, keys, crossed
 ):
     # what a constructor accepts, dump_lexicon writes and load_lexicon reads
     # back equal; what it refuses, written in the same format, is refused by
-    # load_lexicon or read back changed
+    # load_lexicon or read back changed.  keys gives some verbs a key other
+    # than their lemma, and crossed puts the first verb among the prepositions
     kept = {}
     for lemma, gloss in verbs:
         entry = built(VerbEntry, lemma, "CoPs", None, None, None, gloss)
@@ -595,12 +607,26 @@ def test_the_constructors_accept_exactly_what_loads_back_as_it_was_dumped(
             assert isinstance(loaded, FormatError) or list(loaded.preps) != [lemma]
         else:
             kept_preps[lemma] = entry
+    for lemma, key in list(zip(kept, keys)):
+        if key is not None:
+            kept[key] = kept.pop(lemma)
+    if crossed and kept:
+        entry = kept.pop(next(iter(kept)))
+        kept_preps[entry.lemma] = entry
     lexicon = built(Lexicon, language, kept, kept_preps)
-    if lexicon is None:
+    if lexicon is not None:
+        assert load(dump_lexicon(lexicon)) == lexicon
+    elif built(Lexicon, language, {}, {}) is None:
         loaded = read_back(f"LANG\t{language}\n")
         assert isinstance(loaded, FormatError) or loaded.language != language
-    else:
-        assert load(dump_lexicon(lexicon)) == lexicon
+    else:  # a dump keys each entry by its own lemma, and writes a verb as no prep
+        as_given = tuple.__new__(Lexicon, (language, kept, kept_preps))
+        try:
+            loaded = read_back(dump_lexicon(as_given))
+        except AttributeError:  # a VerbEntry has no kind to write on a P line
+            assert crossed
+        else:
+            assert isinstance(loaded, FormatError) or loaded != as_given
 
 
 # Each value a dump would not give back, the field it is refused in, and
@@ -641,3 +667,36 @@ def test_a_lexicon_of_a_language_load_refuses_is_refused():
             Lexicon(language, {}, {})
         assert str(info.value) == f"unsupported language tag {language!r}"
     assert Lexicon("en", {}, {}).language == "en"
+    for text in ("LANG\tde\n", "# de\nLANG\tde\nV\tx\tCoPs\n"):
+        with pytest.raises(IllFormedEntryError) as info:
+            load(text)
+        line = text.count("\n", 0, text.index("LANG")) + 1
+        message = f"line {line}: unsupported language tag 'de'"
+        assert (str(info.value), info.value.line) == (message, line)
+
+
+# Mappings a Lexicon refuses, and the key its message names: a key that is
+# not its entry's lemma, or a value that is no entry of its part of speech.
+LEXICON_REFUSALS = {
+    "verb-key": ({"x": VALID[VerbEntry]._replace(lemma="y")}, {}, "x"),
+    "prep-key": ({}, {"x": VALID[PrepEntry]._replace(lemma="y")}, "x"),
+    "verb-text": ({"x": "y"}, {}, "x"),
+    "verb-among-preps": ({}, {"x": VALID[VerbEntry]._replace(lemma="x")}, "x"),
+    "prep-among-verbs": ({"x": VALID[PrepEntry]._replace(lemma="x")}, {}, "x"),
+}
+
+
+@pytest.mark.parametrize("name", list(LEXICON_REFUSALS))
+def test_a_lexicon_holds_only_entries_keyed_by_their_own_lemmas(name):
+    verbs, preps, key = LEXICON_REFUSALS[name]
+    value = {**verbs, **preps}[key]
+    for build in (
+        lambda: Lexicon("fr", verbs, preps),
+        lambda: Lexicon._make(("fr", verbs, preps)),
+        lambda: default_lexicon("fr")._replace(verbs=verbs, preps=preps),
+    ):
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == f"lexicon key {key!r} holds {value!r}"
+    entries = {"sortir": VALID[VerbEntry]._replace(lemma="sortir")}
+    assert Lexicon("fr", entries, {}).verbs == entries

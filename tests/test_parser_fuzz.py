@@ -22,8 +22,13 @@ from motionsem import errors, lexicon as lexicon_module
 from motionsem.compose import MotionComplex, check_names
 from motionsem.corpus import parse_corpus
 from motionsem.errors import DuplicateLemmaError, FormatError, data_lines
-from motionsem.lexicon import Lexicon, default_lexicon, dump_lexicon, load_lexicon
-from motionsem.rules import _load_rulebase, load_rulebase
+from motionsem.lexicon import (
+    Lexicon, PrepEntry, VerbEntry, default_lexicon, dump_lexicon, load_lexicon,
+)
+from motionsem.rules import (
+    CompositionRule, Conclusion, Guard, RuleBase, _load_rulebase, default_rulebase,
+    dump_rulebase, load_rulebase,
+)
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 from test_corpus import REFUSED_NAMES
@@ -510,6 +515,76 @@ def test_a_rule_id_version_and_gloss_keep_a_no_break_space_at_their_edge():
 @given(seed=SEEDS)
 def test_fuzzed_rule_bases(seed):
     check_every_suffix(load_rulebase, lines_of(seed, RULE_BLOCKS))
+
+
+SHIPPED_RULES = dump_rulebase(default_rulebase()).splitlines()[1:]
+
+
+def shipped_rules(seed: int) -> list[str]:
+    """Some of the shipped rules under new ids, about half of them respelt.
+
+    A respelt rule pads a field with ASCII whitespace or a carriage return,
+    or gives a bind conclusion a zone or provenance option in any case.
+    """
+    rng = random.Random(seed)
+    lines = [f"VERSION\t{rng.choice(['1', 'v 2', '2024-custom'])}"]
+    for i, line in enumerate(rng.sample(SHIPPED_RULES, rng.randint(1, len(SHIPPED_RULES)))):
+        fields = line.split("\t")
+        fields[1] = f"r{i}"
+        if rng.random() < 0.5:
+            k = rng.randrange(2, 6)
+            fields[k] = rng.choice(["", " ", "\x0b"]) + fields[k] + rng.choice(["", " ", "\r"])
+        if fields[5].startswith("bind") and rng.random() < 0.5:
+            fields[5] += " " + rng.choice(OPTIONS)
+        lines.append("\t".join(fields))
+    return lines
+
+
+def broken(seed: int, lines: list[str]) -> list[str]:
+    """The lines, each ended by a newline, with a \\r or \\n put inside a field of some.
+
+    Fed as a list, a line keeps a break inside it; a file's lines never do.
+    """
+    rng = random.Random(seed)
+    for _ in range(rng.randrange(3)):
+        if lines:
+            k = rng.randrange(len(lines))
+            at = rng.randrange(len(lines[k]) + 1)
+            lines[k] = lines[k][:at] + rng.choice("\r\n") + lines[k][at:]
+    return [line + "\n" for line in lines]
+
+
+LOADED_LINES = SEEDS.flatmap(lambda seed: st.sampled_from([
+    broken(seed, shared_shapes(seed)),
+    broken(seed, lines_of(seed, LEXICON_BLOCKS)),
+    broken(seed, shipped_rules(seed)),
+    broken(seed, lines_of(seed, RULE_BLOCKS)),
+]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=LOADED_LINES)
+@example(["LANG\tfr\n", "V\tx\tCoPs\tgloss=a\rb\n"])
+def test_what_a_loader_gives_its_constructor_gives_back_unchanged(lines):
+    # and its dump, read back as read_data_file reads a file, loads equal
+    for load, dump in ((load_lexicon, dump_lexicon), (load_rulebase, dump_rulebase)):
+        try:
+            value = load(lines)
+        except FormatError:
+            continue
+        if load is load_lexicon:
+            assert Lexicon(*value) == value
+            for entry in value.verbs.values():
+                assert VerbEntry(*entry) == entry
+            for entry in value.preps.values():
+                assert PrepEntry(*entry) == entry
+        else:
+            assert RuleBase(value.version, value.rules) == value
+            for rule in value.rules:
+                assert CompositionRule(*rule) == rule
+                assert Guard(*rule.guard) == rule.guard
+                assert Conclusion(*rule.conclusion) == rule.conclusion
+        assert load(io.StringIO(dump(value), newline=None)) == value
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,7 @@ from motionsem.errors import MotionSemError
 from motionsem.lexicon import default_lexicon
 from motionsem.trace import Provenance, SpatiotemporalTrace, ZoneAssignment, render_records
 from motionsem.zones import Phase, Zone
-from shapes import MEMO_BASES, shape_lexicons
+from shapes import MEMO_BASES, hand_built, shape_lexicons
 
 RULES = MEMO_BASES["default"]
 SEED_PAIR = compose(
@@ -71,12 +71,6 @@ def test_every_seed_pair_renders_like_the_reference(language):
     assert rendered > 0
 
 
-def hand_built(record, **fields):
-    """record with fields replaced around its class's checks, as no constructor takes
-    them (a rule id must be a name); explain prints whatever it is given."""
-    return tuple.__new__(type(record), map(fields.get, record._fields, record))
-
-
 def hand_built_variants(derivation):
     """Derivations no compose() call returns, each printed as the reference does."""
     trace = derivation.trace
@@ -109,7 +103,7 @@ def hand_built_variants(derivation):
     for variant in traces:
         for defeated in defeats:
             yield derivation._replace(trace=variant, defeated=defeated)
-    yield derivation._replace(fired=derivation.fired._replace(id="R{1}", strength="{x}"))
+    yield derivation._replace(fired=hand_built(derivation.fired, id="R{1}", strength="{x}"))
     yield derivation._replace(fired=hand_built(derivation.fired, id="R\x006", strength="\0"))
     yield derivation._replace(complex=derivation.complex._replace(ground=5))
 
@@ -157,8 +151,8 @@ def test_fields_that_compare_equal_but_print_differently_print_as_themselves():
     assert derivation.defeated
     fired, first = derivation.fired, derivation.defeated[0]
     variants = [
-        derivation._replace(fired=fired._replace(priority=float(fired.priority))),
-        derivation._replace(fired=fired._replace(priority=True)),
+        derivation._replace(fired=hand_built(fired, priority=float(fired.priority))),
+        derivation._replace(fired=hand_built(fired, priority=True)),
         derivation._replace(defeated=(first._replace(rule_id=1),)),
         derivation._replace(defeated=(first._replace(rule_id=1.0),)),
         derivation._replace(defeated=(first._replace(rule_id=True),)),

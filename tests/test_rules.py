@@ -84,6 +84,87 @@ def test_parse_guard_rejects_junk():
             parse_guard(bad)
 
 
+_GUARD = Guard((("prepkind", "pos"),))
+_BIND = Conclusion("bind", Phase.POST)
+# Each refusal of the rule-side constructors: the class, its fields, the message.
+RULE_REFUSALS = {
+    "guard-empty": (Guard, ((),), "guard has no atom"),
+    "guard-atom": (Guard, ((("prepkind",),),), "bad guard atom ('prepkind',)"),
+    "guard-atom-text": (Guard, (("prepkind",),), "bad guard atom 'prepkind'"),
+    "guard-value-type": (Guard, ((("prepkind", 1),),), "bad guard atom ('prepkind', 1)"),
+    "guard-key": (Guard, ((("colour", "red"),),), "unknown guard key 'colour'"),
+    "guard-value": (Guard, ((("prepkind", "POS"),),), "bad value 'POS' for prepkind"),
+    "guard-look-alike": (Guard, ((("lrefrole", "\u0131nitial"),),),
+                         "bad value '\u0131nitial' for lrefrole"),
+    "guard-repeat": (Guard, ((("prepkind", "pos"), ("prepkind", "pos")),),
+                     "guard repeats key 'prepkind'"),
+    "conclusion-kind": (Conclusion, ("merge", None, None, None), "unknown conclusion 'merge'"),
+    "bind-no-phase": (Conclusion, ("bind", None, Zone.INSIDE, None),
+                      "'bind' has phase None, equal to no member"),
+    "bind-phase": (Conclusion, ("bind", "post", None, None),
+                   "'bind' has phase 'post', equal to no member"),
+    "bind-zone": (Conclusion, ("bind", Phase.POST, "inside", None),
+                  "'bind' has zone 'inside', equal to no member"),
+    "bind-provenance": (Conclusion, ("bind", Phase.POST, None, "Verb"),
+                        "'bind' has provenance 'Verb', equal to no member"),
+    "identify-field": (Conclusion, ("identify", Phase.POST, None, None),
+                       "identify takes no options"),
+    "forbid-field": (Conclusion, ("forbid", None, None, Provenance.VERB),
+                     "forbid(identify) takes no options"),
+    "strength": (CompositionRule, ("A", "bogus", 1, _GUARD, _BIND), "bad strength 'bogus'"),
+    "float-priority": (CompositionRule, ("A", "strict", 43.0, _GUARD, _BIND),
+                       "bad priority '43.0'"),
+    "bool-priority": (CompositionRule, ("A", "strict", True, _GUARD, _BIND),
+                      "bad priority 'True'"),
+    "text-priority": (CompositionRule, ("A", "strict", "5", _GUARD, _BIND), "bad priority '5'"),
+}
+RULE_VALID = {
+    Guard: _GUARD,
+    Conclusion: _BIND,
+    CompositionRule: CompositionRule("A", "strict", 1, _GUARD, _BIND),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_REFUSALS))
+def test_a_rule_no_rule_line_gives_is_refused_however_it_is_built(name):
+    cls, fields, message = RULE_REFUSALS[name]
+    for build in (
+        lambda: cls(*fields),
+        lambda: cls(**dict(zip(cls._fields, fields))),
+        lambda: cls._make(fields),
+        lambda: RULE_VALID[cls]._replace(**dict(zip(cls._fields, fields))),
+    ):
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == message and info.value.line is None
+
+
+def test_a_guard_and_a_bind_hold_what_a_rule_line_reads():
+    guard = Guard([("lrefrole", "INITIAL"), ("preprole", "Final"), ("prepkind", "dir")])
+    assert guard.atoms == (("lrefrole", "initial"), ("preprole", "final"), ("prepkind", "dir"))
+    assert type(guard.atoms) is tuple and guard == parse_guard(guard.render())
+    bind = Conclusion("bind", 2.0, 0, "verb")
+    assert bind == ("bind", Phase.POST, Zone.INSIDE, Provenance.VERB)
+    assert [type(field) for field in bind[1:]] == [Phase, Zone, Provenance]
+    assert Conclusion("bind", True).phase is Phase.DURING
+    assert Conclusion("identify") == ("identify", None, None, None)
+
+
+def test_a_rule_base_holds_rules_with_distinct_ids():
+    rule = RULE_VALID[CompositionRule]
+    for rules, message in [
+        ((rule, rule), "rule id 'A' repeated"),
+        ((rule, rule._replace(id="B"), rule._replace(priority=7)), "rule id 'A' repeated"),
+        (("x",), "bad rules ('x',)"),
+        ((rule, None), f"bad rules ({rule!r}, None)"),
+        ([rule], f"bad rules [{rule!r}]"),
+    ]:
+        with pytest.raises(IllFormedEntryError) as info:
+            RuleBase("v", rules)
+        assert str(info.value) == message and info.value.line is None
+    assert RuleBase("v", (rule, rule._replace(id="B"))).rules[1].id == "B"
+
+
 def test_parse_conclusion_forms():
     assert parse_conclusion("identify") == Conclusion(kind="identify")
     assert parse_conclusion("forbid(identify)") == Conclusion(kind="forbid")
@@ -267,26 +348,73 @@ def read_back(text):
         return exc
 
 
-@settings(max_examples=25, deadline=None)
-@example(version="\u00a0v1\u2003", ids=["\u2003D1\u00a0", " D2"])
-@example(version="v1 ", ids=["D1"])
-@given(version=_RAW, ids=st.lists(_RAW, min_size=1, max_size=3, unique=True))
-def test_the_constructors_accept_exactly_the_names_that_load_back_as_dumped(version, ids):
-    # what CompositionRule and RuleBase accept, dump_rulebase writes and
-    # load_rulebase reads back equal; what they refuse, written in the same
-    # format, is refused by load_rulebase or read back changed
+# Raw fields of a rule besides its id: each a value a rule line gives or
+# one that equals it, prints as it or names it in another case, or none.
+_STRENGTHS = st.sampled_from(["strict", "defeasible", "Strict", "bogus", " strict"])
+_PRIORITIES = st.sampled_from([5, -3, 43.0, True, False, "5", None])
+_ATOMS = st.lists(st.tuples(
+    st.sampled_from(["prepkind", "lrefrole", "attained", "colour"]),
+    st.sampled_from(["pos", "dir", "initial", "INITIAL", "Final", "\u0131nitial", "yes", "maybe"]),
+), max_size=3)
+_CONCLUSIONS = st.tuples(
+    st.sampled_from(["identify", "forbid", "bind", "merge"]),
+    st.none() | st.sampled_from([Phase.POST, 2, 2.0, "post", True]),
+    st.none() | st.sampled_from([Zone.INSIDE, 0, "inside"]),
+    st.none() | st.sampled_from([Provenance.VERB, "verb", "Verb"]),
+)
+
+
+def spelt(value) -> str:
+    """A field as a rule line spells it: a label for a member, else its text."""
+    return value.label if isinstance(value, (Phase, Zone, Provenance)) else str(value)
+
+
+def rule_text(rule_id, strength, priority, atoms, conclusion) -> str:
+    """The rule line of raw fields, as dump_rulebase would write them if they were valid."""
+    kind, phase, zone, prov = conclusion
+    head = {"identify": "identify", "forbid": "forbid(identify)"}.get(kind)
+    named = (("zone", zone), ("prov", prov))
+    options = [f"{name}={spelt(value)}" for name, value in named if value is not None]
+    written = " ".join([head or f"{kind}({spelt(phase)})", *options])
+    guard = ",".join(f"{key}={value}" for key, value in atoms)
+    return rule_line(rule_id, spelt(strength), spelt(priority), guard, written)
+
+
+@settings(max_examples=40, deadline=None)
+@example(version="\u00a0v1\u2003", ids=["\u2003D1\u00a0", " D2"], fields=[])
+@example(version="v1 ", ids=["D1"], fields=[])
+@example(version="v1", ids=["D1", "D1"], fields=[])
+@example(version="v1", ids=["D1"],
+         fields=[("bogus", 5, [("prepkind", "pos")], ("forbid", None, None, None))])
+@example(version="v1", ids=["D1"], fields=[("strict", 43.0, [], ("bind", None, None, None))])
+@given(version=_RAW, ids=st.lists(_RAW, min_size=1, max_size=3),
+       fields=st.lists(st.tuples(_STRENGTHS, _PRIORITIES, _ATOMS, _CONCLUSIONS), max_size=3))
+def test_the_constructors_accept_exactly_the_names_that_load_back_as_dumped(
+    version, ids, fields
+):
+    # what Guard, Conclusion, CompositionRule and RuleBase accept,
+    # dump_rulebase writes and load_rulebase reads back equal; what they
+    # refuse, written in the same format, is refused by load_rulebase or read
+    # back changed.  The first rules take their fields from fields, the rest
+    # keep those of a default rule
+    defaults = [(r.strength, r.priority, r.guard.atoms, r.conclusion) for r in DEFAULT_RULES]
     rules = []
-    for rule, rule_id in zip(default_rulebase().rules, ids):
+    for rule_id, raw in zip(ids, fields + defaults[len(fields):]):
+        strength, priority, atoms, conclusion = raw
         try:
-            rules.append(rule._replace(id=rule_id))
+            rules.append(CompositionRule(rule_id, strength, priority, Guard(tuple(atoms)),
+                                         Conclusion(*conclusion)))
         except IllFormedEntryError:
-            line = "\t".join(["R", rule_id, *rule.render().split("\t")[2:]])
-            loaded = read_back(line)
-            assert isinstance(loaded, FormatError) or [r.id for r in loaded.rules] != [rule_id]
+            given = (rule_id, strength, priority, tuple(atoms), tuple(conclusion))
+            loaded = read_back(rule_text(rule_id, *raw))
+            assert isinstance(loaded, FormatError) or [
+                (r.id, r.strength, r.priority, r.guard.atoms, tuple(r.conclusion))
+                for r in loaded.rules
+            ] != [given]
     try:
         base = RuleBase(version, tuple(rules))
-    except IllFormedEntryError:
-        loaded = read_back(f"VERSION\t{version}\n")
+    except IllFormedEntryError:  # a version or a repeated id
+        loaded = read_back(f"VERSION\t{version}\n" + "".join(r.render() + "\n" for r in rules))
         assert isinstance(loaded, FormatError) or loaded.version != version
     else:
         assert load(dump_rulebase(base)) == base
@@ -343,10 +471,10 @@ def test_guard_matching_equals_atom_by_atom_definition():
     assert len(COMPLETIONS) == 30
     guards = [
         Guard(tuple((key, value) for key, value in zip(GUARD_KEYS, choice) if value))
-        for choice in itertools.product(
+        for choice in list(itertools.product(
             *[(None,) + _GUARD_VALUES[key] for key in GUARD_KEYS]
-        )
-    ][1:]  # the first choice is the empty guard
+        ))[1:]  # the first choice is the empty guard, which Guard refuses
+    ]
     assert len(guards) == 4 * 3 * 4 * 3 * 3 - 1
     for guard in guards:
         for features in COMPLETIONS:

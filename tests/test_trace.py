@@ -71,6 +71,8 @@ def test_conflicting_assignment_in_one_phase():
     )
     (violation,) = validate_trace(trace)
     assert violation.kind == "conflict"
+    message = "two zones assigned in one phase (inside vs contact)"
+    assert violation == ("loc", (Phase.POST,), "conflict", message)
 
 
 def test_duplicate_assignment_is_flagged():
@@ -83,6 +85,7 @@ def test_duplicate_assignment_is_flagged():
     )
     (violation,) = validate_trace(trace)
     assert violation.kind == "conflict"
+    assert violation == ("loc", (Phase.POST,), "conflict", "duplicate assignment for this phase")
 
 
 def test_locations_are_independent():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import os
 import pickle
@@ -80,12 +81,13 @@ def _hashable(values) -> bool:
 
 RECORD_IDS = [c.__name__ for c, _ in RECORDS]
 
-# The entry classes whose sample's required fields alone make no entry: a CoL
-# verb without its role and zones, a directional prep without its role.  The
-# constructor refuses them, with this message.
+# The classes whose sample's required fields alone make no value: a CoL verb
+# without its role and zones, a directional prep without its role, a bind
+# without its phase.  The constructor refuses them, with this message.
 REFUSED_ALONE = {
     VerbEntry: "CoL entry 'sortir' lacks zone constraints",
     PrepEntry: "directional prep 'vers' lacks a role",
+    Conclusion: "'bind' has phase None, equal to no member",
 }
 
 
@@ -420,3 +422,38 @@ def test_benchmark_api_is_present():
     # the traced benchmark counts guard checks by wrapping Guard.matches; a
     # matches inherited or renamed would silently stop the count
     assert "matches" in motionsem.rules.Guard.__dict__
+
+
+# The public names that no code in src/motionsem/ refers to, each with the
+# reason it is public all the same: an acceptance criterion reads it, or it is
+# a value type of the API.  A name with a caller needs no entry.
+UNCALLED_PUBLIC = {
+    "interpolate_zones": "acceptance criterion 4 reads it",
+    "validate_trace": "acceptance criterion 4 reads it",
+    "dump_lexicon": "acceptance criterion 8 reads it",
+    "dump_rulebase": "acceptance criterion 8 reads it",
+}
+
+
+def referred_names(tree: ast.Module) -> set[str]:
+    """The names each top-level statement of tree refers to, less the one it defines."""
+    names = set()
+    for statement in tree.body:
+        refers = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Attribute) or isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+        }
+        names |= refers - {getattr(statement, "name", None)}
+    return names
+
+
+def test_every_public_name_has_a_caller_in_the_package_or_a_reason():
+    import motionsem
+
+    referred = set()
+    for path in (SRC / "motionsem").glob("*.py"):
+        referred |= referred_names(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = {name for name in motionsem.__all__ if name not in referred}
+    assert uncalled == set(UNCALLED_PUBLIC)
