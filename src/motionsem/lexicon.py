@@ -220,7 +220,7 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
 _PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
 # A record from a tuple of its fields, skipping the class's Python-level
 # __new__: for hot paths, on fields its __new__ would accept (load_lexicon's
-# shape memo and Lexicon) or on classes whose __new__ checks nothing.
+# shape memo) or on classes whose __new__ checks nothing.
 _new = tuple.__new__
 
 
@@ -410,8 +410,7 @@ def load_lexicon(source: Iterable[str]) -> Lexicon:
 
     if language is None:
         raise IllFormedEntryError("lexicon has no LANG header")
-    # the checks of Lexicon's constructor hold: no walk or copy of the entries
-    return _new(Lexicon, (language, MappingProxyType(verbs), MappingProxyType(preps)))
+    return Lexicon(language, verbs, preps)
 
 
 def dump_lexicon(lexicon: Lexicon) -> str:

@@ -30,8 +30,9 @@ Guard, Conclusion, CompositionRule and RuleBase refuse, in load_rulebase's
 words, what no rule line gives: a guard with no atom, an unknown key, a bad
 value or a key twice; a conclusion of another kind, a bind with no phase, an
 identify or forbid with a field; a rule id that is no name, a strength not
-strict or defeasible, a priority not an int (a bool is none); a rule base of
-other values, or with an id twice.  A bind holds the member of each value.
+strict or defeasible, a priority not an int (a bool is none), a guard or a
+conclusion of another type; a rule base of other values, or with an id
+twice.  A bind holds the member of each value.
 
 Strict rules outrank every defeasible rule regardless of priority;
 among rules of equal strength, higher priority wins and exact ties are
@@ -178,6 +179,9 @@ class CompositionRule(Record, fields="id strength priority guard conclusion"):
             raise IllFormedEntryError(f"bad strength {strength!r}")
         if type(priority) is not int:  # 43.0 and True equal an int but print as none
             raise IllFormedEntryError(f"bad priority {str(priority)!r}")
+        for field, of in ((self.guard, Guard), (self.conclusion, Conclusion)):
+            if not isinstance(field, of):
+                raise IllFormedEntryError(f"bad {of.__name__.lower()} {field!r}")
         return self
 
     @property
@@ -270,10 +274,8 @@ def parse_conclusion(text: str) -> Conclusion:
         raise IllFormedEntryError("empty conclusion")
     head, options = parts[0], parts[1:]
 
-    if head in ("identify", "forbid(identify)"):
-        if options:
-            raise IllFormedEntryError(f"{head} takes no options")
-        return Conclusion("identify" if head == "identify" else "forbid")
+    if head in ("identify", "forbid(identify)"):  # the constructor refuses an option as a field
+        return Conclusion("identify" if head == "identify" else "forbid", *options[:1])
 
     if head.startswith("bind(") and head.endswith(")"):
         phase = Phase.from_label(head[len("bind(") : -1])

@@ -91,9 +91,9 @@ def validate_trace(trace: SpatiotemporalTrace) -> list[Violation]:
     for location, phase, zone, _ in trace.assignments:
         zones = per_location.setdefault(location, {})
         if phase in zones:
-            message = f"two zones assigned in one phase ({zones[phase].label} vs {zone.label})"
-            if zones[phase] is zone:
-                message = "duplicate assignment for this phase"
+            message = "duplicate assignment for this phase"
+            if zones[phase] is not zone:
+                message = f"two zones assigned in one phase ({zones[phase].label} vs {zone.label})"
             violations.append(Violation(location, (phase,), "conflict", message))
             continue
         zones[phase] = zone

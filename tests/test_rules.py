@@ -117,6 +117,12 @@ RULE_REFUSALS = {
     "bool-priority": (CompositionRule, ("A", "strict", True, _GUARD, _BIND),
                       "bad priority 'True'"),
     "text-priority": (CompositionRule, ("A", "strict", "5", _GUARD, _BIND), "bad priority '5'"),
+    "no-guard": (CompositionRule, ("A", "strict", 1, None, _BIND), "bad guard None"),
+    "guard-atoms": (CompositionRule, ("A", "strict", 1, _GUARD.atoms, _BIND),
+                    "bad guard (('prepkind', 'pos'),)"),
+    "no-conclusion": (CompositionRule, ("A", "strict", 1, _GUARD, None), "bad conclusion None"),
+    "conclusion-text": (CompositionRule, ("A", "strict", 1, _GUARD, "identify"),
+                        "bad conclusion 'identify'"),
 }
 RULE_VALID = {
     Guard: _GUARD,
@@ -234,8 +240,9 @@ def test_malformed_rule_lines():
         ("", "identify", "bad guard atom ''"),
         ("prepkind=pos,", "identify", "bad guard atom ''"),
         ("prepkind=pos", "forbid(identify) now", "forbid(identify) takes no options"),
+        ("prepkind=pos", "identify zone=inside prov=verb a b", "identify takes no options"),
     ],
-    ids=["empty-guard", "trailing-comma", "forbid-option"],
+    ids=["empty-guard", "trailing-comma", "forbid-option", "identify-options"],
 )
 def test_a_malformed_guard_or_conclusion_names_its_line(guard, conclusion, message):
     with pytest.raises(IllFormedEntryError) as err:

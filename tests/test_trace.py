@@ -86,6 +86,10 @@ def test_duplicate_assignment_is_flagged():
     (violation,) = validate_trace(trace)
     assert violation.kind == "conflict"
     assert violation == ("loc", (Phase.POST,), "conflict", "duplicate assignment for this phase")
+    # a zone that no member is, twice, is a duplicate too: no label is read
+    twice = (ZoneAssignment("loc", Phase.POST, None, Provenance.VERB),) * 2
+    trace = SpatiotemporalTrace(mobile="m", assignments=twice)
+    assert validate_trace(trace) == [violation]
 
 
 def test_locations_are_independent():
