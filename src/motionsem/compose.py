@@ -30,7 +30,7 @@ from collections.abc import Callable
 from operator import itemgetter
 
 from .errors import (
-    AmbiguousRuleBaseError, IllFormedEntryError, InfelicitousError, NotACoLVerbError, Record,
+    AmbiguousRuleBaseError, InfelicitousError, NotACoLVerbError, Record,
     UnknownLanguageError, is_name,
 )
 from .lexicon import Lexicon, PrepEntry, VerbEntry, _new, lookup_prep, lookup_verb
@@ -101,9 +101,9 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
     """Zones a CoL verb assigns to its reference location, per phase.
 
     Medial verbs carry a lexical default: the mobile is inside the path
-    location while under way.  A non-CoL verb raises NotACoLVerbError,
-    and a medial one whose own zones then jump a zone (only a hand-built
-    entry can) IllFormedEntryError.
+    location while under way, between the contact->contact that is their
+    one lexicalized pair, so their own zones never jump.  A non-CoL verb
+    raises NotACoLVerbError.
     """
     if not verb.is_col:
         raise NotACoLVerbError(
@@ -112,8 +112,6 @@ def verb_constraints(verb: VerbEntry) -> dict[Phase, Zone]:
     constraints = {Phase.PRE: verb.start_zone, Phase.POST: verb.end_zone}
     if verb.lref_role is LrefRole.MEDIAL:
         constraints[Phase.DURING] = Zone.INSIDE
-        if discontinuities(constraints):
-            raise IllFormedEntryError(f"medial verb {verb.lemma!r} jumps a zone")
     return constraints
 
 

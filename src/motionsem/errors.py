@@ -79,7 +79,7 @@ class Record(tuple):
     (the factory's own tuplegetter), _make, _replace, _asdict, the repr and
     pickling.  The factory compiles a __new__ from source text for each
     class; this one __new__ serves every class, binding keywords and
-    defaults only when a call does not pass exactly one value per field.
+    defaults.
     _make and _replace call the class, so a subclass's own __new__ checks
     their values as it checks a call's.
     """
@@ -97,8 +97,6 @@ class Record(tuple):
 
     def __new__(cls, *args, **kwargs):
         names = cls._fields
-        if not kwargs and len(args) == len(names):
-            return tuple.__new__(cls, args)
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__}() takes {len(names)} arguments "
                             f"but {len(args)} were given")

@@ -22,8 +22,9 @@ VerbEntry, PrepEntry and Lexicon decide what they may hold: built by a
 call, _make or _replace, an entry holds the shapes a lexicon line can
 give, with each zone and role the member it equals, and a lexicon a
 language of LANGUAGES and entries keyed by their own lemmas, or each
-raises IllFormedEntryError; lemmas and glosses are what a dump writes and
-a load reads back.  Only the class inventory is the file format's own.
+raises IllFormedEntryError (a CoL verb outside the class inventory
+UnlexicalizedClassError); lemmas and glosses are what a dump writes and
+a load reads back.
 """
 
 import functools
@@ -66,9 +67,9 @@ class VerbEntry(
     and after the motion, and lref_role says which motion phase that
     location anchors.  The category is one of VERB_CATEGORIES; a CoL
     entry has its role and both zones, each held as the member it equals
-    (1.0 is LrefRole.MEDIAL), and any other entry none of them.  Whether
-    a CoL pair is a lexicalized class is the file format's check
-    (classify_verb), so a hand-built entry may take any pair.  The lemma
+    (1.0 is LrefRole.MEDIAL), and any other entry none of them; a CoL
+    entry's role and pair are a lexicalized class (classify_verb), or it
+    raises UnlexicalizedClassError as a load does.  The lemma
     and the gloss are what dump_lexicon writes and load_lexicon reads back
     as they are: the lemma a name with no ASCII whitespace at an edge, the
     gloss a str with no tab or line break and none at its end.
@@ -92,10 +93,12 @@ class VerbEntry(
             )
         if role is None or start is None or end is None:
             raise IllFormedEntryError(f"CoL entry {lemma!r} lacks zone constraints")
-        return tuple.__new__(cls, (
+        self = tuple.__new__(cls, (
             lemma, category, _member(self, 2, LrefRole), _member(self, 3, Zone),
             _member(self, 4, Zone), gloss,
         ))
+        classify_verb(self)  # raises outside the class inventory
+        return self
 
     @property
     def is_col(self) -> bool:
@@ -287,10 +290,7 @@ def _parse_verb_line(lemma: str, tail: str) -> tuple:
                 "CoL verb needs <lref_role> <start_zone> <end_zone>"
             )
         rest = [LrefRole.from_label(rest[0]), *map(Zone.from_label, rest[1:])]
-    entry = VerbEntry(lemma, category, *rest[:3])
-    if entry.is_col:
-        classify_verb(entry)  # raises outside the class inventory
-    return entry[1:5]
+    return VerbEntry(lemma, category, *rest[:3])[1:5]
 
 
 def _parse_prep_line(lemma: str, tail: str) -> tuple:
@@ -323,8 +323,8 @@ _SHORT_LINE = {
 }
 # load_lexicon's (inventory, tag, tail) -> fields memo: a verb shape's validity
 # depends on the class inventory.  The spellings of a tail are unbounded, while
-# the valid shapes in lowercase spelling number 52, so it holds at most
-# _SHAPE_BOUND shapes.
+# the valid shapes in lowercase spelling number 48 (24 verb and 24 preposition
+# tails), so it holds at most _SHAPE_BOUND shapes.
 _SHAPES: dict[tuple, tuple] = {}
 _SHAPE_BOUND = 1024
 

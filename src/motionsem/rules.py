@@ -215,7 +215,7 @@ class RuleBase:
     """A versioned set of composition rules.
 
     Carries one lazily filled memo of its own that ==, hash and repr
-    ignore: compose()'s compiled derivation per shape (at most 960).  A
+    ignore: compose()'s compiled derivation per shape (at most 420).  A
     constructed base starts it empty; load_rulebase gives an equal text
     the same base, memo and all.  Concurrent fills at worst compute the
     same value twice.  Its fields cannot be reassigned.

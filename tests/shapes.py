@@ -1,12 +1,12 @@
-"""Every hand-built entry shape, the rule bases the exhaustive tests use, and
-the test-side helpers they share (hand_built, the entries' projections).
+"""Every entry shape, the rule bases the exhaustive tests use, and the
+test-side helpers they share (hand_built, the entries' projections).
 
-Hand-built verb entries skip the class inventory, so they reach every
-role x start zone x end zone: 48 verb shapes.  With the 20 preposition
-shapes that makes 960, the bound of a rule base's derivation memo.  The
-shape lexicons are built once and shared by every test that sweeps them.
-A lexicon file loads only 21 of the verb shapes (inventory_verb_shapes),
-so 420 shapes in all.
+A CoL verb names one of 48 role x start zone x end zone triples
+(VERB_TRIPLES), and VerbEntry takes the 21 of them its class inventory
+lexicalizes (VERB_SHAPES).  With the 20 preposition shapes that makes 420
+shapes, each of which a lexicon file loads, and the bound of a rule
+base's derivation memo.  The shape lexicons are built once and shared by
+every test that sweeps them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,19 @@ MEMO_BASES = {
     ),
 }
 
-VERB_SHAPES = [(role, start, end) for role in LrefRole for start in Zone for end in Zone]
+VERB_TRIPLES = [(role, start, end) for role in LrefRole for start in Zone for end in Zone]
+
+
+def lexicalized(role: LrefRole, start: Zone, end: Zone) -> bool:
+    """Whether a CoL verb may take this triple: a medial verb the fixed path
+    encoding contact->contact, an initial or final one a pair of the class
+    inventory."""
+    if role is LrefRole.MEDIAL:
+        return (start, end) == (Zone.CONTACT, Zone.CONTACT)
+    return (start, end) in default_class_inventory()
+
+
+VERB_SHAPES = [triple for triple in VERB_TRIPLES if lexicalized(*triple)]
 PREP_SHAPES = [PrepEntry("p", "pos", zone) for zone in Zone] + [
     PrepEntry("p", "dir", zone, role=role, attained=attained)
     for zone in Zone
@@ -45,24 +57,12 @@ PREP_SHAPES = [PrepEntry("p", "pos", zone) for zone in Zone] + [
 
 @functools.cache
 def shape_lexicons(lemma: str) -> tuple[Lexicon, ...]:
-    """One French lexicon per shape: verb lemma (any shape) and preposition p."""
+    """One French lexicon per shape: verb lemma and preposition p."""
     return tuple(
         Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", *verb)}, {"p": prep})
         for verb in VERB_SHAPES
         for prep in PREP_SHAPES
     )
-
-
-def inventory_verb_shapes() -> list[tuple[LrefRole, Zone, Zone]]:
-    """The 21 verb shapes a lexicon file loads.
-
-    Initial and final verbs take each begin/end pair of the class
-    inventory, and medial verbs the fixed path encoding contact->contact.
-    """
-    pairs = sorted(default_class_inventory())
-    return [
-        (role, *pair) for role in (LrefRole.INITIAL, LrefRole.FINAL) for pair in pairs
-    ] + [(LrefRole.MEDIAL, Zone.CONTACT, Zone.CONTACT)]
 
 
 def hand_built(record, **fields):

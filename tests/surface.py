@@ -5,7 +5,7 @@ explain() and render_records() of a derivation, or the error's class and
 message; for a command, its argv, exit code, stdout and stderr.  The
 sections are:
 
-    shapes-cold   the 960 hand-built shapes x MEMO_BASES x grounds a, g, zz,
+    shapes-cold   the 420 shapes of tests/shapes.py x MEMO_BASES x grounds a, g, zz,
                   each base copied with an empty derivation memo
     shapes-warm   the same shapes x MEMO_BASES, ground g, on the filled bases
     seed-pairs    every verb x preposition of both seed lexicons x a, g, zz
@@ -15,8 +15,9 @@ tests/data/surface.sha256 holds one sha256 per section, and
 tests/test_surface.py checks that none has moved.  A change that moves
 output on purpose regenerates the file and names each moved section:
 
-    python3 tests/surface.py            # print the sections that moved
-    python3 tests/surface.py --write    # regenerate tests/data/surface.sha256
+    python3 tests/surface.py                  # print the sections that moved
+    python3 tests/surface.py --write          # regenerate tests/data/surface.sha256
+    python3 tests/surface.py --text SECTION   # print a section's text, to diff
 """
 
 from __future__ import annotations
@@ -156,8 +157,11 @@ def main(argv: list[str]) -> int:
         text = "".join(f"{digest}  {name}\n" for name, digest in digests().items())
         DIGESTS.write_text(text, encoding="utf-8")
         return 0
+    if len(argv) == 2 and argv[0] == "--text" and argv[1] in (texts := sections()):
+        sys.stdout.write(texts[argv[1]])
+        return 0
     if argv:
-        sys.exit(f"usage: {sys.argv[0]} [--write]")
+        sys.exit(f"usage: {sys.argv[0]} [--write | --text SECTION]")
     changed = moved()
     for name in changed:
         print(f"moved: {name}")

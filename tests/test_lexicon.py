@@ -32,6 +32,7 @@ from motionsem.lexicon import (
     lookup_verb,
 )
 from motionsem.zones import LrefRole, Zone
+from shapes import PREP_SHAPES, VERB_SHAPES, VERB_TRIPLES
 
 
 def load(text: str) -> Lexicon:
@@ -275,6 +276,35 @@ def test_an_inventory_switched_back_loads_its_verbs_again(bundled_data):
     assert default_lexicon("fr") == loaded
 
 
+def test_the_valid_shapes_in_lowercase_spelling_number_48(monkeypatch):
+    # every tag and tail in lowercase labels, each loaded into an emptied memo,
+    # which keeps no refused one: 24 verb tails (21 CoL and the 3 other
+    # categories) and 24 preposition tails (a final one with and without attained)
+    monkeypatch.setattr(lexicon_module, "_SHAPES", {})
+    tails = [
+        f"V\tv\tCoL\t{role.label}\t{start.label}\t{end.label}"
+        for role, start, end in VERB_TRIPLES
+    ] + [f"V\tv\t{category}" for category in ("CoPs", "ICoPs", "CoPtu")] + [
+        f"P\tp\t{kind}{role}\t{zone.label}{attained}"
+        for kind in ("pos", "dir")
+        for role in ("", *(f"\t{role.label}" for role in LrefRole))
+        for zone in Zone
+        for attained in ("", "\tattained=true", "\tattained=false")
+    ]
+    loaded = []
+    for tail in tails:
+        try:
+            lexicon = load(f"LANG\tfr\n{tail}\n")
+        except FormatError:
+            continue
+        loaded += [*lexicon.verbs.values(), *lexicon.preps.values()]
+    assert len(lexicon_module._SHAPES) == len(loaded) == 48
+    verbs = [tuple(entry[2:5]) for entry in loaded if isinstance(entry, VerbEntry)]
+    assert verbs == VERB_SHAPES + 3 * [(None, None, None)]
+    preps = {entry._replace(lemma="p") for entry in loaded if isinstance(entry, PrepEntry)}
+    assert preps == set(PREP_SHAPES)
+
+
 def test_a_flood_of_tail_spellings_keeps_the_shape_memo_bounded():
     bound = lexicon_module._SHAPE_BOUND
     lines = ["LANG\tfr"] + [
@@ -452,13 +482,44 @@ def test_an_entry_no_lexicon_line_gives_is_refused_however_it_is_built(name):
         assert str(info.value) == message and info.value.line is None
 
 
+def test_a_col_verb_outside_the_class_inventory_is_refused_however_it_is_built():
+    # each of the 27 role and zone triples no lexicon line loads is refused
+    # by the constructor in the loader's words
+    unlexicalized = [triple for triple in VERB_TRIPLES if triple not in VERB_SHAPES]
+    assert len(unlexicalized) == 27
+    col = VerbEntry("v", "CoL", *VERB_SHAPES[0])
+    for role, start, end in unlexicalized:
+        pair = f"{start.label}→{end.label}"
+        message = (
+            f"medial verb 'v' must use the path encoding contact→contact, got {pair}"
+            if role is LrefRole.MEDIAL
+            else f"zone pair {pair} of 'v' is not a lexicalized class"
+        )
+        with pytest.raises(UnlexicalizedClassError) as info:
+            load(f"LANG\tfr\nV\tv\tCoL\t{role.label}\t{start.label}\t{end.label}\n")
+        assert (str(info.value), info.value.line) == (f"line 2: {message}", 2)
+        for build in (
+            lambda: VerbEntry("v", "CoL", role, start, end),
+            lambda: VerbEntry._make(("v", "CoL", role, start, end, None)),
+            lambda: col._replace(lref_role=role, start_zone=start, end_zone=end),
+        ):
+            with pytest.raises(UnlexicalizedClassError) as info:
+                build()
+            assert str(info.value) == message and info.value.line is None
+    with pytest.raises(UnlexicalizedClassError) as info:
+        VerbEntry("v", "CoL", LrefRole.MEDIAL, Zone.PROXIMAL, Zone.PROXIMAL)
+    assert str(info.value) == (
+        "medial verb 'v' must use the path encoding contact→contact, got proximal→proximal"
+    )
+
+
 def test_an_entry_holds_the_members_its_fields_equal():
-    verb = VerbEntry("v", "CoL", 1.0, 0.0, True)
-    assert verb == ("v", "CoL", LrefRole.MEDIAL, Zone.INSIDE, Zone.CONTACT, None)
+    verb = VerbEntry("v", "CoL", 1.0, 1.0, True)
+    assert verb == ("v", "CoL", LrefRole.MEDIAL, Zone.CONTACT, Zone.CONTACT, None)
     assert [type(field) for field in verb[2:5]] == [LrefRole, Zone, Zone]
     assert repr(verb) == (
         "VerbEntry(lemma='v', category='CoL', lref_role=<LrefRole.MEDIAL: 1>, "
-        "start_zone=<Zone.INSIDE: 0>, end_zone=<Zone.CONTACT: 1>, gloss=None)"
+        "start_zone=<Zone.CONTACT: 1>, end_zone=<Zone.CONTACT: 1>, gloss=None)"
     )
     assert VerbEntry._make(verb) == verb
     assert VALID[VerbEntry]._replace(lref_role=2.0).lref_role is LrefRole.FINAL
@@ -555,7 +616,7 @@ def built(cls, *fields):
     """cls(*fields), or None if its constructor refuses them."""
     try:
         return cls(*fields)
-    except IllFormedEntryError:
+    except (IllFormedEntryError, UnlexicalizedClassError):
         return None
 
 
@@ -568,15 +629,20 @@ def read_back(text):
 
 
 @settings(max_examples=25, deadline=None)
-@example(language="fr", verbs=[("\u00a0lead\u2003", "\u2003to lead\u00a0")], preps=["\u2003in"],
-         keys=[], crossed=False)
-@example(language="en", verbs=[(" lead", None), ("lead", "to lead ")], preps=["in\t"],
-         keys=[], crossed=False)
-@example(language="fr", verbs=[("x", None)], preps=[], keys=["y"], crossed=False)
-@example(language="fr", verbs=[("x", None)], preps=[], keys=[], crossed=True)
+@example(language="fr", verbs=[("\u00a0lead\u2003", "\u2003to lead\u00a0", None)],
+         preps=["\u2003in"], keys=[], crossed=False)
+@example(language="en", verbs=[(" lead", None, None), ("lead", "to lead ", None)],
+         preps=["in\t"], keys=[], crossed=False)
+@example(language="fr", verbs=[("x", None, None)], preps=[], keys=["y"], crossed=False)
+@example(language="fr", verbs=[("x", None, None)], preps=[], keys=[], crossed=True)
+@example(language="fr", verbs=[("v", None, (LrefRole.MEDIAL, Zone.PROXIMAL, Zone.PROXIMAL))],
+         preps=[], keys=[], crossed=False)
 @given(
     language=st.sampled_from(["fr", "en", "de", "fr\u00a0", ""]),
-    verbs=st.lists(st.tuples(_RAW, st.none() | _RAW), max_size=4),
+    verbs=st.lists(
+        st.tuples(_RAW, st.none() | _RAW, st.none() | st.sampled_from(VERB_TRIPLES)),
+        max_size=4,
+    ),
     preps=st.lists(_RAW, max_size=3),
     keys=st.lists(st.none() | _RAW, max_size=4),
     crossed=st.booleans(),
@@ -586,17 +652,20 @@ def test_the_constructors_accept_exactly_what_loads_back_as_it_was_dumped(
 ):
     # what a constructor accepts, dump_lexicon writes and load_lexicon reads
     # back equal; what it refuses, written in the same format, is refused by
-    # load_lexicon or read back changed.  keys gives some verbs a key other
-    # than their lemma, and crossed puts the first verb among the prepositions
+    # load_lexicon or read back changed.  A verb is CoPs or CoL with any of
+    # the 48 role and zone triples; keys gives some verbs a key other than
+    # their lemma, and crossed puts the first verb among the prepositions
     kept = {}
-    for lemma, gloss in verbs:
-        entry = built(VerbEntry, lemma, "CoPs", None, None, None, gloss)
+    for lemma, gloss, triple in verbs:
+        category, shape = ("CoPs", (None,) * 3) if triple is None else ("CoL", triple)
+        entry = built(VerbEntry, lemma, category, *shape, gloss)
         if entry is None:
+            zones = "".join(f"\t{field.label}" for field in shape if field is not None)
             tail = "" if gloss is None else f"\tgloss={gloss}"
-            loaded = read_back(f"LANG\tfr\nV\t{lemma}\tCoPs{tail}\n")
-            assert isinstance(loaded, FormatError) or [
-                entry[::5] for entry in loaded.verbs.values()
-            ] != [(lemma, gloss)]
+            loaded = read_back(f"LANG\tfr\nV\t{lemma}\t{category}{zones}{tail}\n")
+            assert isinstance(loaded, FormatError) or list(loaded.verbs.values()) != [
+                (lemma, category, *shape, gloss)
+            ]
         else:
             kept[lemma] = entry
     kept_preps = {}

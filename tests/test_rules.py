@@ -37,7 +37,7 @@ from motionsem.rules import (
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 
-from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, inventory_verb_shapes, shape_lexicons
+from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, shape_lexicons
 
 
 def load(text: str):
@@ -640,7 +640,7 @@ def test_a_failed_verdict_keeps_the_fates_of_its_candidates():
 def inventory_lexicon():
     """One lexicon file holding every verb shape and preposition shape it can load."""
     lines = ["LANG\tfr"]
-    for index, (role, start, end) in enumerate(inventory_verb_shapes()):
+    for index, (role, start, end) in enumerate(VERB_SHAPES):
         lines.append(f"V\tv{index}\tCoL\t{role.label}\t{start.label}\t{end.label}")
     for index, prep in enumerate(PREP_SHAPES):
         role = "" if prep.role is None else f"\t{prep.role.label}"
@@ -650,9 +650,9 @@ def inventory_lexicon():
 
 
 INVENTORY = inventory_lexicon()
-# The one completion that no shape reaches: a medial verb that does not jump
-# ends inside or in contact, and an unattained directional-final preposition
-# commits to proximal at the post phase, so the two always clash.
+# The one completion that no shape reaches: a medial verb ends in contact,
+# and an unattained directional-final preposition commits to proximal at the
+# post phase, so the two always clash.
 UNREACHED = ComplexFeatures(M, "dir", F, True, False)
 
 
@@ -667,33 +667,14 @@ def verdict(call):
     return None
 
 
-def jumps(verb) -> bool:
-    """Whether a verb's own zones jump a zone: only a hand-built medial verb's can."""
-    path = (verb.start_zone, Zone.INSIDE, verb.end_zone)  # pre, during, post
-    return verb.lref_role is M and any(abs(a - b) > 1 for a, b in zip(path, path[1:]))
-
-
 def run_time_verdicts(base):
-    """compose()'s verdicts on the 960 hand-built shapes, by feature vector.
-
-    The 420 shapes a lexicon loads are among them.  The 12 medial verbs
-    whose own zones jump a zone never reach resolve(): each of their 240
-    shapes raises exactly IllFormedEntryError.
-    """
+    """compose()'s verdicts on the 420 shapes, by feature vector."""
     found: dict[ComplexFeatures, set] = {}
-    refused = []
     complex_ = MotionComplex("v", "p", "g", "m", "fr")
     for lexicon in shape_lexicons("v"):
         verb, prep = lexicon.verbs["v"], lexicon.preps["p"]
-        if jumps(verb):
-            try:
-                compose(complex_, lexicon, base)
-            except Exception as exc:
-                refused.append(type(exc))
-            continue
         seen = found.setdefault(compute_features(verb, prep), set())
         seen.add(verdict(lambda: compose(complex_, lexicon, base)))
-    assert refused == [IllFormedEntryError] * 240
     return found
 
 
@@ -726,6 +707,7 @@ def assert_lint_is_run_time(base):
 
 def test_inventory_lexicon_loads_420_shapes():
     assert len(INVENTORY.verbs) == 21 and len(INVENTORY.preps) == 20
+    assert [tuple(verb[2:5]) for verb in INVENTORY.verbs.values()] == VERB_SHAPES
     assert sorted(
         tuple(prep[1:]) for prep in INVENTORY.preps.values()
     ) == sorted(tuple(prep[1:]) for prep in PREP_SHAPES)
@@ -750,7 +732,7 @@ def test_lint_fails_a_tie_below_a_veto_and_an_inconsistent_identify():
 
 @pytest.mark.parametrize("name", [*sorted(MEMO_BASES), "witness"])
 def test_lint_is_run_time_on_every_inventory_shape(name):
-    # every hand-built shape, not only the inventory's 420 that a lexicon loads
+    # every one of the 420 shapes a lexicon loads
     assert_lint_is_run_time(MEMO_BASES.get(name, WITNESS))
 
 
@@ -824,8 +806,8 @@ LINTED = linted_vectors()
 # Raw values a hand-built field may take besides those equal to a valid one:
 # non-members, labels, None, and a category or kind of the other kind.
 OTHERS = (None, 1.5, -1, 5, "inside", "final", "yes", "CoPs", "pos")
-# Every valid verb shape; a non-CoL verb about one time in four.
-VALID_VERBS = [("CoL", *shape) for shape in VERB_SHAPES] + 5 * [
+# Every valid verb shape; a non-CoL verb six times in 27.
+VALID_VERBS = [("CoL", *shape) for shape in VERB_SHAPES] + 2 * [
     (category, None, None, None) for category in VERB_CATEGORIES if category != "CoL"
 ]
 
@@ -848,8 +830,8 @@ def test_lint_resolves_the_30_completions():
     prep_fields=st.sampled_from(PREP_SHAPES).flatmap(lambda p: st.tuples(*map(raw, p[1:]))),
 )
 def test_every_entry_the_constructors_accept_composes_on_lints_grid(verb_fields, prep_fields):
-    # each pair is refused at construction, or by compose as a non-CoL verb
-    # or a medial verb that jumps a zone, or composes to a vector lint resolves
+    # each pair is refused at construction, or by compose as a non-CoL verb,
+    # or composes to a vector lint resolves
     try:
         verb, prep = VerbEntry("v", *verb_fields), PrepEntry("p", *prep_fields)
     except IllFormedEntryError:
@@ -860,9 +842,6 @@ def test_every_entry_the_constructors_accept_composes_on_lints_grid(verb_fields,
         derivation = compose(complex_, lexicon, RuleBase("cold", DEFAULT_RULES))
     except NotACoLVerbError:
         assert not verb.is_col
-        return
-    except IllFormedEntryError as exc:
-        assert jumps(verb) and str(exc) == "medial verb 'v' jumps a zone"
         return
     assert typed(derivation.features) in LINTED
     assert typed(compute_features(verb, prep)) == typed(derivation.features)
