@@ -31,9 +31,9 @@ from operator import itemgetter
 
 from .errors import (
     AmbiguousRuleBaseError, InfelicitousError, NotACoLVerbError, Record,
-    UnknownLanguageError, is_name,
+    UnknownLanguageError, _new, is_name,
 )
-from .lexicon import Lexicon, PrepEntry, VerbEntry, _new, lookup_prep, lookup_verb
+from .lexicon import Lexicon, PrepEntry, VerbEntry, lookup_prep, lookup_verb
 from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
 from .trace import (
     PROVENANCE_DISPLAY,

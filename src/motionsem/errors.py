@@ -142,6 +142,12 @@ class Record(tuple):
         return tuple(self)
 
 
+# A record from a tuple of its fields, skipping the class's Python-level
+# __new__: for hot paths, on fields its __new__ would accept (load_lexicon's
+# shape memo) or on classes whose __new__ checks nothing.
+_new = tuple.__new__
+
+
 class MotionSemError(Exception):
     """Base class for all package errors."""
 

@@ -43,6 +43,7 @@ from .errors import (
     WHITESPACE,
     _check_name,
     _member,
+    _new,
     data_lines,
     is_name,
     read_bundled,
@@ -221,10 +222,6 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
 
 
 _PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
-# A record from a tuple of its fields, skipping the class's Python-level
-# __new__: for hot paths, on fields its __new__ would accept (load_lexicon's
-# shape memo) or on classes whose __new__ checks nothing.
-_new = tuple.__new__
 
 
 def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:

@@ -211,48 +211,33 @@ class Defeat(Record, fields="rule_id defeated_by reason"):
     __slots__ = ()
 
 
-class RuleBase:
+class RuleBase(Record, fields="version rules", defaults=((),)):
     """A versioned set of composition rules.
 
-    Carries one lazily filled memo of its own that ==, hash and repr
-    ignore: compose()'s compiled derivation per shape (at most 420).  A
-    constructed base starts it empty; load_rulebase gives an equal text
-    the same base, memo and all.  Concurrent fills at worst compute the
-    same value twice.  Its fields cannot be reassigned.
+    Its instance dict holds, outside the fields that ==, hash and repr
+    read, one lazily filled memo: compose()'s derivation per shape (at most
+    420).  A constructed base starts it empty; load_rulebase gives an equal
+    text the same base, and a copy or pickle carries the memo (a shallow
+    copy shares it).  Concurrent fills at worst compute the same value
+    twice.  No attribute can be assigned or deleted, the memo included.
     """
 
-    __slots__ = ("version", "rules", "_derivations")
-
-    def __init__(self, version: str, rules: tuple[CompositionRule, ...] = ()):
-        object.__setattr__(self, "version", version)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_derivations", {})
+    def __new__(cls, *args, **kwargs):
+        version, rules = self = super().__new__(cls, *args, **kwargs)
+        vars(self)["_derivations"] = {}
         _check_name(version, "version")
         if type(rules) is not tuple or not all(isinstance(r, CompositionRule) for r in rules):
             raise IllFormedEntryError(f"bad rules {rules!r}")
         ids: set[str] = set()
         for rule in rules:
             _add_id(rule.id, ids)
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.version, self.rules) == (other.version, other.rules)
-
-    def __hash__(self) -> int:
-        return hash((self.version, self.rules))
-
-    def __repr__(self) -> str:
-        return f"RuleBase(version={self.version!r}, rules={self.rules!r})"
-
-    def __reduce__(self):  # for pickle and copy, which cannot assign the fields
-        return self.__class__, (self.version, self.rules)
 
 
 def _add_id(rule_id: str, ids: set[str]) -> None:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import io
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -800,6 +802,33 @@ def test_rule_bases_that_print_differently_share_no_memo():
     assert "fired rule: D2i (defeasible, priority 43.0)\n" in explain(as_float)
     assert type(as_float.fired.priority) is float
     assert not RuleBase(ints.version, rules)._derivations
+
+
+def test_a_copied_or_rebuilt_rule_base_composes_like_a_cold_one():
+    # the memo sits outside the fields: a copy or pickle carries it (a
+    # shallow copy shares it), a rebuilt base starts its own, and none of
+    # them composes otherwise than a base that compiles every shape afresh
+    complex_ = MotionComplex("v", "p", "g", "m", "fr")
+
+    def outcomes(rules):
+        return [derivation_or_error(complex_, lex, rules) for lex in shape_lexicons("v")]
+
+    base = default_rulebase()
+    outcomes(base)  # warm: every shape memoized
+    expected = outcomes(RuleBase(base.version, base.rules))
+    shallow, deep = copy.copy(base), copy.deepcopy(base)
+    pickled = pickle.loads(pickle.dumps(base))
+    assert shallow._derivations is base._derivations
+    for carried in (deep, pickled):
+        assert carried._derivations == base._derivations
+        assert carried._derivations is not base._derivations
+    for other in (shallow, deep, pickled, base._replace(), RuleBase(*base)):
+        assert type(other) is RuleBase and other == base
+        assert outcomes(other) == expected
+    with pytest.raises(AttributeError):
+        del base._derivations
+    with pytest.raises(AttributeError):
+        base._derivations = {}
 
 
 # Rules whose own bind conclusion tags a fact unsoundly: C binds the ground

@@ -107,7 +107,7 @@ def test_record_is_an_immutable_value(cls, values):
     assert a is not b and a == b and not a != b
     if _hashable(values):
         assert hash(a) == hash(b)
-    for name in ("version", "rules") if cls is RuleBase else a._fields:
+    for name in a._fields:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(b, name))
         with pytest.raises(AttributeError):
@@ -121,10 +121,7 @@ def test_record_is_an_immutable_value(cls, values):
             with pytest.raises(TypeError):
                 del mapping[next(iter(mapping))]
     assert a == b
-    if cls is RuleBase:
-        assert a != values
-    else:
-        assert tuple(a) == values and a == values  # named tuples unpack
+    assert tuple(a) == values and a == values  # named tuples unpack
 
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
@@ -155,6 +152,7 @@ FIELDS = {
         "kind phase zone provenance", {"phase": None, "zone": None, "provenance": None}
     ),
     CompositionRule: ("id strength priority guard conclusion", {}),
+    RuleBase: ("version rules", {"rules": ()}),
     LintCell: ("lref_role prep_kind prep_role", {}),
     LintReport: ("gap_cells tie_cells", {}),
     MotionComplex: ("verb_lemma prep_lemma ground mobile language", {}),
@@ -174,10 +172,7 @@ FIELDS = {
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_record_fields_and_defaults_are_pinned(cls, values):
-    assert set(FIELDS) == {c for c, _ in RECORDS} - {RuleBase}
-    if cls is RuleBase:  # a plain class, not a named tuple
-        assert cls.__slots__ == ("version", "rules", "_derivations")
-        return
+    assert set(FIELDS) == {c for c, _ in RECORDS}
     names, defaults = FIELDS[cls]
     assert cls._fields == tuple(names.split())
     assert cls._field_defaults == defaults
@@ -191,12 +186,8 @@ def test_record_fields_and_defaults_are_pinned(cls, values):
     assert repr(value) == f"{cls.__name__}({fields})"
 
 
-# The named-tuple contract every record class keeps: RuleBase is not one.
-TUPLES = [(cls, values) for cls, values in RECORDS if cls is not RuleBase]
-TUPLE_IDS = [c.__name__ for c, _ in TUPLES]
-
-
-@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+# The named-tuple contract every record class keeps.
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_constructor_refuses_arguments_that_do_not_bind(cls, values):
     given = dict(zip(cls._fields, values))
     required = [name for name in cls._fields if name not in cls._field_defaults]
@@ -223,7 +214,7 @@ def test_constructor_refuses_arguments_that_do_not_bind(cls, values):
         cls(*values[:1], **given)
 
 
-@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_make_of_the_wrong_length_raises(cls, values):
     assert cls._make(iter(values)) == cls(*values)
     with pytest.raises(TypeError):
@@ -232,7 +223,7 @@ def test_make_of_the_wrong_length_raises(cls, values):
         cls._make((*values, values[-1]))
 
 
-@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_replace_takes_field_names_only(cls, values):
     value = cls(*values)
     last = cls._fields[-1]
@@ -244,7 +235,7 @@ def test_replace_takes_field_names_only(cls, values):
         value._replace(**{last: values[-1]}, bogus=1)
 
 
-@pytest.mark.parametrize("cls, values", TUPLES, ids=TUPLE_IDS)
+@pytest.mark.parametrize("cls, values", RECORDS, ids=RECORD_IDS)
 def test_asdict_and_match_follow_the_fields(cls, values):
     value = cls(*values)
     assert value._asdict() == dict(zip(cls._fields, values))
