@@ -29,22 +29,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "motionsem"
 
-_ENTRY_BODY = (
-    "try:",
-    "    code = main()",
-    "    sys.stdout.flush()  # a closed pipe raises here, not at shutdown",
-    "except BrokenPipeError:",
-    "    # to devnull, so that the flush at shutdown cannot raise again",
-    "    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
-    "    code = EXIT_BROKEN_PIPE",
-    "sys.exit(code)",
-)
+_ENTRY_BODY = """\
+    import gc  # here, as build_parser imports argparse: importing cli costs no more
+
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # to devnull, so that the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    finally:
+        # on every way out: the collections of interpreter shutdown then skip
+        # the heap, which cost a query child more than its own work; atexit
+        # handlers still run.  Never in main(), whose caller may go on.
+        gc.freeze()
+    sys.exit(code)
+"""
 # (file under src/motionsem, statement text) -> why no test runs it in process.
 # Each text occurs exactly once in its file, and allows the lines it spans.
 ALLOWED = {
     ("cli.py", "if argv is None:\n        argv = sys.argv[1:]\n"):
         "main() without argv: only the console script runs it, in a CLI child",
-    ("cli.py", "def entry() -> None:\n" + "".join(f"    {s}\n" for s in _ENTRY_BODY)):
+    ("cli.py", "def entry() -> None:\n" + _ENTRY_BODY):
         "entry(): only the console script runs it, in a CLI child",
     ("cli.py", 'if __name__ == "__main__":\n    entry()\n'):
         "python -m motionsem.cli: only in a CLI child",

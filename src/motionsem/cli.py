@@ -231,6 +231,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    import gc  # here, as build_parser imports argparse: importing cli costs no more
+
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
@@ -238,6 +240,11 @@ def entry() -> None:
         # to devnull, so that the flush at shutdown cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    finally:
+        # on every way out: the collections of interpreter shutdown then skip
+        # the heap, which cost a query child more than its own work; atexit
+        # handlers still run.  Never in main(), whose caller may go on.
+        gc.freeze()
     sys.exit(code)
 
 

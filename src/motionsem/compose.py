@@ -271,8 +271,9 @@ def explain(derivation: Derivation) -> str:
     hand-built ones are (an absent binding, a row at a third location or
     none at the ground or at an lref of another name, a name with a line
     break, a mobile that is not a str, a phase or zone that is not exactly
-    a Phase or Zone member), has its body rendered directly.  The cache
-    never changes the text.
+    a Phase or Zone member, which only a row built past ZoneAssignment's
+    check holds), has its body rendered directly.  The cache never
+    changes the text.
     """
     complex_, _, fired, defeated, trace = derivation
     verb, prep, ground, mobile, language = complex_

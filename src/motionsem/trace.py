@@ -13,7 +13,7 @@ by (location, phase), and explain's zone table prints those rows too.
 from operator import itemgetter
 from types import MappingProxyType
 
-from .errors import Record
+from .errors import Record, _member
 from .zones import PHASE_LABELS, ZONE_LABELS, Constant, Phase, Zone, zone_distance
 
 
@@ -35,9 +35,22 @@ _LOCATION_PHASE = itemgetter(0, 1)  # phases are ints, so they sort as such
 
 
 class ZoneAssignment(Record, fields="location phase zone provenance"):
-    """The mobile's zone with respect to one location in one phase."""
+    """The mobile's zone with respect to one location in one phase.
+
+    It holds its phase, zone and provenance as the members they equal (a
+    phase 2.0 as Phase.POST), so that every row renders; any other value
+    raises IllFormedEntryError.  compose builds its rows from members
+    directly, without this check.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, (
+            self[0], _member(self, 1, Phase), _member(self, 2, Zone),
+            _member(self, 3, Provenance),
+        ))
 
     def tuple(self) -> tuple[str, str, str, str]:
         location, phase, zone, prov = self

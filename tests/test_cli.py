@@ -426,6 +426,48 @@ def test_a_closed_stdout_exits_quietly_with_its_own_code(tmp_path, argv):
     assert (child.returncode, child.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
+# A console script with an exit handler that reports whether the heap was frozen.
+ENTRY_SCRIPT = (
+    "import atexit, gc, sys\n"
+    "from motionsem import cli\n"
+    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "cli.entry()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (["query", "sortir", "dans", "jardin"], cli.EXIT_OK, None),
+        (["query", "zzz", "dans", "jardin"], cli.EXIT_UNKNOWN_LEMMA,
+         "error: verb 'zzz' not in the fr lexicon"),
+        (["--help"], cli.EXIT_OK, None),
+        (["query", "sortir", "dans"], cli.EXIT_LOAD_ERROR,
+         "motionsem query: error: the following arguments are required: ground"),
+    ],
+    ids=["query", "unknown-lemma", "help", "usage-error"],
+)
+def test_every_way_out_of_entry_freezes_the_heap_and_runs_exit_handlers(
+    tmp_path, monkeypatch, capsys, argv, code, error
+):
+    # -S: a clean interpreter, whose heap only the code under test freezes
+    child = run_child(
+        ["-S", "-c", ENTRY_SCRIPT, *argv], tmp_path, env_extra={"COLUMNS": "80"},
+        capture_output=True, text=True,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        in_process = cli.main(argv)
+    except SystemExit as exc:  # help and usage errors leave main() this way
+        in_process = exc.code
+    out, err = capsys.readouterr()
+    assert (child.returncode, in_process) == (code, code)
+    assert child.stdout == out
+    assert (out != "") == (code == cli.EXIT_OK)
+    assert err.splitlines()[-1:] == ([] if error is None else [error])
+    assert child.stderr == err + "frozen: True\n"
+
+
 def test_commands_do_not_import_importlib_resources(tmp_path):
     # -S: a clean interpreter, as site-packages may import these modules at start-up
     script = (

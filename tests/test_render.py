@@ -126,23 +126,30 @@ def test_names_that_break_lines_render_like_the_reference():
 
 @pytest.mark.parametrize("field", ["phase", "zone"])
 def test_a_float_phase_or_zone_raises_like_the_reference(field):
-    # 2.0 == Phase.POST, with the same hash: the layout of the Phase.POST
-    # trace explained first must not serve it; a plain int prints as the member
+    # 2.0 == Phase.POST, with the same hash.  ZoneAssignment holds the member
+    # a value equals, so its rows render like the members'; a row built past
+    # its check, as compose builds rows, keeps the value: the layout of the
+    # Phase.POST trace explained first must not serve a float, and a plain
+    # int prints as the member
     fr = default_lexicon("fr")
     derivation = compose(MotionComplex("sortir", "dans", "jardin", "m", "fr"), fr, RULES)
     explain(derivation)
     trace = derivation.trace
 
-    def converted(number):
+    def converted(number, build):
         rows = tuple(
-            a._replace(**{field: number(getattr(a, field))}) for a in trace.assignments
+            build(a, **{field: number(getattr(a, field))}) for a in trace.assignments
         )
         return derivation._replace(trace=trace._replace(assignments=rows))
 
+    held = converted(float, ZoneAssignment._replace)
+    pairs = zip(held.trace.assignments, trace.assignments)
+    assert all(getattr(a, field) is getattr(b, field) for a, b in pairs)
+    assert_renders_like_the_reference(held)
     for render in (explain, reference.explain):
         with pytest.raises(TypeError, match="tuple indices must be integers"):
-            render(converted(float))
-    assert_renders_like_the_reference(converted(int))
+            render(converted(float, hand_built))
+    assert_renders_like_the_reference(converted(int, hand_built))
 
 
 def test_fields_that_compare_equal_but_print_differently_print_as_themselves():

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from motionsem.errors import IllFormedEntryError
 from motionsem.trace import (
     Provenance,
     SpatiotemporalTrace,
@@ -86,9 +88,12 @@ def test_duplicate_assignment_is_flagged():
     (violation,) = validate_trace(trace)
     assert violation.kind == "conflict"
     assert violation == ("loc", (Phase.POST,), "conflict", "duplicate assignment for this phase")
-    # a zone that no member is, twice, is a duplicate too: no label is read
-    twice = (ZoneAssignment("loc", Phase.POST, None, Provenance.VERB),) * 2
-    trace = SpatiotemporalTrace(mobile="m", assignments=twice)
+    # a zone that no member is, twice, is a duplicate too: no label is read.
+    # ZoneAssignment refuses such a row, so it is a plain tuple here
+    row = ("loc", Phase.POST, None, Provenance.VERB)
+    with pytest.raises(IllFormedEntryError, match="^'loc' has zone None, equal to no member$"):
+        ZoneAssignment(*row)
+    trace = SpatiotemporalTrace(mobile="m", assignments=(row, row))
     assert validate_trace(trace) == [violation]
 
 
@@ -176,3 +181,51 @@ def test_provenance_labels():
     assert Provenance.PREP.label == "prep"
     assert Provenance.INTERACTION.label == "interaction"
     assert Provenance.from_label("interaction") is Provenance.INTERACTION
+
+
+def member_equal_to(value, constants):
+    """The member of constants that value equals (a provenance may be its value), or None."""
+    for member in constants:
+        if value == member or (constants is Provenance and value == member.value):
+            return member
+    return None
+
+
+_ROW_VALUES = st.one_of(
+    st.sampled_from([*Phase, *Zone, *Provenance, *(p.value for p in Provenance)]),
+    st.sampled_from([2.0, 1.5, True, -1, 3, 4, "post", "inside", "Verb", "INTERACTION", None]),
+    st.integers(-3, 6),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phase=_ROW_VALUES, zone=_ROW_VALUES, provenance=_ROW_VALUES)
+@example(phase=2.0, zone=0, provenance="verb")
+@example(phase=Phase.POST, zone="inside", provenance=Provenance.VERB)
+@example(phase=Phase.PRE, zone=Zone.CONTACT, provenance="Verb")
+def test_the_constructor_accepts_exactly_the_values_that_equal_a_member(
+    phase, zone, provenance
+):
+    # a row holds the member each value equals, and renders with its label;
+    # the first value that equals no member is refused, naming its field
+    given_row = ("g", phase, zone, provenance)
+    expected = [
+        member_equal_to(value, constants)
+        for value, constants in zip(given_row[1:], (Phase, Zone, Provenance))
+    ]
+    if None in expected:
+        index = expected.index(None) + 1
+        field = ZoneAssignment._fields[index]
+        message = f"'g' has {field} {given_row[index]!r}, equal to no member"
+        with pytest.raises(IllFormedEntryError) as info:
+            ZoneAssignment(*given_row)
+        assert str(info.value) == message
+        return
+    row = ZoneAssignment(*given_row)
+    assert all(held is member for held, member in zip(row[1:], expected))
+    labels = " ".join(member.label for member in expected)
+    trace = SpatiotemporalTrace("m", None, None, (row,))
+    assert render_records(trace) == f"mobile m\ng {labels}"
+    assert trace.tuples() == (("g", *labels.split()),)
