@@ -15,9 +15,11 @@ replacement to the copy, runs only that mutant's tests and restores the
 file.  A mutant is killed when each of its tests fails; otherwise it
 survived, which is a gap in the tests.  One line per mutant and the totals
 are printed; the exit status is 1 if any mutant survived, and a run that
-cannot decide (a named test failing unchanged, one pytest cannot find, or
-a mutant whose old text does not occur exactly once or whose replaced text
-does not parse) stops with a message and status 1 too.  Stdlib only.
+cannot decide stops with a message and status 1 too.  Before any test
+runs, every chosen mutant is checked, and one message names each whose old
+text does not occur exactly once or whose replaced text does not parse;
+a named test failing unchanged, or one pytest cannot find, stops the run
+later.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -54,20 +56,37 @@ def load_mutants(path: Path = MUTANTS) -> list[SimpleNamespace]:
     ]
 
 
-def mutated(mutant: SimpleNamespace, original: str) -> str:
-    """original with mutant's replacement made; exits unless that is decidable.
+def problem(mutant: SimpleNamespace, original: str) -> str | None:
+    """Why mutant's replacement in original cannot be decided, or None.
 
     A replacement that does not parse would fail every test on import,
     whatever the tests check, and so count as killed.
     """
     if original.count(mutant.old) != 1:
-        sys.exit(f"{mutant.name}: old text does not occur exactly once")
-    text = original.replace(mutant.old, mutant.new)
+        return f"{mutant.name}: old text does not occur exactly once"
     try:
-        ast.parse(text)
+        ast.parse(original.replace(mutant.old, mutant.new))
     except SyntaxError as exc:
-        sys.exit(f"{mutant.name}: the replaced text does not parse: {exc}")
-    return text
+        return f"{mutant.name}: the replaced text does not parse: {exc}"
+    return None
+
+
+def mutated(mutant: SimpleNamespace, original: str) -> str:
+    """original with mutant's replacement made; exits unless that is decidable."""
+    reason = problem(mutant, original)
+    if reason:
+        sys.exit(reason)
+    return original.replace(mutant.old, mutant.new)
+
+
+def check_applicable(mutants: list[SimpleNamespace], src: Path) -> None:
+    """Exit, naming every one of mutants that problem() finds in its file under src."""
+    reasons = [
+        reason for mutant in mutants
+        if (reason := problem(mutant, (src / mutant.file).read_text(encoding="utf-8")))
+    ]
+    if reasons:
+        sys.exit("\n".join(["mutants that cannot be applied:", *reasons]))
 
 
 def failures(copy: Path, tests: list[str]) -> list[str]:
@@ -100,6 +119,7 @@ def main(argv: list[str]) -> int:
     if unknown:
         sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
     chosen = [m for m in mutants if not argv or m.name in argv]
+    check_applicable(chosen, ROOT / "src" / "motionsem")
     TMP_ROOT.mkdir(exist_ok=True)
     copy = Path(tempfile.mkdtemp(dir=TMP_ROOT))
     try:

@@ -36,6 +36,7 @@ from .errors import (
 from .lexicon import Lexicon, PrepEntry, VerbEntry, lookup_prep, lookup_verb
 from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
 from .trace import (
+    _LOCATION_PHASE,
     PROVENANCE_DISPLAY,
     Provenance,
     SpatiotemporalTrace,
@@ -270,10 +271,8 @@ def explain(derivation: Derivation) -> str:
     trace is plain and builds that key: a trace that is not, as only
     hand-built ones are (an absent binding, a row at a third location or
     none at the ground or at an lref of another name, a name with a line
-    break, a mobile that is not a str, a phase or zone that is not exactly
-    a Phase or Zone member, which only a row built past ZoneAssignment's
-    check holds), has its body rendered directly.  The cache never
-    changes the text.
+    break, a mobile that is not a str), has its body rendered directly.
+    The cache never changes the text.
     """
     complex_, _, fired, defeated, trace = derivation
     verb, prep, ground, mobile, language = complex_
@@ -290,11 +289,9 @@ def explain(derivation: Derivation) -> str:
         f"{mobile}{lref}{ground}".isprintable()
     ):
         # the layout key, four fields a row; plain: each row at the lref or the ground,
-        # exact members (2.0 == Phase.POST), a ground row and, unless identified, an lref row
+        # a ground row and, unless identified, an lref row
         rows, grounds = [], 0
         for location, phase, zone, source in assignments:
-            if type(phase) is not Phase or type(zone) is not Zone:
-                break
             at_ground = location == ground
             if not (at_ground or location == lref):
                 break
@@ -331,9 +328,9 @@ def _plain_layout(ground_first: bool, rows: tuple) -> tuple[tuple, Callable]:
     order.
 
     The cache is keyed by content, never by identity.  It needs no types:
-    explain() passes only exact Phase and Zone members, and a provenance
-    equals nothing but itself.  It holds the last 1024 layouts; the seed
-    lexicons under the default rules need 154.
+    a trace holds only members, and no two members of one field are equal.
+    It holds the last 1024 layouts; the seed lexicons under the default
+    rules need 154.
     """
     slot = _SLOTS
     if all(rows[::4]):
@@ -361,21 +358,21 @@ def _render(trace: SpatiotemporalTrace, cell: Callable, heading: str) -> str:
     column's heading; each column is padded to its widest cell.
     """
     lines = ["bindings:"]
-    rows = trace.tuples()
+    rows = sorted(trace.assignments, key=_LOCATION_PHASE)
     if trace.lref == trace.ground:
         lines.append(
             f"  ground: {trace.ground} (identified with the reference location)"
         )
     else:
         lines.append(f"  reference location: {trace.lref} (implicit)")
-        ground_phases = dict.fromkeys(row[1] for row in rows if row[0] == trace.ground)
+        ground_phases = dict.fromkeys(row[1].label for row in rows if row[0] == trace.ground)
         at = ", ".join(ground_phases) or "no phase"
         lines.append(f"  ground: {trace.ground} (bound at {at})")
 
     lines.append("")
     lines.append("zones:")
     table = [(heading, "phase", "zone", "source")] + [
-        (cell(location), phase, zone, PROVENANCE_DISPLAY[Provenance(source)])
+        (cell(location), phase.label, zone.label, PROVENANCE_DISPLAY[source])
         for location, phase, zone, source in rows
     ]
     widths = [max(len(row[i]) for row in table) for i in range(4)]

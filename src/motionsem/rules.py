@@ -48,12 +48,12 @@ from .errors import (
     read_bundled, split_fields,
 )
 from .trace import Provenance
-from .zones import ROLE_LABELS, LrefRole, Phase, Zone
+from .zones import LrefRole, Phase, Zone
 
 _GUARD_VALUES = {
-    "lrefrole": ROLE_LABELS,
+    "lrefrole": tuple(role.label for role in LrefRole),
     "prepkind": ("pos", "dir"),
-    "preprole": ROLE_LABELS,
+    "preprole": tuple(role.label for role in LrefRole),
     "zonecompat": ("yes", "no"),
     "attained": ("yes", "no"),
 }
@@ -81,10 +81,10 @@ class ComplexFeatures(
         that equals no member raises ValueError.
         """
         lref_role, prep_kind, prep_role, zone_compatible, attained = self
-        atoms = {("lrefrole", ROLE_LABELS[LrefRole(lref_role)]), ("prepkind", prep_kind)}
+        atoms = {("lrefrole", LrefRole(lref_role).label), ("prepkind", prep_kind)}
         atoms.add(("zonecompat", "yes" if zone_compatible else "no"))
         if prep_role is not None:
-            atoms.add(("preprole", ROLE_LABELS[LrefRole(prep_role)]))
+            atoms.add(("preprole", LrefRole(prep_role).label))
         if attained is not None:
             atoms.add(("attained", "yes" if attained else "no"))
         return frozenset(atoms)

@@ -14,7 +14,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import Record, _member
-from .zones import PHASE_LABELS, ZONE_LABELS, Constant, Phase, Zone, zone_distance
+from .zones import Constant, Phase, Zone, zone_distance
 
 
 class Provenance(Constant, kind="provenance"):
@@ -25,8 +25,6 @@ class Provenance(Constant, kind="provenance"):
     INTERACTION = "interaction"
 
 
-# Read-only tables built once at import, like the label tables in zones.
-PROVENANCE_LABELS = MappingProxyType({p: p.value for p in Provenance})
 PROVENANCE_DISPLAY = MappingProxyType(
     dict(zip(Provenance, ("Verb", "Preposition", "Interaction")))
 )
@@ -38,9 +36,7 @@ class ZoneAssignment(Record, fields="location phase zone provenance"):
     """The mobile's zone with respect to one location in one phase.
 
     It holds its phase, zone and provenance as the members they equal (a
-    phase 2.0 as Phase.POST), so that every row renders; any other value
-    raises IllFormedEntryError.  compose builds its rows from members
-    directly, without this check.
+    phase 2.0 as Phase.POST); any other value raises IllFormedEntryError.
     """
 
     __slots__ = ()
@@ -54,7 +50,7 @@ class ZoneAssignment(Record, fields="location phase zone provenance"):
 
     def tuple(self) -> tuple[str, str, str, str]:
         location, phase, zone, prov = self
-        return location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov]
+        return location, phase.label, zone.label, prov.label
 
 
 class SpatiotemporalTrace(
@@ -65,10 +61,20 @@ class SpatiotemporalTrace(
     lref is the location bound as the verb's reference location, ground
     the one introduced by the preposition; they may be the same location
     when the two are identified.  Either binding may be absent (None) on
-    hand-built traces.  assignments is a tuple of ZoneAssignment.
+    hand-built traces.  assignments holds its rows in a tuple, each as a
+    ZoneAssignment: a row that ZoneAssignment refuses raises
+    IllFormedEntryError.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        mobile, lref, ground, rows = super().__new__(cls, *args, **kwargs)
+        rows = tuple([
+            row if isinstance(row, ZoneAssignment) else ZoneAssignment._make(row)
+            for row in rows
+        ])
+        return tuple.__new__(cls, (mobile, lref, ground, rows))
 
     def tuples(self) -> tuple[tuple[str, str, str, str], ...]:
         """Assignment tuples in canonical (location, phase) order."""
@@ -154,7 +160,5 @@ def render_records(trace: SpatiotemporalTrace) -> str:
     if trace.ground is not None:
         lines.append(f"ground {trace.ground}")
     for location, phase, zone, prov in sorted(trace.assignments, key=_LOCATION_PHASE):
-        lines.append(" ".join(  # labelled from the tables ZoneAssignment.tuple reads
-            (location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov])
-        ))
+        lines.append(" ".join((location, phase.label, zone.label, prov.label)))
     return "\n".join(lines)

@@ -128,12 +128,6 @@ class LrefRole(Constant, int, kind="role"):
         return _ROLE_PHASES[self]
 
 
-# Read-only tables built once at import, so that parsing and rendering
-# never rebuild a label: labels indexed by member value (each class counts
-# from 0).
-ZONE_LABELS = tuple(zone.label for zone in Zone)
-PHASE_LABELS = tuple(phase.label for phase in Phase)
-ROLE_LABELS = tuple(role.label for role in LrefRole)
 _ROLE_PHASES = (Phase.PRE, Phase.DURING, Phase.POST)
 
 

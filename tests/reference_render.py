@@ -1,17 +1,28 @@
 """Reference renderers: explain(), render_records() and tuples() as they
-were before explain() printed from cached layouts, kept verbatim as the
-oracle that tests/test_render.py compares the library against.  Test
-code only."""
+were before explain() printed from cached layouts, kept as the oracle that
+tests/test_render.py compares the library against.  They label rows from
+tables of their own, so that they share no table with the code they
+check.  Test code only."""
 
 from __future__ import annotations
 
 from operator import itemgetter
 
 from motionsem.compose import Derivation
-from motionsem.trace import PROVENANCE_DISPLAY, SpatiotemporalTrace, ZoneAssignment
-from motionsem.zones import PHASE_LABELS, ZONE_LABELS
+from motionsem.trace import Provenance, SpatiotemporalTrace, ZoneAssignment
 
 _LOCATION_PHASE = itemgetter(0, 1)  # phases are ints, so they sort as such
+# labels indexed by phase and zone value, and a provenance's label and display name
+PHASE_LABELS = ("pre", "during", "post")
+ZONE_LABELS = ("inside", "contact", "proximal", "distal")
+PROVENANCE_LABELS = {
+    Provenance.VERB: "verb", Provenance.PREP: "prep", Provenance.INTERACTION: "interaction"
+}
+PROVENANCE_DISPLAY = {
+    Provenance.VERB: "Verb",
+    Provenance.PREP: "Preposition",
+    Provenance.INTERACTION: "Interaction",
+}
 
 
 def sorted_assignments(
@@ -20,9 +31,14 @@ def sorted_assignments(
     return sorted(assignments, key=_LOCATION_PHASE)
 
 
+def labelled(assignment: ZoneAssignment) -> tuple[str, str, str, str]:
+    location, phase, zone, prov = assignment
+    return location, PHASE_LABELS[phase], ZONE_LABELS[zone], PROVENANCE_LABELS[prov]
+
+
 def tuples(trace: SpatiotemporalTrace) -> tuple[tuple[str, str, str, str], ...]:
     """Assignment tuples in canonical (location, phase) order."""
-    return tuple(a.tuple() for a in sorted_assignments(trace.assignments))
+    return tuple(labelled(a) for a in sorted_assignments(trace.assignments))
 
 
 def render_records(trace: SpatiotemporalTrace) -> str:
@@ -38,7 +54,7 @@ def render_records(trace: SpatiotemporalTrace) -> str:
     if trace.ground is not None:
         lines.append(f"ground {trace.ground}")
     for a in sorted_assignments(trace.assignments):
-        lines.append(" ".join(a.tuple()))
+        lines.append(" ".join(labelled(a)))
     return "\n".join(lines)
 
 

@@ -112,6 +112,7 @@ REFUSED_NAMES = {
     "newline": "jar\ndin",
     "escape": "a\x1bb",
     "erase-line": "D2\x1b[2Ki",
+    "erase-line-alone": "\x1b[2K",
 }
 
 

@@ -125,31 +125,22 @@ def test_names_that_break_lines_render_like_the_reference():
 
 
 @pytest.mark.parametrize("field", ["phase", "zone"])
-def test_a_float_phase_or_zone_raises_like_the_reference(field):
-    # 2.0 == Phase.POST, with the same hash.  ZoneAssignment holds the member
-    # a value equals, so its rows render like the members'; a row built past
-    # its check, as compose builds rows, keeps the value: the layout of the
-    # Phase.POST trace explained first must not serve a float, and a plain
-    # int prints as the member
+def test_a_float_or_int_phase_or_zone_is_held_as_its_member(field):
+    # 2.0 == Phase.POST, with the same hash.  A trace holds each row it is
+    # given as a ZoneAssignment, which holds the member a value equals, so
+    # float and int rows render like the members' rows, from the layout the
+    # members' trace, explained first, left in the cache
     fr = default_lexicon("fr")
     derivation = compose(MotionComplex("sortir", "dans", "jardin", "m", "fr"), fr, RULES)
     explain(derivation)
     trace = derivation.trace
-
-    def converted(number, build):
-        rows = tuple(
-            build(a, **{field: number(getattr(a, field))}) for a in trace.assignments
-        )
-        return derivation._replace(trace=trace._replace(assignments=rows))
-
-    held = converted(float, ZoneAssignment._replace)
-    pairs = zip(held.trace.assignments, trace.assignments)
-    assert all(getattr(a, field) is getattr(b, field) for a, b in pairs)
-    assert_renders_like_the_reference(held)
-    for render in (explain, reference.explain):
-        with pytest.raises(TypeError, match="tuple indices must be integers"):
-            render(converted(float, hand_built))
-    assert_renders_like_the_reference(converted(int, hand_built))
+    index = ZoneAssignment._fields.index(field)
+    for number in (float, int):
+        rows = [(*a[:index], number(a[index]), *a[index + 1:]) for a in trace.assignments]
+        held = derivation._replace(trace=trace._replace(assignments=rows))
+        pairs = zip(held.trace.assignments, trace.assignments)
+        assert all(type(a) is ZoneAssignment and a[index] is b[index] for a, b in pairs)
+        assert_renders_like_the_reference(held)
 
 
 def test_fields_that_compare_equal_but_print_differently_print_as_themselves():

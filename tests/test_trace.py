@@ -88,13 +88,13 @@ def test_duplicate_assignment_is_flagged():
     (violation,) = validate_trace(trace)
     assert violation.kind == "conflict"
     assert violation == ("loc", (Phase.POST,), "conflict", "duplicate assignment for this phase")
-    # a zone that no member is, twice, is a duplicate too: no label is read.
-    # ZoneAssignment refuses such a row, so it is a plain tuple here
+    # a zone that no member is: the trace refuses the row, as ZoneAssignment does
     row = ("loc", Phase.POST, None, Provenance.VERB)
-    with pytest.raises(IllFormedEntryError, match="^'loc' has zone None, equal to no member$"):
+    message = "^'loc' has zone None, equal to no member$"
+    with pytest.raises(IllFormedEntryError, match=message):
         ZoneAssignment(*row)
-    trace = SpatiotemporalTrace(mobile="m", assignments=(row, row))
-    assert validate_trace(trace) == [violation]
+    with pytest.raises(IllFormedEntryError, match=message):
+        SpatiotemporalTrace(mobile="m", assignments=(row, row))
 
 
 def test_locations_are_independent():
@@ -229,3 +229,98 @@ def test_the_constructor_accepts_exactly_the_values_that_equal_a_member(
     trace = SpatiotemporalTrace("m", None, None, (row,))
     assert render_records(trace) == f"mobile m\ng {labels}"
     assert trace.tuples() == (("g", *labels.split()),)
+
+
+# Each way to build a trace from its rows; _make and _replace call the class.
+TRACE_BUILDS = {
+    "call": lambda rows: SpatiotemporalTrace("m", "l", "g", rows),
+    "make": lambda rows: SpatiotemporalTrace._make(("m", "l", "g", rows)),
+    "replace": lambda rows: SpatiotemporalTrace("m", "l", "g")._replace(assignments=rows),
+}
+
+
+def test_a_trace_refuses_a_row_that_no_member_equals():
+    # this trace once rendered as "g post distal verb", and its tuples() raised
+    rows = (("g", -1, -1, Provenance.VERB),)
+    for build in TRACE_BUILDS.values():
+        with pytest.raises(IllFormedEntryError, match="^'g' has phase -1, equal to no member$"):
+            build(rows)
+
+
+def held_as(rows):
+    """The rows as ZoneAssignment holds them, or what it raises for the first it refuses."""
+    try:
+        return tuple([ZoneAssignment(*row) for row in rows])
+    except (TypeError, IllFormedEntryError) as exc:
+        return exc
+
+
+_ODD = st.one_of(
+    st.sampled_from([-1, 4, None, 1.5, "post", "Verb"]),
+    st.integers(-2, 5),
+    st.floats(),
+    st.text(max_size=2),
+)
+
+
+def _field(*values):
+    """A row field: a value that equals a member (the member itself, or its
+    number or text), or any value."""
+    return st.one_of(st.sampled_from(values), _ODD)
+
+
+_TRACE_ROWS = st.one_of(
+    st.builds(
+        ZoneAssignment, st.sampled_from("gl"),
+        *(st.sampled_from(tuple(members)) for members in (Phase, Zone, Provenance)),
+    ),
+    st.tuples(
+        st.sampled_from("gl"),
+        _field(*Phase, 0, 2.0, True),
+        _field(*Zone, 3, 1.0),
+        _field(*Provenance, "verb", "interaction"),
+    ),
+)
+_SHORT_OR_LONG_ROWS = st.one_of(
+    st.tuples(_ODD, _ODD, _ODD), st.tuples(_ODD, _ODD, _ODD, _ODD, _ODD)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(_TRACE_ROWS, max_size=3),
+    add=st.booleans(),
+    short_or_long=_SHORT_OR_LONG_ROWS,
+    as_list=st.booleans(),
+)
+@example(rows=[("g", -1, -1, Provenance.VERB)], add=False, short_or_long=(), as_list=False)
+@example(
+    rows=[("g", 2.0, 0, "verb"), ("l", 0, 1.0, "prep")], add=False, short_or_long=(),
+    as_list=True,
+)
+def test_a_trace_holds_exactly_the_rows_zone_assignment_takes(
+    rows, add, short_or_long, as_list
+):
+    # by a call, _make or _replace, a trace raises what ZoneAssignment raises
+    # for the first row it refuses, or holds the tuple of the rows it holds,
+    # which every reader of a trace takes; add puts a row of 3 or 5 fields last
+    if add:
+        rows.append(short_or_long)
+    expected = held_as(rows)
+    for build in TRACE_BUILDS.values():
+        given_rows = list(rows) if as_list else tuple(rows)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as info:
+                build(given_rows)
+            if isinstance(expected, IllFormedEntryError):
+                assert str(info.value) == str(expected)
+            continue
+        trace = build(given_rows)
+        assert type(trace.assignments) is tuple and trace.assignments == expected
+        for held, row in zip(trace.assignments, expected):
+            assert type(held) is ZoneAssignment
+            assert all(a is b for a, b in zip(held, row))
+        hash(trace)
+        render_records(trace)
+        trace.tuples()
+        validate_trace(trace)

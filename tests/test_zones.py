@@ -5,11 +5,10 @@ from __future__ import annotations
 import copy
 import itertools
 import pickle
-from collections.abc import Mapping
 
 import pytest
 
-from motionsem import trace, zones
+from motionsem import trace
 from motionsem.corpus import parse_corpus
 from motionsem.errors import FormatError, UnknownNameError, read_data_file, wire_name
 from motionsem.lexicon import default_class_inventory, load_lexicon
@@ -95,15 +94,18 @@ def test_an_unknown_name_reads_alike_in_every_file(
 
 
 def test_label_tables_are_read_only():
-    tables = [zones.ZONE_LABELS, zones.PHASE_LABELS, zones.ROLE_LABELS]
-    tables += [trace.PROVENANCE_LABELS, trace.PROVENANCE_DISPLAY]
-    for table in tables:
-        key = next(iter(table)) if isinstance(table, Mapping) else 0
-        with pytest.raises(TypeError):
-            table[key] = "x"
-    with pytest.raises(AttributeError):
-        Zone.INSIDE.label = "x"
+    # a label lives on its member alone; the display names are a read-only table
+    for constants in (Zone, Phase, LrefRole, Provenance):
+        for member in constants:
+            with pytest.raises(AttributeError):
+                member.label = "x"
+            with pytest.raises(AttributeError):
+                del member.label
+            assert member.label == member.name.lower()
     assert Zone.INSIDE.label == "inside"
+    with pytest.raises(TypeError):
+        trace.PROVENANCE_DISPLAY[Provenance.VERB] = "x"
+    assert trace.PROVENANCE_DISPLAY[Provenance.VERB] == "Verb"
 
 
 def test_phase_order_and_labels():
