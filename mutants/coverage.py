@@ -12,7 +12,8 @@ a fuzzer reaches the same lines on every run.  Then it prints each executable li
 no test ran, marking the ones ALLOWED names.  Executable lines are the line
 starts of each code object's bytecode, less docstrings (as the stdlib
 trace module counts them).  A line that CLI children alone run is never
-seen here: ALLOWED names each such statement by its text, with a reason.
+seen here: ALLOWED names each such statement by its text, or a function
+by its def line, with a reason.
 The exit status is 1 if the suite fails, if an unreached line is not
 allowed, or if an allowed text is reached or does not occur exactly once.
 Stdlib and pytest only; 16 to 21 s on a 2-vCPU VM with Python 3.11.7.
@@ -29,29 +30,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "motionsem"
 
-_ENTRY_BODY = """\
-    import gc  # here, as build_parser imports argparse: importing cli costs no more
-
-    try:
-        code = main()
-        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
-    except BrokenPipeError:
-        # to devnull, so that the flush at shutdown cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_BROKEN_PIPE
-    finally:
-        # on every way out: the collections of interpreter shutdown then skip
-        # the heap, which cost a query child more than its own work; atexit
-        # handlers still run.  Never in main(), whose caller may go on.
-        gc.freeze()
-    sys.exit(code)
-"""
 # (file under src/motionsem, statement text) -> why no test runs it in process.
-# Each text occurs exactly once in its file, and allows the lines it spans.
+# Each text occurs exactly once in its file, and allows the lines it spans; a
+# function's def line allows the whole function, as the AST spans it.
 ALLOWED = {
     ("cli.py", "if argv is None:\n        argv = sys.argv[1:]\n"):
         "main() without argv: only the console script runs it, in a CLI child",
-    ("cli.py", "def entry() -> None:\n" + _ENTRY_BODY):
+    ("cli.py", "def entry() -> None:\n"):
         "entry(): only the console script runs it, in a CLI child",
     ("cli.py", 'if __name__ == "__main__":\n    entry()\n'):
         "python -m motionsem.cli: only in a CLI child",
@@ -76,11 +61,17 @@ def executable_lines(path: Path) -> set[int]:
 
 def allowed_spans(name: str, source: str) -> dict[str, set[int]]:
     """The lines that each ALLOWED text of file name spans in source, by text."""
+    ends = {  # the last line of each function, by its def line
+        node.lineno: node.end_lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     spans = {}
     for file, text in ALLOWED:
         if file == name and source.count(text) == 1:
             first = source[: source.index(text)].count("\n") + 1
-            spans[text] = set(range(first, first + text.rstrip("\n").count("\n") + 1))
+            last = ends.get(first, first + text.rstrip("\n").count("\n"))
+            spans[text] = set(range(first, last + 1))
     return spans
 
 

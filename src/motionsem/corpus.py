@@ -29,6 +29,7 @@ from .errors import (
     MotionSemError,
     Record,
     WHITESPACE,
+    _check_name,
     data_lines,
     is_name,
     split_fields,
@@ -40,12 +41,45 @@ from .trace import Provenance
 from .zones import Phase, Zone
 
 
+# The (phase, zone, provenance) labels of an EXPECT line, as parse_corpus holds them.
+_LABELS = frozenset((p.label, z.label, v.label) for p in Phase for z in Zone for v in Provenance)
+
+
 class CorpusCase(
     Record, fields="id complex expected_tuples expected_error", defaults=((), None)
 ):
-    """One case: a MotionComplex and either its tuples or an error name."""
+    """One case: a MotionComplex and either its tuples or an error name.
+
+    It holds what parse_corpus gives, else raises IllFormedEntryError in its
+    words: a name as id and error name, a MotionComplex of str names, and a
+    tuple of (location, phase, zone, provenance) tuples, a name and labels.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = case_id, complex_, tuples, error = super().__new__(cls, *args, **kwargs)
+        _check_name(case_id, "case id")
+        if complex_ is None:
+            raise IllFormedEntryError(f"case {case_id!r} has no INPUT line")
+        if not (isinstance(complex_, MotionComplex) and all(type(f) is str for f in complex_)):
+            raise IllFormedEntryError(f"bad complex {complex_!r}")
+        try:
+            check_names(complex_)
+        except ValueError as exc:
+            raise IllFormedEntryError(str(exc)) from None
+        if not (type(tuples) is tuple and all(
+            type(t) is tuple and len(t) == 4 and all(type(f) is str for f in t)
+            and is_name(t[0]) and t[1:] in _LABELS for t in tuples
+        )):
+            raise IllFormedEntryError(f"bad expected tuples {tuples!r}")
+        if error is not None and tuples:
+            raise IllFormedEntryError(f"case {case_id!r} mixes EXPECT and EXPECT-ERROR")
+        if error is None and not tuples:
+            raise IllFormedEntryError(f"case {case_id!r} has no expectation")
+        if error is not None:
+            _check_name(error, "error name")
+        return self
 
 
 class CaseResult(
@@ -132,10 +166,9 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                     raise IllFormedEntryError(
                         f"case {case_id!r} (line {case_line}) not closed with END"
                     )
-                if not is_name(rest):
-                    raise IllFormedEntryError(
-                        f"bad case id {rest!r}" if rest else "CASE line needs an id"
-                    )
+                if not rest:
+                    raise IllFormedEntryError("CASE line needs an id")
+                _check_name(rest, "case id")
                 case_id = rest
                 case_line = lineno
                 if case_id in seen_ids:
@@ -152,13 +185,7 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                         "INPUT needs <verb> <prep> <ground> <lang>"
                     )
                 try:
-                    complex_ = MotionComplex(
-                        verb_lemma=parts[0],
-                        prep_lemma=parts[1],
-                        ground=parts[2],
-                        mobile="mobile",
-                        language=parts[3],
-                    )
+                    complex_ = MotionComplex(*parts[:3], "mobile", parts[3])
                     check_names(complex_)
                 except ValueError as exc:
                     raise IllFormedEntryError(str(exc)) from None
@@ -173,33 +200,18 @@ def parse_corpus(source: Iterable[str]) -> list[CorpusCase]:
                     location = location.removesuffix(field).rstrip(WHITESPACE)
                 if not is_name(location):
                     raise IllFormedEntryError(f"bad location {location!r}")
-                tuples.append(
-                    (
-                        location,
-                        Phase.from_label(phase).label,
-                        Zone.from_label(zone).label,
-                        Provenance.from_label(prov).label,
-                    )
-                )
+                tuples.append((location, Phase.from_label(phase).label,
+                               Zone.from_label(zone).label, Provenance.from_label(prov).label))
             elif tag == "EXPECT-ERROR":
                 if error_name is not None:
                     raise IllFormedEntryError(
                         f"case {case_id!r} has two EXPECT-ERROR lines"
                     )
-                if not is_name(rest):
-                    raise IllFormedEntryError(
-                        f"bad error name {rest!r}" if rest else "EXPECT-ERROR needs a name"
-                    )
+                if not rest:
+                    raise IllFormedEntryError("EXPECT-ERROR needs a name")
+                _check_name(rest, "error name")
                 error_name = rest
             elif tag == "END":
-                if complex_ is None:
-                    raise IllFormedEntryError(f"case {case_id!r} has no INPUT line")
-                if error_name is not None and tuples:
-                    raise IllFormedEntryError(
-                        f"case {case_id!r} mixes EXPECT and EXPECT-ERROR"
-                    )
-                if error_name is None and not tuples:
-                    raise IllFormedEntryError(f"case {case_id!r} has no expectation")
                 cases.append(CorpusCase(case_id, complex_, tuple(tuples), error_name))
                 case_id, complex_, tuples, error_name = None, None, [], None
             else:

@@ -20,7 +20,7 @@ class inventory, in a bounded memo that never keeps an error.
 
 VerbEntry, PrepEntry and Lexicon decide what they may hold: built by a
 call, _make or _replace, an entry holds the shapes a lexicon line can
-give, with each zone and role the member it equals, and a lexicon a
+give (verb_shapes, PREP_SHAPES), each zone and role a member, and a lexicon a
 language of LANGUAGES and entries keyed by their own lemmas, or each
 raises IllFormedEntryError (a CoL verb outside the class inventory
 UnlexicalizedClassError); lemmas and glosses are what a dump writes and
@@ -69,8 +69,8 @@ class VerbEntry(
     location anchors.  The category is one of VERB_CATEGORIES; a CoL
     entry has its role and both zones, each held as the member it equals
     (1.0 is LrefRole.MEDIAL), and any other entry none of them; a CoL
-    entry's role and pair are a lexicalized class (classify_verb), or it
-    raises UnlexicalizedClassError as a load does.  The lemma
+    entry's role and pair are one of verb_shapes(), or it raises
+    UnlexicalizedClassError as a load does (classify_verb).  The lemma
     and the gloss are what dump_lexicon writes and load_lexicon reads back
     as they are: the lemma a name with no ASCII whitespace at an edge, the
     gloss a str with no tab or line break and none at its end.
@@ -159,6 +159,12 @@ class PrepEntry(Record, fields="lemma kind zone role attained", defaults=(None, 
 
 _BOOL = {False: False, True: True}.__getitem__
 
+# The (kind, zone, role, attained) of each preposition entry PrepEntry takes.
+PREP_SHAPES = tuple([("pos", zone, None, None) for zone in Zone] + [
+    ("dir", zone, role, attained) for zone in Zone for role in LrefRole
+    for attained in ((True, False) if role is LrefRole.FINAL else (None,))
+])
+
 
 def _check_gloss(gloss) -> None:
     """Refuse a gloss a load would not read back (for VerbEntry and load_lexicon)."""
@@ -221,19 +227,18 @@ def default_class_inventory() -> frozenset[tuple[Zone, Zone]]:
     return frozenset(pairs)
 
 
-_PATH_PAIR = (Zone.CONTACT, Zone.CONTACT)
+def verb_shapes() -> tuple[tuple[LrefRole, Zone, Zone], ...]:
+    """The (role, start, end) triples a CoL VerbEntry takes, in value order: a
+    medial verb the path encoding contact->contact (the mobile hugs the path
+    location's boundary before and after, and is inside it along the way), an
+    initial or final one each pair of the class inventory."""
+    return _verb_shapes(default_class_inventory())
 
 
-def _lexicalized(role: LrefRole, pair: tuple[Zone, Zone]) -> bool:
-    """Whether a CoL verb of this role may use this begin/end zone pair.
-
-    Medial-role verbs use the fixed path encoding contact->contact (the
-    mobile hugs the path location's boundary before and after, and is
-    inside it along the way); all other roles a pair from the inventory.
-    """
-    if role is LrefRole.MEDIAL:
-        return pair == _PATH_PAIR
-    return pair in default_class_inventory()
+@functools.cache  # by inventory, so that a cleared and re-read one is honoured
+def _verb_shapes(inventory: frozenset) -> tuple[tuple[LrefRole, Zone, Zone], ...]:
+    ends = [(role, *pair) for role in (LrefRole.INITIAL, LrefRole.FINAL) for pair in inventory]
+    return tuple(sorted([(LrefRole.MEDIAL, Zone.CONTACT, Zone.CONTACT)] + ends))
 
 
 def classify_verb(entry: VerbEntry) -> str:
@@ -241,7 +246,7 @@ def classify_verb(entry: VerbEntry) -> str:
     if not entry.is_col:
         raise NotACoLVerbError(f"{entry.lemma!r} is {entry.category}, not CoL")
     pair = (entry.start_zone, entry.end_zone)
-    if _lexicalized(entry.lref_role, pair):
+    if (entry.lref_role, *pair) in verb_shapes():
         return f"{pair[0].label}→{pair[1].label}"
     if entry.lref_role is LrefRole.MEDIAL:
         raise UnlexicalizedClassError(

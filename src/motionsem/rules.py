@@ -47,6 +47,7 @@ from .errors import (
     WHITESPACE, FormatError, IllFormedEntryError, Record, _check_name, _member, data_lines,
     read_bundled, split_fields,
 )
+from .lexicon import PREP_SHAPES
 from .trace import Provenance
 from .zones import LrefRole, Phase, Zone
 
@@ -342,16 +343,6 @@ def default_rulebase() -> RuleBase:
 # ---------------------------------------------------------------------------
 # Linting
 
-# The verb contributes three possible reference-location roles and the
-# preposition four feature shapes; together they span the grid every rule
-# base must cover.
-PREP_SHAPES: tuple[tuple[str, LrefRole | None], ...] = (
-    ("pos", None),
-    ("dir", LrefRole.INITIAL),
-    ("dir", LrefRole.MEDIAL),
-    ("dir", LrefRole.FINAL),
-)
-
 
 class LintCell(Record, fields="lref_role prep_kind prep_role"):
     """One cell of lint's grid: a verb role and a preposition shape."""
@@ -442,22 +433,34 @@ def resolve(
     return fired, tuple(defeats), ()
 
 
+def feature_vectors() -> tuple[ComplexFeatures, ...]:
+    """The 30 feature vectors compute_features can produce, in lint's order: each
+    verb role x each (kind, role) cell of lexicon.PREP_SHAPES x zone compatibility
+    (True, then False) x each attainment that the cell's shapes hold."""
+    cells: dict[tuple, dict] = {}
+    for kind, _, role, attained in PREP_SHAPES:
+        cells.setdefault((kind, role), {})[attained] = None
+    return tuple([
+        ComplexFeatures(lref_role, *cell, compatible, attained)
+        for lref_role in LrefRole for cell, attainments in cells.items()
+        for compatible in (True, False) for attained in attainments
+    ])
+
+
 def lint_rulebase(base: RuleBase) -> LintReport:
     """Check the 12-cell grid for feature vectors that compose() rejects.
 
-    Reads resolve()'s verdict, compose()'s own, on each completion (zone
-    compatibility, attainment) of each cell: a cell gaps where one fires
-    no rule and ties none (a veto-only cell is a gap), and lists each tie.
-    So a base that lint passes never makes compose() raise either,
-    whatever the ground is named.
+    Reads resolve()'s verdict, compose()'s own, on each of feature_vectors(),
+    grouped by cell: a cell gaps where one fires no rule and ties none (a
+    veto-only cell is a gap), and lists each tie.  So a base that lint
+    passes never makes compose() raise either, whatever the ground is named.
     """
     gaps: dict[LintCell, None] = {}
     ties: list[tuple[LintCell, str]] = []
-    for cell in [LintCell(role, *shape) for role in LrefRole for shape in PREP_SHAPES]:
+    for cell, vectors in itertools.groupby(feature_vectors(), lambda f: LintCell(*f[:3])):
         cell_ties: set[str] = set()
-        attained = (True, False) if cell.prep_role is LrefRole.FINAL else (None,)
-        for compatible, attainment in itertools.product((True, False), attained):
-            fired, _, tied = resolve(ComplexFeatures(*cell, compatible, attainment), base)
+        for features in vectors:
+            fired, _, tied = resolve(features, base)
             if tied:
                 cell_ties.add("/".join(tied))
             elif fired is None:

@@ -61,19 +61,16 @@ class SpatiotemporalTrace(
     lref is the location bound as the verb's reference location, ground
     the one introduced by the preposition; they may be the same location
     when the two are identified.  Either binding may be absent (None) on
-    hand-built traces.  assignments holds its rows in a tuple, each as a
-    ZoneAssignment: a row that ZoneAssignment refuses raises
-    IllFormedEntryError.
+    hand-built traces.  assignments holds, in a tuple, each row as
+    ZoneAssignment._make gives it, a ZoneAssignment too: a row that
+    ZoneAssignment refuses raises IllFormedEntryError.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         mobile, lref, ground, rows = super().__new__(cls, *args, **kwargs)
-        rows = tuple([
-            row if isinstance(row, ZoneAssignment) else ZoneAssignment._make(row)
-            for row in rows
-        ])
+        rows = tuple([ZoneAssignment._make(row) for row in rows])
         return tuple.__new__(cls, (mobile, lref, ground, rows))
 
     def tuples(self) -> tuple[tuple[str, str, str, str], ...]:

@@ -2,11 +2,11 @@
 test-side helpers they share (hand_built, the entries' projections).
 
 A CoL verb names one of 48 role x start zone x end zone triples
-(VERB_TRIPLES), and VerbEntry takes the 21 of them its class inventory
-lexicalizes (VERB_SHAPES).  With the 20 preposition shapes that makes 420
-shapes, each of which a lexicon file loads, and the bound of a rule
-base's derivation memo.  The shape lexicons are built once and shared by
-every test that sweeps them.
+(VERB_TRIPLES), and VerbEntry takes the 21 of them that lexicon.verb_shapes
+gives (VERB_SHAPES).  With the 20 preposition entries of lexicon.PREP_SHAPES
+(PREP_ENTRIES) that makes 420 shapes, each of which a lexicon file loads,
+and the bound of a rule base's derivation memo.  The shape lexicons are
+built once and shared by every test that sweeps them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 import io
 
 from motionsem.compose import prep_constraint, verb_constraints
-from motionsem.lexicon import Lexicon, PrepEntry, VerbEntry, default_class_inventory
+from motionsem.lexicon import PREP_SHAPES, Lexicon, PrepEntry, VerbEntry, verb_shapes
 from motionsem.rules import default_rulebase, load_rulebase
 from motionsem.zones import LrefRole, Phase, Zone
 
@@ -35,24 +35,8 @@ MEMO_BASES = {
 }
 
 VERB_TRIPLES = [(role, start, end) for role in LrefRole for start in Zone for end in Zone]
-
-
-def lexicalized(role: LrefRole, start: Zone, end: Zone) -> bool:
-    """Whether a CoL verb may take this triple: a medial verb the fixed path
-    encoding contact->contact, an initial or final one a pair of the class
-    inventory."""
-    if role is LrefRole.MEDIAL:
-        return (start, end) == (Zone.CONTACT, Zone.CONTACT)
-    return (start, end) in default_class_inventory()
-
-
-VERB_SHAPES = [triple for triple in VERB_TRIPLES if lexicalized(*triple)]
-PREP_SHAPES = [PrepEntry("p", "pos", zone) for zone in Zone] + [
-    PrepEntry("p", "dir", zone, role=role, attained=attained)
-    for zone in Zone
-    for role in LrefRole
-    for attained in ((True, False) if role is LrefRole.FINAL else (None,))
-]
+VERB_SHAPES = list(verb_shapes())
+PREP_ENTRIES = [PrepEntry("p", *shape) for shape in PREP_SHAPES]
 
 
 @functools.cache
@@ -61,7 +45,7 @@ def shape_lexicons(lemma: str) -> tuple[Lexicon, ...]:
     return tuple(
         Lexicon("fr", {lemma: VerbEntry(lemma, "CoL", *verb)}, {"p": prep})
         for verb in VERB_SHAPES
-        for prep in PREP_SHAPES
+        for prep in PREP_ENTRIES
     )
 
 

@@ -37,7 +37,7 @@ from motionsem.rules import (
 from motionsem.trace import Provenance, render_records, validate_trace
 from motionsem.zones import LrefRole, Phase, Zone
 from shapes import (
-    MEMO_BASES, PREP_SHAPES, VERB_SHAPES, hand_built, prep_projection, shape_lexicons,
+    MEMO_BASES, PREP_ENTRIES, VERB_SHAPES, hand_built, prep_projection, shape_lexicons,
     verb_projection,
 )
 
@@ -721,7 +721,7 @@ def test_shared_memo_matches_a_cold_compile_on_every_shape(name):
     cold = {ground: RuleBase(base.version, base.rules) for ground in grounds}
     text = dump_rulebase(base).splitlines(keepends=True)
     filler = load_rulebase(text)
-    assert len(VERB_SHAPES) * len(PREP_SHAPES) == len(shape_lexicons("v")) == 420
+    assert len(VERB_SHAPES) * len(PREP_ENTRIES) == len(shape_lexicons("v")) == 420
 
     for lex in shape_lexicons("u"):
         derivation_or_error(MotionComplex("u", "p", "zz", "m", "fr"), lex, filler)

@@ -7,10 +7,10 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from motionsem.compose import MotionComplex, compose
-from motionsem.corpus import parse_corpus, run_corpus
+from motionsem.corpus import CorpusCase, parse_corpus, run_corpus
 from motionsem.errors import IllFormedEntryError, MotionSemError, split_fields, wire_name
 from motionsem.lexicon import default_lexicon
 from motionsem.rules import default_rulebase
@@ -204,6 +204,113 @@ def test_clashing_expectations_name_their_line(expectations, line, message):
     with pytest.raises(IllFormedEntryError) as err:
         parse(f"CASE a\nINPUT sortir dans jardin fr\n{expectations}END\n")
     assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+
+COMPLEX = MotionComplex("sortir", "dans", "jardin", "mobile", "fr")
+EXPECTED = parse(SIMPLE)[0].expected_tuples
+VALID = CorpusCase("a", COMPLEX, EXPECTED)
+POST = ("jardin", "post", "inside", "interaction")
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((42, COMPLEX, EXPECTED, None), "bad case id 42"),
+        ((" a", COMPLEX, EXPECTED, None), "bad case id ' a'"),
+        (("a", None, EXPECTED, None), "case 'a' has no INPUT line"),
+        (("x", "not a complex", "nope", 42), "bad complex 'not a complex'"),
+        (
+            ("a", COMPLEX._replace(mobile=7), EXPECTED, None),
+            f"bad complex {COMPLEX._replace(mobile=7)!r}",
+        ),
+        (
+            ("a", COMPLEX._replace(ground="a\nb"), EXPECTED, None),
+            "motion complex field ground must be printable and not blank",
+        ),
+        (("a", COMPLEX, list(EXPECTED), None), f"bad expected tuples {list(EXPECTED)!r}"),
+        (("a", COMPLEX, (POST[:3],), None), f"bad expected tuples {(POST[:3],)!r}"),
+        (("a", COMPLEX, (("", *POST[1:]),), None), f"bad expected tuples {(('', *POST[1:]),)!r}"),
+        (
+            ("a", COMPLEX, ((*POST[:3], "Interaction"),), None),
+            f"bad expected tuples {((*POST[:3], 'Interaction'),)!r}",
+        ),
+        (
+            ("a", COMPLEX, (("jardin", 2, *POST[2:]),), None),
+            f"bad expected tuples {(('jardin', 2, *POST[2:]),)!r}",
+        ),
+        (("a", COMPLEX, EXPECTED, "X"), "case 'a' mixes EXPECT and EXPECT-ERROR"),
+        (("a", COMPLEX, (), None), "case 'a' has no expectation"),
+        (("a", COMPLEX, (), ""), "bad error name ''"),
+        (("a", COMPLEX, (), 5), "bad error name 5"),
+    ],
+    ids=[
+        "id-not-a-str", "id-padded", "no-input", "not-a-complex", "complex-of-a-non-str",
+        "complex-names-refused", "tuples-in-a-list", "tuple-too-short", "location-not-a-name",
+        "label-not-lowercase", "phase-not-a-label", "mixed", "no-expectation",
+        "error-name-blank", "error-name-not-a-str",
+    ],
+)
+def test_a_hand_built_case_is_refused_in_the_loaders_words(fields, message):
+    changes = dict(zip(CorpusCase._fields, fields))
+    for build in (
+        lambda: CorpusCase(*fields), lambda: CorpusCase._make(fields),
+        lambda: VALID._replace(**changes),
+    ):
+        with pytest.raises(IllFormedEntryError) as info:
+            build()
+        assert str(info.value) == message and info.value.line is None
+
+
+def test_every_golden_case_rebuilds_equal_however_it_is_built():
+    for case in golden_cases():
+        for rebuilt in (CorpusCase(*case), CorpusCase._make(case), case._replace(id=case.id)):
+            assert type(rebuilt) is CorpusCase and rebuilt == case
+
+
+def complex_or_none(*fields):
+    """The MotionComplex of fields, or None where MotionComplex refuses them."""
+    try:
+        return MotionComplex(*fields)
+    except ValueError:
+        return None
+
+
+GOLDEN = golden_cases()
+_NAMES = st.text("ab \n\u00a0", max_size=3) | st.sampled_from(["a", "b c", "jardin"])
+_WORDS = _NAMES | st.sampled_from(["sortir", "entrer", "dans", "de", "vers", "lref#sortir"])
+# For each field of a case, values that CorpusCase takes and values that it refuses.
+FIELD_VALUES = (
+    _NAMES | st.integers(),
+    st.sampled_from([case.complex for case in GOLDEN]) | st.builds(
+        complex_or_none, _WORDS, _WORDS, _WORDS, _NAMES | st.just(7),
+        st.sampled_from(["fr", "en", "de", 7]) | _NAMES,
+    ) | st.just("not a complex"),
+    st.sampled_from([case.expected_tuples for case in GOLDEN]) | st.lists(
+        st.tuples(
+            _NAMES, st.sampled_from(["pre", "post", "POST", 2]),
+            st.sampled_from(["inside", "proximal"]), st.sampled_from(["verb", "x"]),
+        ),
+        max_size=3,
+    ).map(tuple) | st.just("nope"),
+    st.none() | _NAMES | st.sampled_from(["Infelicitous", "UnknownLemma"]) | st.integers(),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(GOLDEN), data=st.data())
+def test_a_case_the_constructor_accepts_runs_without_raising(case, data):
+    # a golden case with up to two fields replaced: a refusal is
+    # IllFormedEntryError, and one case that builds never aborts a run
+    fields = list(case)
+    for index in data.draw(st.sets(st.integers(0, 3), max_size=2)):
+        fields[index] = data.draw(FIELD_VALUES[index])
+    try:
+        case = CorpusCase(*fields)
+    except IllFormedEntryError:
+        return
+    assert case == tuple(fields)
+    report = run_corpus([case], LEXICONS, RULES)
+    assert len(report.results) == 1 and report.render()
 
 
 def test_an_error_without_a_wire_name_goes_by_its_class_name():

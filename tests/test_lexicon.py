@@ -20,6 +20,7 @@ from motionsem.errors import (
     UnlexicalizedClassError,
 )
 from motionsem.lexicon import (
+    PREP_SHAPES,
     Lexicon,
     PrepEntry,
     VerbEntry,
@@ -30,9 +31,10 @@ from motionsem.lexicon import (
     load_lexicon,
     lookup_prep,
     lookup_verb,
+    verb_shapes,
 )
 from motionsem.zones import LrefRole, Zone
-from shapes import PREP_SHAPES, VERB_SHAPES, VERB_TRIPLES
+from shapes import PREP_ENTRIES, VERB_SHAPES, VERB_TRIPLES
 
 
 def load(text: str) -> Lexicon:
@@ -154,6 +156,50 @@ def test_medial_verbs_must_use_path_encoding():
         load("LANG\tfr\nV\tpasser\tCoL\tmedial\tproximal\tproximal\n")
     lex = load("LANG\tfr\nV\tpasser\tCoL\tmedial\tcontact\tcontact\n")
     assert lex.verbs["passer"].start_zone is Zone.CONTACT
+
+
+def lexicalized(role: LrefRole, start: Zone, end: Zone) -> bool:
+    """Whether a CoL verb may take this triple: a medial verb the fixed path
+    encoding contact->contact, an initial or final one a pair of the class
+    inventory (the oracle of verb_shapes)."""
+    if role is LrefRole.MEDIAL:
+        return (start, end) == (Zone.CONTACT, Zone.CONTACT)
+    return (start, end) in default_class_inventory()
+
+
+def test_verb_shapes_are_the_lexicalized_triples_in_order():
+    assert verb_shapes() == tuple(t for t in VERB_TRIPLES if lexicalized(*t))
+    assert len(verb_shapes()) == 21
+    for shape in verb_shapes():
+        assert VerbEntry("v", "CoL", *shape)[2:5] == shape
+
+
+def test_verb_shapes_follow_an_edited_class_inventory(bundled_data):
+    # cached per inventory: an inventory cleared and read again is honoured
+    assert (LrefRole.INITIAL, Zone.INSIDE, Zone.CONTACT) in verb_shapes()
+    inventory = bundled_data / "col_classes.txt"
+    lines = inventory.read_text(encoding="utf-8").splitlines()
+    lines.remove("inside\tcontact")
+    inventory.write_text("\n".join(lines + ["inside\tinside", ""]), encoding="utf-8")
+    default_class_inventory.cache_clear()
+    shapes = verb_shapes()
+    assert shapes == tuple(t for t in VERB_TRIPLES if lexicalized(*t)) and len(shapes) == 21
+    assert (LrefRole.FINAL, Zone.INSIDE, Zone.INSIDE) in shapes
+    assert (LrefRole.FINAL, Zone.INSIDE, Zone.CONTACT) not in shapes
+    VerbEntry("v", "CoL", LrefRole.FINAL, Zone.INSIDE, Zone.INSIDE)
+    with pytest.raises(UnlexicalizedClassError):
+        VerbEntry("v", "CoL", LrefRole.FINAL, Zone.INSIDE, Zone.CONTACT)
+
+
+def test_prep_shapes_are_the_entries_prep_entry_takes_in_order():
+    entries = [PrepEntry("p", "pos", zone) for zone in Zone] + [
+        PrepEntry("p", "dir", zone, role=role, attained=attained)
+        for zone in Zone
+        for role in LrefRole
+        for attained in ((True, False) if role is LrefRole.FINAL else (None,))
+    ]
+    assert PREP_SHAPES == tuple(tuple(entry[1:]) for entry in entries)
+    assert len(PREP_SHAPES) == 20 and PREP_ENTRIES == entries
 
 
 def test_positional_prep_rejects_role_and_attained():
@@ -302,7 +348,7 @@ def test_the_valid_shapes_in_lowercase_spelling_number_48(monkeypatch):
     verbs = [tuple(entry[2:5]) for entry in loaded if isinstance(entry, VerbEntry)]
     assert verbs == VERB_SHAPES + 3 * [(None, None, None)]
     preps = {entry._replace(lemma="p") for entry in loaded if isinstance(entry, PrepEntry)}
-    assert preps == set(PREP_SHAPES)
+    assert preps == set(PREP_ENTRIES)
 
 
 def test_a_flood_of_tail_spellings_keeps_the_shape_memo_bounded():

@@ -14,9 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_render as reference
 from motionsem.compose import Defeat, MotionComplex, _plain_layout, compose, explain
-from motionsem.errors import MotionSemError
+from motionsem.errors import MotionSemError, _new
 from motionsem.lexicon import default_lexicon
-from motionsem.trace import Provenance, SpatiotemporalTrace, ZoneAssignment, render_records
+from motionsem.trace import (
+    Provenance, SpatiotemporalTrace, ZoneAssignment, render_records, validate_trace,
+)
 from motionsem.zones import Phase, Zone
 from shapes import MEMO_BASES, hand_built, shape_lexicons
 
@@ -141,6 +143,21 @@ def test_a_float_or_int_phase_or_zone_is_held_as_its_member(field):
         pairs = zip(held.trace.assignments, trace.assignments)
         assert all(type(a) is ZoneAssignment and a[index] is b[index] for a, b in pairs)
         assert_renders_like_the_reference(held)
+
+
+def test_rows_built_past_their_check_are_checked_by_the_trace():
+    # _new skips ZoneAssignment's check, so these rows hold a plain int phase;
+    # the trace passes every row through ZoneAssignment._make, a
+    # ZoneAssignment too, so render_records reads members as explain does
+    fr = default_lexicon("fr")
+    derivation = compose(MotionComplex("sortir", "dans", "jardin", "mobile", "fr"), fr, RULES)
+    members = derivation.trace.assignments
+    rows = [_new(ZoneAssignment, (a[0], int(a[1]), *a[2:])) for a in members]
+    assert all(type(row[1]) is int for row in rows)
+    trace = SpatiotemporalTrace(*derivation.trace[:3], rows)
+    assert all(a[1] is b[1] for a, b in zip(trace.assignments, members))
+    assert validate_trace(trace) == []
+    assert_renders_like_the_reference(derivation._replace(trace=trace))
 
 
 def test_fields_that_compare_equal_but_print_differently_print_as_themselves():

@@ -28,6 +28,7 @@ from motionsem.rules import (
     applicable_rules,
     default_rulebase,
     dump_rulebase,
+    feature_vectors,
     lint_rulebase,
     load_rulebase,
     parse_conclusion,
@@ -37,7 +38,7 @@ from motionsem.rules import (
 from motionsem.trace import Provenance
 from motionsem.zones import LrefRole, Phase, Zone
 
-from shapes import MEMO_BASES, PREP_SHAPES, VERB_SHAPES, shape_lexicons
+from shapes import MEMO_BASES, PREP_ENTRIES, VERB_SHAPES, shape_lexicons
 
 
 def load(text: str):
@@ -446,7 +447,7 @@ def test_a_rule_id_or_version_a_dump_would_not_give_back_is_refused(name):
 
 # The 30 feature vectors compute_features can produce: 3 verb roles x 4
 # preposition shapes, times zone compatibility, times attainment where the
-# preposition is directional-final.
+# preposition is directional-final (the oracle of feature_vectors).
 COMPLETIONS = [
     ComplexFeatures(lref_role, prep_kind, prep_role, compatible, attained)
     for lref_role in LrefRole
@@ -459,6 +460,11 @@ COMPLETIONS = [
     for compatible in (True, False)
     for attained in ((True, False) if prep_role is LrefRole.FINAL else (None,))
 ]
+
+
+def test_feature_vectors_are_the_completions_in_order():
+    assert feature_vectors() == tuple(COMPLETIONS)
+    assert all(type(features) is ComplexFeatures for features in feature_vectors())
 
 
 def atom_by_atom(atoms, features) -> bool:
@@ -642,7 +648,7 @@ def inventory_lexicon():
     lines = ["LANG\tfr"]
     for index, (role, start, end) in enumerate(VERB_SHAPES):
         lines.append(f"V\tv{index}\tCoL\t{role.label}\t{start.label}\t{end.label}")
-    for index, prep in enumerate(PREP_SHAPES):
+    for index, prep in enumerate(PREP_ENTRIES):
         role = "" if prep.role is None else f"\t{prep.role.label}"
         attained = "" if prep.attained is None else f"\tattained={prep.attained}".lower()
         lines.append(f"P\tp{index}\t{prep.kind}{role}\t{prep.zone.label}{attained}")
@@ -710,7 +716,7 @@ def test_inventory_lexicon_loads_420_shapes():
     assert [tuple(verb[2:5]) for verb in INVENTORY.verbs.values()] == VERB_SHAPES
     assert sorted(
         tuple(prep[1:]) for prep in INVENTORY.preps.values()
-    ) == sorted(tuple(prep[1:]) for prep in PREP_SHAPES)
+    ) == sorted(tuple(prep[1:]) for prep in PREP_ENTRIES)
 
 
 WITNESS = load(
@@ -827,7 +833,7 @@ def test_lint_resolves_the_30_completions():
 @settings(max_examples=50, deadline=None)
 @given(
     verb_fields=st.sampled_from(VALID_VERBS).flatmap(lambda v: st.tuples(*map(raw, v))),
-    prep_fields=st.sampled_from(PREP_SHAPES).flatmap(lambda p: st.tuples(*map(raw, p[1:]))),
+    prep_fields=st.sampled_from(PREP_ENTRIES).flatmap(lambda p: st.tuples(*map(raw, p[1:]))),
 )
 def test_every_entry_the_constructors_accept_composes_on_lints_grid(verb_fields, prep_fields):
     # each pair is refused at construction, or by compose as a non-CoL verb,

@@ -83,11 +83,13 @@ RECORD_IDS = [c.__name__ for c, _ in RECORDS]
 
 # The classes whose sample's required fields alone make no value: a CoL verb
 # without its role and zones, a directional prep without its role, a bind
-# without its phase.  The constructor refuses them, with this message.
+# without its phase, a corpus case without an expectation.  The constructor
+# refuses them, with this message.
 REFUSED_ALONE = {
     VerbEntry: "CoL entry 'sortir' lacks zone constraints",
     PrepEntry: "directional prep 'vers' lacks a role",
     Conclusion: "'bind' has phase None, equal to no member",
+    CorpusCase: "case 'c1' has no expectation",
 }
 
 
