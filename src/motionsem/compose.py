@@ -12,13 +12,12 @@ Everything here is pure: lexicons, rule bases and traces are immutable
 values, and repeated composition of the same inputs yields identical
 results.  A derivation is built once per entry shape as a memo entry
 holding the trace's rows in each order the two locations can sort in,
-and every call, a miss as a hit, renames that entry without sorting;
-a rule text loaded again gives the same rule base, memo and all (see
-compose()).  Whether the ground is the reference location is decided by
-the rule base alone, never by the ground's name: the name of the
-reference location is reserved (MotionComplex), and an identify
-conclusion holds exactly when compute_features finds the zones
-compatible.
+and every call, a miss as a hit, renames that entry without sorting (a
+failed verdict's entry words its error on every call; see compose()).
+Whether the ground is the reference location is decided by the rule base
+alone, never by the ground's name: the name of the reference location is
+reserved (MotionComplex), and an identify conclusion holds exactly when
+compute_features finds the zones compatible.
 explain() writes the rule lines on every call, and its body has one
 renderer (_render): it renders a hand-built trace directly, and every
 other trace once per shape of trace with markers for the names, which
@@ -34,7 +33,7 @@ from .errors import (
     UnknownLanguageError, _new, is_name,
 )
 from .lexicon import Lexicon, PrepEntry, VerbEntry, lookup_prep, lookup_verb
-from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, resolve
+from .rules import ComplexFeatures, CompositionRule, Defeat, RuleBase, _verdict
 from .trace import (
     _LOCATION_PHASE,
     PROVENANCE_DISPLAY,
@@ -162,16 +161,15 @@ def compose(
     A derivation depends on the ground, mobile and lref names only
     through renaming, so it is built as a memo entry for the entry shape
     (the zones and roles of the two entries, never their lemmas, which
-    hold members by construction; see VerbEntry): the features, fired rule
-    and defeats, and the rows as (at_ground, phase, zone, provenance) in
-    canonical order for a ground sorting after the lref and for one
-    sorting before it (one order if they are identified).  Every call, a
-    miss as a hit, renames that entry (see _rename).  The rule base
-    memoizes the entry per shape, and load_rulebase gives a text loaded
-    again the same base, memo and all.  The memo is bounded by the finite
-    shape space and ignored by the rule base's ==, hash and repr;
-    concurrent fills at worst compute the same value twice.  Errors are
-    never memoized.
+    hold members by construction; see VerbEntry): the features and the
+    verdict the rule base stores for them (rules._verdict, which lint reads
+    too), then a fired rule's rows as (at_ground, phase, zone, provenance)
+    in canonical order for a ground sorting after the lref and for one
+    sorting before it (one order if they are identified), or a failed
+    verdict's tie (its ids, or none).  Every call, a miss as a hit, renames
+    a fired entry (see _rename) or raises a failed one's error, worded from
+    its own complex.  load_rulebase gives a text loaded again the same base,
+    memos and all (see RuleBase).
     """
     verb_lemma, prep_lemma, ground, mobile, language = complex
     if language != lexicon.language:
@@ -188,9 +186,20 @@ def compose(
         prep.kind, prep.role, prep.zone, prep.attained,
     )
     memo = rules._derivations
-    entry = memo.get(shape)  # features, fired rule, defeats, row orders
+    entry = memo.get(shape)  # features, fired rule or None, defeats, row orders or tie
     if entry is None:
-        entry = memo[shape] = _derive(complex, verb, prep, rules)
+        features = compute_features(verb, prep)
+        fired, defeated, tied = _verdict(features, rules)
+        orders = tied if fired is None else _orders(fired, verb, prep)
+        entry = memo[shape] = features, fired, defeated, orders
+    if entry[1] is None:  # a failed verdict, worded from this call's complex
+        if tied := entry[3]:
+            raise AmbiguousRuleBaseError(
+                f"rules {', '.join(tied)} tie on strength and priority for "
+                f"{' + '.join(complex[:2])}", tied
+            )
+        names = " + ".join(complex[:3])
+        raise InfelicitousError(f"no rule yields a well-formed trace for {names}")
     return _rename(entry, complex, ground, mobile)
 
 
@@ -209,23 +218,6 @@ def _rename(entry: tuple, complex: MotionComplex, ground: str, mobile: str) -> D
         assignments.append(_new(ZoneAssignment, (location, phase, zone, source)))
     trace = _new(SpatiotemporalTrace, (mobile, lref, ground, tuple(assignments)))
     return _new(Derivation, (complex, features, fired, defeated, trace))
-
-
-def _derive(
-    complex: MotionComplex, verb: VerbEntry, prep: PrepEntry, rules: RuleBase
-) -> tuple:
-    """The memo entry for a shape, or the error of its failed verdict (see compose())."""
-    features = compute_features(verb, prep)
-    fired, defeated, tied = resolve(features, rules)
-    if tied:
-        raise AmbiguousRuleBaseError(
-            f"rules {', '.join(tied)} tie on strength and priority for "
-            f"{' + '.join(complex[:2])}", tied
-        )
-    if fired is None:
-        names = " + ".join(complex[:3])
-        raise InfelicitousError(f"no rule yields a well-formed trace for {names}")
-    return features, fired, defeated, _orders(fired, verb, prep)
 
 
 def _orders(

@@ -215,17 +215,18 @@ class Defeat(Record, fields="rule_id defeated_by reason"):
 class RuleBase(Record, fields="version rules", defaults=((),)):
     """A versioned set of composition rules.
 
-    Its instance dict holds, outside the fields that ==, hash and repr
-    read, one lazily filled memo: compose()'s derivation per shape (at most
-    420).  A constructed base starts it empty; load_rulebase gives an equal
-    text the same base, and a copy or pickle carries the memo (a shallow
-    copy shares it).  Concurrent fills at worst compute the same value
-    twice.  No attribute can be assigned or deleted, the memo included.
+    Its instance dict holds, outside the fields that ==, hash and repr read,
+    two lazily filled memos: resolve()'s verdict per feature vector (at most
+    30, filled by _verdict alone for compose() and lint) and compose()'s entry
+    per shape (at most 420), a failed verdict's too.  A constructed base starts
+    them empty; load_rulebase gives an equal text the same base, and a copy or
+    pickle carries them (a shallow copy shares them).  Concurrent fills at
+    worst compute a value twice.  No attribute can be assigned or deleted.
     """
 
     def __new__(cls, *args, **kwargs):
         version, rules = self = super().__new__(cls, *args, **kwargs)
-        vars(self)["_derivations"] = {}
+        vars(self).update(_derivations={}, _verdicts={})
         _check_name(version, "version")
         if type(rules) is not tuple or not all(isinstance(r, CompositionRule) for r in rules):
             raise IllFormedEntryError(f"bad rules {rules!r}")
@@ -398,9 +399,10 @@ def resolve(
 ) -> tuple[CompositionRule | None, tuple[Defeat, ...], tuple[str, ...]]:
     """The verdict of a rule base on features: (fired, defeats, tied).
 
-    The one resolution, read by compose() and lint alike: one pass over the
-    ranks of applicable_rules().  A rank of two or more rules reached before
-    a rule fires is a tie: fired is None, tied their sorted ids.  A forbid
+    The one resolution, which compose() and lint read as the base stores it
+    (_verdict); it keeps no memo of its own.  One pass over the ranks of
+    applicable_rules(): a rank of two or more rules reached before a rule
+    fires is a tie, fired is None and tied their sorted ids.  A forbid
     vetoes every identify below it.  The first conclusion that holds fires
     (a bind always, an identify when the zones are compatible), else fired
     is None.  Each later rule but a forbid is defeated, "guard subsumed" if
@@ -433,6 +435,14 @@ def resolve(
     return fired, tuple(defeats), ()
 
 
+def _verdict(features: ComplexFeatures, base: RuleBase) -> tuple:
+    """resolve()'s verdict on features, stored in base when first read (see RuleBase)."""
+    verdict = base._verdicts.get(features)
+    if verdict is None:
+        verdict = base._verdicts[features] = resolve(features, base)
+    return verdict
+
+
 def feature_vectors() -> tuple[ComplexFeatures, ...]:
     """The 30 feature vectors compute_features can produce, in lint's order: each
     verb role x each (kind, role) cell of lexicon.PREP_SHAPES x zone compatibility
@@ -450,17 +460,17 @@ def feature_vectors() -> tuple[ComplexFeatures, ...]:
 def lint_rulebase(base: RuleBase) -> LintReport:
     """Check the 12-cell grid for feature vectors that compose() rejects.
 
-    Reads resolve()'s verdict, compose()'s own, on each of feature_vectors(),
-    grouped by cell: a cell gaps where one fires no rule and ties none (a
-    veto-only cell is a gap), and lists each tie.  So a base that lint
-    passes never makes compose() raise either, whatever the ground is named.
+    Reads the verdict the base stores for compose() (_verdict) on each of
+    feature_vectors(), grouped by cell: a cell gaps where one fires no rule
+    and ties none (a veto-only cell is a gap), and lists each tie.  So a
+    base lint passes never makes compose() raise either, whatever the ground is named.
     """
     gaps: dict[LintCell, None] = {}
     ties: list[tuple[LintCell, str]] = []
     for cell, vectors in itertools.groupby(feature_vectors(), lambda f: LintCell(*f[:3])):
         cell_ties: set[str] = set()
         for features in vectors:
-            fired, _, tied = resolve(features, base)
+            fired, _, tied = _verdict(features, base)
             if tied:
                 cell_ties.add("/".join(tied))
             elif fired is None:

@@ -216,7 +216,7 @@ def test_compose_raises_on_tied_rules():
             "R\tB\tdefeasible\t5\tprepkind=pos\tbind(pre)\n"
         )
     )
-    for _ in range(3):  # never memoized: raised on every repeat
+    for _ in range(3):  # the failed verdict is memoized and raised on every repeat
         with pytest.raises(AmbiguousRuleBaseError) as info:
             compose(fr_complex("entrer", "dans"), FR, base)
         assert str(info.value) == (
@@ -259,12 +259,34 @@ def test_infelicitous_when_every_conclusion_fails():
     base = load_rulebase(
         io.StringIO("R\tonly\tdefeasible\t1\tprepkind=dir,preprole=final\tidentify\n")
     )
-    for _ in range(3):  # never memoized: raised on every repeat
+    for _ in range(3):  # the failed verdict is memoized and raised on every repeat
         with pytest.raises(InfelicitousError) as info:
             compose(fr_complex("arriver", "jusqu'à", ground="maison"), FR, base)
         assert str(info.value) == (
             "no rule yields a well-formed trace for arriver + jusqu'à + maison"
         )
+
+
+@pytest.mark.parametrize("name", ["tie-and-bind", "identify-only"])
+def test_a_failed_verdict_is_worded_from_each_calls_own_complex(name):
+    # one failing shape under two grounds, then under two lemmas: its one memo
+    # entry raises on every call, naming that call's complex
+    base = RuleBase(MEMO_BASES[name].version, MEMO_BASES[name].rules)
+    verb, prep = VerbEntry("a", "CoL", *VERB_SHAPES[0]), PrepEntry("p", "pos", Zone.INSIDE)
+    lexicon = Lexicon(
+        "fr", {"a": verb, "b": verb._replace(lemma="b")}, {"p": prep, "q": prep._replace(lemma="q")}
+    )
+    for lemmas, ground in ((("a", "p"), "g"), (("a", "p"), "h"), (("b", "q"), "h")):
+        expected = (
+            f"rules A, B tie on strength and priority for {' + '.join(lemmas)}"
+            if name == "tie-and-bind"
+            else f"no rule yields a well-formed trace for {' + '.join(lemmas)} + {ground}"
+        )
+        for _ in range(3):
+            with pytest.raises((AmbiguousRuleBaseError, InfelicitousError)) as info:
+                compose(MotionComplex(*lemmas, ground, "m", "fr"), lexicon, base)
+            assert str(info.value) == expected
+    assert len(base._derivations) == len(base._verdicts) == 1
 
 
 def test_infelicitous_when_no_rule_applies():
@@ -675,7 +697,7 @@ def test_memoized_compose_matches_a_cold_rule_base(base, lemma, shape, prep, gro
     assert outcome(complex_, lexicon, warm) == expected
     assert outcome(complex_, lexicon, warm) == expected
     assert cold == warm and hash(cold) == hash(warm) and repr(cold) == repr(warm)
-    for name in ("version", "rules", "_derivations"):
+    for name in ("version", "rules", "_derivations", "_verdicts"):
         with pytest.raises(AttributeError):
             setattr(warm, name, getattr(cold, name))
 
@@ -788,8 +810,8 @@ def test_identification_succeeds_exactly_when_the_features_say_it_can():
 
 def test_rule_bases_that_print_differently_share_no_memo():
     # equal rule tuples whose fields differ in type (43 vs 43.0) must not
-    # hand each other their compiled derivations, which carry the rule: a
-    # constructed base starts with a memo of its own
+    # hand each other their compiled derivations or stored verdicts, which
+    # carry the rule: a constructed base starts with memos of its own
     complex_ = fr_complex("sortir", "dans")
     ints = default_rulebase()
     as_int = compose(complex_, FR, ints)
@@ -797,16 +819,18 @@ def test_rule_bases_that_print_differently_share_no_memo():
     rules = tuple(hand_built(r, priority=float(r.priority)) for r in ints.rules)
     floats = RuleBase(ints.version, rules)
     assert floats == ints and floats._derivations is not ints._derivations
+    assert floats._verdicts is not ints._verdicts
     as_float = compose(complex_, FR, floats)
     assert "fired rule: D2i (defeasible, priority 43)\n" in explain(as_int)
     assert "fired rule: D2i (defeasible, priority 43.0)\n" in explain(as_float)
     assert type(as_float.fired.priority) is float
-    assert not RuleBase(ints.version, rules)._derivations
+    rebuilt = RuleBase(ints.version, rules)
+    assert not rebuilt._derivations and not rebuilt._verdicts
 
 
 def test_a_copied_or_rebuilt_rule_base_composes_like_a_cold_one():
-    # the memo sits outside the fields: a copy or pickle carries it (a
-    # shallow copy shares it), a rebuilt base starts its own, and none of
+    # the memos sit outside the fields: a copy or pickle carries them (a
+    # shallow copy shares them), a rebuilt base starts its own, and none of
     # them composes otherwise than a base that compiles every shape afresh
     complex_ = MotionComplex("v", "p", "g", "m", "fr")
 
@@ -814,21 +838,26 @@ def test_a_copied_or_rebuilt_rule_base_composes_like_a_cold_one():
         return [derivation_or_error(complex_, lex, rules) for lex in shape_lexicons("v")]
 
     base = default_rulebase()
-    outcomes(base)  # warm: every shape memoized
+    outcomes(base)  # warm: every shape memoized, and every vector a shape reaches
     expected = outcomes(RuleBase(base.version, base.rules))
     shallow, deep = copy.copy(base), copy.deepcopy(base)
     pickled = pickle.loads(pickle.dumps(base))
-    assert shallow._derivations is base._derivations
-    for carried in (deep, pickled):
-        assert carried._derivations == base._derivations
-        assert carried._derivations is not base._derivations
-    for other in (shallow, deep, pickled, base._replace(), RuleBase(*base)):
+    rebuilt = (base._replace(), RuleBase(*base))
+    for memo in ("_derivations", "_verdicts"):
+        assert len(getattr(base, memo)) >= 29
+        assert getattr(shallow, memo) is getattr(base, memo)
+        for carried in (deep, pickled):
+            assert getattr(carried, memo) == getattr(base, memo)
+            assert getattr(carried, memo) is not getattr(base, memo)
+        assert not any(getattr(other, memo) for other in rebuilt)
+    for other in (shallow, deep, pickled, *rebuilt):
         assert type(other) is RuleBase and other == base
         assert outcomes(other) == expected
-    with pytest.raises(AttributeError):
-        del base._derivations
-    with pytest.raises(AttributeError):
-        base._derivations = {}
+    for memo in ("_derivations", "_verdicts"):
+        with pytest.raises(AttributeError):
+            delattr(base, memo)
+        with pytest.raises(AttributeError):
+            setattr(base, memo, {})
 
 
 # Rules whose own bind conclusion tags a fact unsoundly: C binds the ground

@@ -711,6 +711,46 @@ def assert_lint_is_run_time(base):
     return report, found
 
 
+def outcome(lexicon, base):
+    """compose()'s derivation of v + p + g, or its error's type and message."""
+    try:
+        return compose(MotionComplex("v", "p", "g", "m", "fr"), lexicon, base)
+    except (AmbiguousRuleBaseError, InfelicitousError) as exc:
+        return type(exc), str(exc)
+
+
+def sweep(base):
+    """compose()'s outcome on each of the 420 shapes."""
+    return [outcome(lexicon, base) for lexicon in shape_lexicons("v")]
+
+
+def test_compose_and_lint_store_one_verdict_per_feature_vector():
+    # a cold pass over the shapes stores the 29 vectors they reach, lint adds
+    # the one they never reach, and nothing after that stores another
+    default = default_rulebase()
+    base = RuleBase(default.version, default.rules)
+    assert not base._verdicts and not base._derivations
+    sweep(base)
+    assert len(base._verdicts) == 29 and len(base._derivations) == 420
+    stored = dict(base._verdicts)
+    lint_rulebase(base)
+    assert set(base._verdicts) - set(stored) == {UNREACHED}
+    assert all(base._verdicts[features] is verdict for features, verdict in stored.items())
+    stored = dict(base._verdicts)
+    sweep(base)
+    lint_rulebase(base)
+    assert base._verdicts == stored and len(base._derivations) == 420
+    linted_first = RuleBase(base.version, base.rules)
+    lint_rulebase(linted_first)
+    assert set(linted_first._verdicts) == set(feature_vectors())
+    sweep(linted_first)
+    assert len(linted_first._verdicts) == 30 and len(linted_first._derivations) == 420
+    # a failed verdict's shape is memoized too
+    failing = RuleBase(MEMO_BASES["identify-only"].version, MEMO_BASES["identify-only"].rules)
+    sweep(failing)
+    assert len(failing._verdicts) == 29 and len(failing._derivations) == 420
+
+
 def test_inventory_lexicon_loads_420_shapes():
     assert len(INVENTORY.verbs) == 21 and len(INVENTORY.preps) == 20
     assert [tuple(verb[2:5]) for verb in INVENTORY.verbs.values()] == VERB_SHAPES
@@ -771,19 +811,41 @@ extra_rules = st.builds(
 )
 
 
+def generated(dropped, extra) -> tuple:
+    """The default rules but the dropped ids, then the extra rules as X0, X1, ..."""
+    return tuple([r for r in DEFAULT_RULES if r.id not in dropped] + [
+        CompositionRule(f"X{index}", strength, priority, Guard(tuple(atoms)), conclusion)
+        for index, (strength, priority, atoms, conclusion) in enumerate(extra)
+    ])
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     dropped=st.sets(st.sampled_from([r.id for r in DEFAULT_RULES]), max_size=3),
     extra=st.lists(extra_rules, max_size=3),
 )
 def test_a_base_lint_passes_never_fails_at_run_time(dropped, extra):
-    rules = [r for r in DEFAULT_RULES if r.id not in dropped] + [
-        CompositionRule(f"X{index}", strength, priority, Guard(tuple(atoms)), conclusion)
-        for index, (strength, priority, atoms, conclusion) in enumerate(extra)
-    ]
-    report, found = assert_lint_is_run_time(RuleBase("generated", tuple(rules)))
+    report, found = assert_lint_is_run_time(RuleBase("generated", generated(dropped, extra)))
     if report.ok:
         assert all(seen == {None} for seen in found.values())
+
+
+@settings(max_examples=5, deadline=None)
+@given(
+    dropped=st.sets(st.sampled_from([r.id for r in DEFAULT_RULES]), max_size=3),
+    extra=st.lists(extra_rules, max_size=3),
+)
+def test_lint_first_or_compose_first_reads_what_a_cold_base_reads(dropped, extra):
+    # the stored verdicts never depend on which caller filled them: lint and
+    # the 420 shapes come out alike in either order, and as on cold bases
+    rules = generated(dropped, extra)
+    lint_first, compose_first = RuleBase("generated", rules), RuleBase("generated", rules)
+    report = lint_rulebase(lint_first)
+    outcomes = sweep(lint_first)
+    assert sweep(compose_first) == outcomes
+    assert lint_rulebase(compose_first) == report == lint_rulebase(RuleBase("generated", rules))
+    # one cold base per shape
+    assert [outcome(lex, RuleBase("generated", rules)) for lex in shape_lexicons("v")] == outcomes
 
 
 # -- every entry the constructors accept is on lint's grid --------------------
